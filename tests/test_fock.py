@@ -1,9 +1,11 @@
 """Exact number-basis path: construction, evolution, and read-out."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from isrsim import BathSpec, ProbeSpec, apply_pump, evolve, thermal_state
 from isrsim.fock import (
@@ -23,6 +25,82 @@ from isrsim.fock import (
 from isrsim.states import conjugate_quadrature_variance, quadrature_variance
 
 OMEGA = 2.0 * math.pi * 3.84
+
+# Left edge of classical RK4's real-axis stability interval: the negative
+# root of 1 + z + z^2/2 + z^3/6 + z^4/24 = 1.
+RK4_REAL_EDGE = -2.785293563405282
+
+
+def _rk4_gain(z):
+    return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+
+def _rotating_spectrum(dim, bath):
+    """Eigenvalues of the rotating-frame Lindblad generator, band by band.
+
+    Band m holds rho[k + m, k]; the band -m is its mirror and has the
+    same spectrum.
+    """
+    lam, nb = bath.damping_rate, bath.n_bath
+    eigs = []
+    for m in range(dim):
+        k = np.arange(dim - m, dtype=float)
+        j = k + m
+        band = np.diag(-0.5 * lam * ((1.0 + 2.0 * nb) * (j + k) + 2.0 * nb))
+        # rho[j, k] gains from rho[j+1, k+1] (emission) and rho[j-1, k-1]
+        # (absorption).
+        band += np.diag(lam * (1.0 + nb) * np.sqrt((j[:-1] + 1.0) * (k[:-1] + 1.0)), 1)
+        band += np.diag(lam * nb * np.sqrt(j[1:] * k[1:]), -1)
+        eigs.append(np.linalg.eigvals(band))
+    return np.concatenate(eigs)
+
+
+def _lab_frame_rk4(rho, tau, bath, steps):
+    """Master equation in the lab frame, from dense operators, fixed-step RK4."""
+    d = rho.shape[0]
+    b = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    bd = b.T
+    n = bd @ b
+    lam, nb = bath.damping_rate, bath.n_bath
+    # b b† without the truncation defect at the top level.
+    bbd = np.diag(np.arange(1.0, d + 1.0))
+
+    def rhs(r):
+        return (
+            -1j * bath.omega_rad_ps * (n @ r - r @ n)
+            + lam * (1.0 + nb) * (b @ r @ bd - 0.5 * (n @ r + r @ n))
+            + lam * nb * (bd @ r @ b - 0.5 * (bbd @ r + r @ bbd))
+        )
+
+    h = tau / steps
+    r = np.array(rho, dtype=complex)
+    for _ in range(steps):
+        k1 = rhs(r)
+        k2 = rhs(r + 0.5 * h * k1)
+        k3 = rhs(r + 0.5 * h * k2)
+        k4 = rhs(r + h * k3)
+        r += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return r
+
+
+def _dense_probe(rho, probe, photon_dim):
+    """Probe read-out from a dense eigendecomposition of the two-mode generator."""
+    dph = rho.dim
+    amp = math.sqrt(probe.intensity_y) * cmath.exp(-1j * probe.phase_diff)
+    a = np.diag(np.sqrt(np.arange(1.0, photon_dim)), 1)
+    b = np.diag(np.sqrt(np.arange(1.0, dph)), 1)
+    coll = np.kron(a + amp * np.eye(photon_dim), np.eye(dph))
+    phonon = np.kron(np.eye(photon_dim), b)
+    gen = probe.coupling_norm * (
+        coll @ phonon.conj().T + coll.conj().T @ phonon
+    )
+    w, v = eigh(gen)
+    # Columns of the unitary on the photon vacuum.
+    psi = (v * np.exp(-1j * w)[None, :]) @ v[:dph, :].conj().T
+    n_psi = coll.conj().T @ (coll @ psi)
+    mean = np.trace(psi.conj().T @ n_psi @ rho.rho).real
+    second = np.trace(n_psi.conj().T @ n_psi @ rho.rho).real
+    return mean, second - mean**2
 
 
 def test_thermal_fock_occupation():
@@ -126,7 +204,43 @@ def test_lindblad_step_guards():
     rho0 = build_thermal_fock(0.3, 32)
     with pytest.raises(ValueError, match="stability"):
         evolve_lindblad_exact(rho0, 1.0, bath, dt=1.0)
-    assert default_step(1.0, bath) <= 0.05 / OMEGA
+    hot = BathSpec(OMEGA, 2.0, 2.0)
+    for spec in (bath, hot):
+        stiffness = 2.0 * spec.damping_rate * (1.0 + 2.0 * spec.n_bath)
+        for dim in (32, 64, 96, 152):
+            dt = default_step(1.0, spec, dim)
+            assert RK4_REAL_EDGE < -dt * stiffness * dim < 0.0
+            # The bound holds for the true spectrum, not only Gershgorin's.
+            spectrum = _rotating_spectrum(dim, spec)
+            assert np.all(spectrum.real >= -stiffness * dim)
+            assert np.max(np.abs(_rk4_gain(dt * spectrum))) <= 1.0 + 1e-12
+    # At a hot bath the stability bound sets the default step, and a step
+    # just above it is refused.
+    dt = default_step(1.0, hot, rho0.dim)
+    evolve_lindblad_exact(rho0, 0.05, hot, dt=dt)
+    with pytest.raises(ValueError, match="stability"):
+        evolve_lindblad_exact(rho0, 0.05, hot, dt=1.01 * dt)
+
+
+def test_rotating_frame_matches_lab_frame():
+    bath = BathSpec(OMEGA, 1.2, 0.3)
+    rho0 = apply_pump_exact(build_thermal_fock(0.1, 24), 0.3 + 0.2j, 0.05j)
+    tau = 0.5
+    ref = _lab_frame_rk4(rho0.rho, tau, bath, steps=2500)
+    got = evolve_lindblad_exact(rho0, tau, bath)
+    assert np.max(np.abs(got.rho - ref)) <= 1e-9
+
+
+def test_lindblad_hot_large_cutoff_is_stable():
+    bath = BathSpec(OMEGA, 2.0, 2.0)
+    rho0 = apply_pump_exact(build_thermal_fock(0.5, 152), 0.5, 0.1j)
+    rho, drift = evolve_lindblad_exact(rho0, 1.5, bath, return_drift=True)
+    assert drift < 1e-9
+    m, occ, anom = rho.moments()
+    st = evolve(apply_pump(thermal_state(0.5), 0.5, 0.1j), 1.5, bath)
+    assert abs(m - st.mean_b) < 1e-7
+    assert abs(occ - st.occupation) < 1e-7
+    assert abs(anom - st.anomalous) < 1e-7
 
 
 def test_trace_drift_raises_when_population_escapes():
@@ -145,6 +259,17 @@ def test_probe_exact_decoupled_angle():
     pair = probe_exact(build_thermal_fock(0.7, 32), probe, photon_dim=30)
     assert pair.mean_ny == pytest.approx(12.0, rel=1e-10)
     assert pair.var_ny == pytest.approx(12.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("dph", [32, 48])
+@pytest.mark.parametrize("photon_dim", [30, 32])
+def test_probe_exact_matches_dense_reference(dph, photon_dim):
+    probe = ProbeSpec(0.25, 0.7, 12.0, 0.0)  # complex displacement amplitude
+    rho = apply_pump_exact(build_thermal_fock(0.3, dph), 0.3 - 0.2j, 0.05j)
+    pair = probe_exact(rho, probe, photon_dim=photon_dim)
+    mean, var = _dense_probe(rho, probe, photon_dim)
+    assert pair.mean_ny == pytest.approx(mean, rel=1e-12)
+    assert pair.var_ny == pytest.approx(var, rel=1e-12)
 
 
 def test_probe_exact_requires_minimum_photon_dim():

@@ -4,11 +4,15 @@ import math
 
 import pytest
 
+from isrsim import BathSpec, apply_pump, evolve, thermal_state
 from isrsim.fock import (
     CrossCheckCase,
     TruncationError,
+    apply_pump_exact,
+    build_thermal_fock,
     cross_validate,
     default_grid,
+    evolve_lindblad_exact,
 )
 
 CHEAP_CASES = [
@@ -33,6 +37,20 @@ CHEAP_CASES = [
         phase_diff=-1.0,
     ),
 ]
+
+
+# A default-range draw whose small anomalous moment (|<b^2>| = 7.5e-3
+# after the delay) the pump-stage cutoff of 40 cannot resolve to 1e-6.
+SMALL_ANOMALOUS = CrossCheckCase(
+    thermal_n=1.31804,
+    c1=0.063132 + 0.217340j,
+    c2=0.0016300 + 0.0011847j,
+    damping_rate=1.22486,
+    delay=1.76596,
+    coupling_norm=0.224708,
+    intensity_y=16.5129,
+    phase_diff=-2.88576,
+)
 
 
 def test_cross_validate_passes_on_cheap_cases():
@@ -83,3 +101,29 @@ def test_default_grid_covers_validated_ranges():
 def test_default_grid_is_deterministic():
     assert default_grid() == default_grid()
     assert default_grid(seed=1) != default_grid(seed=2)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "suggest_dim picks a pump-stage cutoff of 40 for this case; its "
+        "top-decile tail mass (2.5e-9) passes the 1e-8 guard, but that guard "
+        "does not bound the relative error of a small moment, and the "
+        "truncated anomalous moment is off by 2.6e-6 after the delay"
+    ),
+)
+def test_cross_validate_resolves_small_anomalous_moment():
+    result = cross_validate([SMALL_ANOMALOUS])[0]
+    assert result.moment_errors["evolve_anomalous"] < 1e-6
+
+
+def test_small_anomalous_moment_resolved_at_larger_cutoff():
+    # The same stages at cutoff 64 agree with the closed form, so the
+    # error above comes from the cutoff, not from the integrator.
+    case = SMALL_ANOMALOUS
+    bath = BathSpec(case.omega, case.damping_rate, case.thermal_n)
+    exact = apply_pump_exact(build_thermal_fock(case.thermal_n, 64), case.c1, case.c2)
+    exact = evolve_lindblad_exact(exact, case.delay, bath)
+    fast = evolve(apply_pump(thermal_state(case.thermal_n), case.c1, case.c2), case.delay, bath)
+    anom = exact.moments()[2]
+    assert abs(anom - fast.anomalous) / abs(fast.anomalous) < 1e-9
