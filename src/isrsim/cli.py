@@ -41,6 +41,7 @@ from .config import ConfigError, RunConfig, load_config
 from .detector import (
     ScanResult,
     fit_line,
+    row_streams,
     sample_pulse_ensemble,
     scan_experiment,
     shot_noise_scan,
@@ -145,48 +146,20 @@ def _lifetime_block(result) -> dict:
 
 
 def _run_scan(cfg: RunConfig, pump, bath, probe, det, delays, seed, threads) -> ScanResult:
-    """scan_experiment, optionally split into delay blocks across threads.
-
-    Per-cell seeding is keyed by the absolute delay index, so the split
-    reproduces the serial run bit for bit.
-    """
+    """scan_experiment with the configured scan settings."""
     s = cfg.section("scan")
-    kwargs = dict(
+    return scan_experiment(
+        pump,
+        bath,
+        probe,
+        det,
+        delays,
         n_pulses=s["n_pulses"],
         m_scans=s["m_scans"],
         seed=seed,
         thermal_n=cfg.initial_occupation(),
         statistics_only=s["statistics_only"],
-    )
-    workers = max(1, min(threads, delays.size))
-    if workers == 1:
-        return scan_experiment(pump, bath, probe, det, delays, **kwargs)
-    blocks = np.array_split(np.arange(delays.size), workers)
-    blocks = [b for b in blocks if b.size]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                scan_experiment,
-                pump,
-                bath,
-                probe,
-                det,
-                delays[b],
-                delay_index_base=int(b[0]),
-                **kwargs,
-            )
-            for b in blocks
-        ]
-        parts = [f.result() for f in futures]
-    per_scan_mean = np.hstack([p.per_scan_mean for p in parts])
-    per_scan_var = np.hstack([p.per_scan_var for p in parts])
-    return ScanResult(
-        delays=np.concatenate([p.delays for p in parts]),
-        dt_mean=per_scan_mean.mean(axis=0),
-        dt_var=per_scan_var.mean(axis=0),
-        per_scan_mean=per_scan_mean,
-        per_scan_var=per_scan_var,
-        seed=parts[0].seed,
+        threads=threads,
     )
 
 
@@ -294,16 +267,18 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         files.append(path)
 
     if "csv" in formats and not s["statistics_only"]:
-        # Per-pulse voltage histograms at three sample delays, drawn from
-        # a scan index past the ones the averages consumed.
+        # Per-pulse voltage histograms at three sample delays, drawn in
+        # turn from the streams of the scan row past the ones the averages
+        # consumed.
         trace = predict_trace(pump, bath, probe, cfg.initial_occupation(), delays)
+        streams = row_streams(s["seed"], s["m_scans"])
         for idx in sorted({0, delays.size // 2, delays.size - 1}):
             ens = sample_pulse_ensemble(
                 trace[idx, 1],
                 trace[idx, 2],
                 det,
                 n_pulses=s["n_pulses"],
-                seed=np.random.SeedSequence([s["seed"], s["m_scans"], idx]),
+                seed=streams,
                 baseline_mean_ny=trace[0, 1],
             )
             counts, edges = np.histogram(ens.samples, bins=_HISTOGRAM_BINS)

@@ -8,15 +8,17 @@ Bernoulli-thinned variance eta^2 var + eta (1-eta) mean, the reference
 arm from Poisson-equivalent statistics, and electronic noise is additive.
 
 Reproducibility is anchored in seed derivation, not execution order:
-every (scan, delay) cell owns two child streams (photon and electronic)
-spawned from the root seed, so runs are bit-identical for a fixed seed
-and the electronic contribution can be toggled without touching the
-photon draws.
+every scan row owns two child streams (photon and electronic) spawned
+from SeedSequence(seed prefix + [scan index]), and the row's delay cells
+draw from them in delay order. Runs are bit-identical for a fixed seed
+whichever order or thread computes the rows, and the electronic
+contribution can be toggled without touching the photon draws.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -101,7 +103,6 @@ class PulseEnsemble:
     """Differential voltages of one acquisition burst."""
 
     samples: np.ndarray = field(repr=False)
-    seed: int
 
     @property
     def n_pulses(self) -> int:
@@ -135,13 +136,34 @@ class ScanResult:
 
 
 def _resolve_streams(seed) -> tuple[np.random.Generator, np.random.Generator]:
-    """Photon and electronic generators from a seed or SeedSequence."""
+    """Photon and electronic generators from a seed or SeedSequence.
+
+    A (photon, electronic) pair of Generators is passed through, so a
+    caller can draw several bursts in turn from one pair of streams.
+    """
+    if isinstance(seed, tuple) and isinstance(seed[0], np.random.Generator):
+        return seed
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
         ss = np.random.SeedSequence(int(seed))
     photon_ss, elec_ss = ss.spawn(2)
     return np.random.default_rng(photon_ss), np.random.default_rng(elec_ss)
+
+
+def _seed_prefix(seed) -> list[int]:
+    if isinstance(seed, (list, tuple)):
+        return [int(v) for v in seed]
+    return [int(seed)]
+
+
+def row_streams(seed, row: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """Photon and electronic generators of scan row `row` under seed.
+
+    seed may be an int or a sequence of ints (a stream prefix); the row's
+    streams are spawned from SeedSequence(prefix + [row]).
+    """
+    return _resolve_streams(np.random.SeedSequence(_seed_prefix(seed) + [row]))
 
 
 def _resolve_reference(det: DetectorSpec, baseline_mean_ny: float) -> float:
@@ -160,8 +182,10 @@ def sample_pulse_ensemble(
 ) -> PulseEnsemble:
     """Draw one burst of differential voltages.
 
-    baseline_mean_ny feeds the balanced-reference default; it falls back
-    to mean_ny itself when not given (perfectly balanced at this point).
+    seed is an int, a SeedSequence, or a (photon, electronic) pair of
+    Generators that the burst continues. baseline_mean_ny feeds the
+    balanced-reference default; it falls back to mean_ny itself when not
+    given (perfectly balanced at this point).
     """
     if n_pulses < 2:
         raise ValueError("n_pulses must be at least 2")
@@ -185,12 +209,7 @@ def sample_pulse_ensemble(
         volts = volts + np.cumsum(
             det.drift_rms_v * rng_elec.standard_normal(n_pulses)
         )
-    tag = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    try:
-        tag = int(tag if not isinstance(tag, (list, tuple)) else tag[0])
-    except (TypeError, ValueError):
-        tag = 0
-    return PulseEnsemble(samples=volts, seed=tag)
+    return PulseEnsemble(samples=volts)
 
 
 def voltage_statistics(
@@ -199,7 +218,10 @@ def voltage_statistics(
     det: DetectorSpec,
     baseline_mean_ny: float | None = None,
 ) -> tuple[float, float]:
-    """Exact mean and variance of a single differential voltage."""
+    """Exact mean and variance of a single differential voltage.
+
+    mean_ny and var_ny may be arrays; the result takes their shape.
+    """
     eta = det.quantum_efficiency
     ref_photons = _resolve_reference(
         det, mean_ny if baseline_mean_ny is None else baseline_mean_ny
@@ -215,36 +237,40 @@ def voltage_statistics(
 
 
 def sample_scan_statistics(
-    mean_ny: float,
-    var_ny: float,
+    mean_ny,
+    var_ny,
     det: DetectorSpec,
     n_pulses: int,
     seed,
     baseline_mean_ny: float | None = None,
-) -> tuple[float, float]:
-    """Draw (sample mean, sample variance) of a burst without the samples.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (sample mean, sample variance) of bursts without the samples.
 
     For Gaussian pulses the burst mean and ddof-1 variance are exactly
     Normal(mu, var/N) and var * chi2(N-1)/(N-1), independent of each
     other, so drawing them directly is statistically identical to
     aggregating sample_pulse_ensemble and much faster for trial loops.
-    Requires the drift term to be off (samples would be correlated).
+    mean_ny and var_ny may be arrays, one burst per element (a scan row):
+    all means come from one normal call on the photon stream, then all
+    variances from one chisquare call. seed is as for
+    sample_pulse_ensemble. Requires the drift term to be off (samples
+    would be correlated).
     """
     if n_pulses < 2:
         raise ValueError("n_pulses must be at least 2")
     if det.drift_rms_v > 0:
         raise ValueError("statistics-level sampling requires drift_rms_v = 0")
-    mu, var = voltage_statistics(mean_ny, var_ny, det, baseline_mean_ny)
+    mu, var = voltage_statistics(
+        np.asarray(mean_ny, dtype=float),
+        np.asarray(var_ny, dtype=float),
+        det,
+        baseline_mean_ny,
+    )
     rng_photon, _ = _resolve_streams(seed)
-    mean_hat = rng_photon.normal(mu, math.sqrt(var / n_pulses))
-    var_hat = var * rng_photon.chisquare(n_pulses - 1) / (n_pulses - 1)
-    return float(mean_hat), float(var_hat)
-
-
-def _seed_prefix(seed) -> list[int]:
-    if isinstance(seed, (list, tuple)):
-        return [int(v) for v in seed]
-    return [int(seed)]
+    mean_hat = rng_photon.normal(mu, np.sqrt(var / n_pulses))
+    chi2 = rng_photon.chisquare(n_pulses - 1, size=np.shape(var))
+    var_hat = var * chi2 / (n_pulses - 1)
+    return mean_hat, var_hat
 
 
 def scan_experiment(
@@ -258,53 +284,57 @@ def scan_experiment(
     seed=0,
     thermal_n: float | None = None,
     statistics_only: bool = False,
-    delay_index_base: int = 0,
+    threads: int = 1,
 ) -> ScanResult:
     """Simulate the full delay-scan acquisition.
 
-    The model observables are computed once per delay; each (scan,
-    delay) cell then draws its own burst from an independent child
-    stream. The reference arm is balanced against the unpumped baseline
-    unless the detector pins ref_mean_photons. statistics_only skips the
-    per-pulse samples and draws the per-cell statistics directly.
+    The model observables are computed once for all delays; each scan
+    row then draws its cells, in delay order, from the row's own pair of
+    streams (row_streams(seed, s)). The reference arm is balanced
+    against the unpumped baseline unless the detector pins
+    ref_mean_photons. statistics_only skips the per-pulse samples and
+    draws the whole row's statistics in one call; otherwise each cell
+    draws one burst of n_pulses pulses at a time.
 
-    seed may be an int or a sequence of ints (a stream prefix).
-    delay_index_base offsets the per-cell delay indices so a scan split
-    into delay blocks reproduces the unsplit scan bit for bit.
+    seed may be an int or a sequence of ints (a stream prefix). threads
+    > 1 computes the rows on a thread pool; the rows are independent
+    streams, so the result is bit-identical to the serial one.
     """
     if m_scans < 1:
         raise ValueError("m_scans must be at least 1")
     n = bath.n_bath if thermal_n is None else thermal_n
     trace = predict_trace(pump, bath, probe, n, delays)
     baseline = probe_mean(thermal_state(n), probe)
+    taus, means, variances = trace.T
 
-    prefix = _seed_prefix(seed)
-    taus = trace[:, 0]
-    means = trace[:, 1]
-    variances = trace[:, 2]
-    per_scan_mean = np.empty((m_scans, taus.size))
-    per_scan_var = np.empty((m_scans, taus.size))
-    for s in range(m_scans):
+    def row(s: int) -> np.ndarray:
+        streams = row_streams(seed, s)
+        if statistics_only:
+            stats_row = sample_scan_statistics(
+                means, variances, det, n_pulses, streams, baseline
+            )
+            return np.array(stats_row)
+        cells = np.empty((2, taus.size))
         for d in range(taus.size):
-            cell = np.random.SeedSequence(prefix + [s, delay_index_base + d])
-            if statistics_only:
-                mh, vh = sample_scan_statistics(
-                    means[d], variances[d], det, n_pulses, cell, baseline
-                )
-            else:
-                ens = sample_pulse_ensemble(
-                    means[d], variances[d], det, n_pulses, cell, baseline
-                )
-                mh, vh = ens.mean(), ens.variance()
-            per_scan_mean[s, d] = mh
-            per_scan_var[s, d] = vh
+            ens = sample_pulse_ensemble(
+                means[d], variances[d], det, n_pulses, streams, baseline
+            )
+            cells[:, d] = ens.mean(), ens.variance()
+        return cells
+
+    if threads > 1 and m_scans > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, m_scans)) as pool:
+            rows = list(pool.map(row, range(m_scans)))
+    else:
+        rows = [row(s) for s in range(m_scans)]
+    per_scan_mean, per_scan_var = np.stack(rows, axis=1)
     return ScanResult(
         delays=taus,
         dt_mean=per_scan_mean.mean(axis=0),
         dt_var=per_scan_var.mean(axis=0),
         per_scan_mean=per_scan_mean,
         per_scan_var=per_scan_var,
-        seed=prefix[0],
+        seed=_seed_prefix(seed)[0],
     )
 
 

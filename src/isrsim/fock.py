@@ -381,8 +381,15 @@ def probe_exact(
     second = float(np.einsum("ij,ji->", m2, rho).real)
 
     # Truncation health of the evolved two-mode state, checked on the
-    # reduced diagonals without forming the full density matrix.
-    joint_diag = np.einsum("ij,jk,ik->i", block, rho, block.conj()).real
+    # reduced diagonals without forming the full density matrix:
+    # Re sum_k (B rho)_jk conj(B_jk), summed over real and imaginary parts
+    # so that B rho is the only block-sized temporary. B rho is taken one
+    # photon level (a dph x dph slice) at a time: one tall product touches
+    # more BLAS buffer memory and raised the oracle's peak RSS.
+    block_rho = (block3 @ rho).reshape(block.shape)
+    joint_diag = np.einsum("ij,ij->i", block_rho.real, block.real) + np.einsum(
+        "ij,ij->i", block_rho.imag, block.imag
+    )
     joint = joint_diag.reshape(photon_dim, dph)
     photon_tail = float(joint[int(math.ceil(0.9 * photon_dim)) :, :].sum())
     phonon_tail = float(joint[:, int(math.ceil(0.9 * dph)) :].sum())

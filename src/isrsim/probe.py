@@ -24,7 +24,8 @@ from .states import (
     GaussianPhononState,
     PumpSpec,
     apply_pump,
-    evolve,
+    check_moments,
+    evolved_moments,
     pump_coefficients,
     thermal_state,
 )
@@ -80,61 +81,73 @@ class ObservablePair:
             raise ValueError(f"var_ny must be >= 0, got {self.var_ny}")
 
 
-def _require_real(value: complex, label: str) -> float:
-    scale = max(1.0, abs(value.real))
-    if abs(value.imag) > _REALITY_TOL * scale:
+def _require_real(value, label: str, delays=None):
+    """Real part of value, elementwise, once its imaginary residue is round-off.
+
+    Raises ArithmeticError naming the first element that fails and,
+    when delays is given, that element's delay.
+    """
+    value = np.asarray(value)
+    scale = np.maximum(1.0, np.abs(value.real))
+    residue = np.abs(value.imag) > _REALITY_TOL * scale
+    if residue.any():
+        i = int(np.argmax(residue))
+        where = ""
+        if delays is not None:
+            where = f" at delay {float(np.ravel(delays)[i])!r} ps"
         raise ArithmeticError(
-            f"{label} has imaginary residue {value.imag:.3e}; "
+            f"{label}{where} has imaginary residue {value.imag.flat[i]:.3e}; "
             "moment algebra is inconsistent"
         )
     return value.real
 
 
-def probe_mean(state: GaussianPhononState, probe: ProbeSpec) -> float:
-    """Mean detected photon number after the probe interaction.
+def _mean_ny(mean_b, occupation, probe: ProbeSpec):
+    """Mean detected photon number before the reality guard.
 
     Exact in the rotation angle: the coherent part is attenuated by
     cos^2, the phonon occupation enters with sin^2 and the coherent
-    phonon amplitude beats against the field with sin(2 angle).
+    phonon amplitude beats against the field with sin(2 angle). The
+    moments may be arrays, one state per element.
     """
     th = probe.coupling_norm
     iy = probe.intensity_y
     dth = probe.phase_diff
     s, c = math.sin(th), math.cos(th)
-    m = state.mean_b
+    m = mean_b
     cross = (
         0.5j
         * math.sqrt(iy)
         * math.sin(2.0 * th)
         * (cmath.exp(-1j * dth) * np.conj(m) - cmath.exp(1j * dth) * m)
     )
-    value = iy * c * c + s * s * state.occupation + cross
-    return _require_real(value, "probe mean")
+    return iy * c * c + s * s * occupation + cross
 
 
-def probe_variance(state: GaussianPhononState, probe: ProbeSpec) -> float:
-    """Variance of the detected photon number after the probe interaction.
+def _var_ny(mean_b, occupation, anomalous, probe: ProbeSpec):
+    """Variance of the detected photon number from the raw moments.
 
-    Cubic and quartic phonon moments are reduced to the stored first and
-    second moments by the Gaussian factorization, exact for every state
-    this model produces (thermal, displaced, squeezed, damped). The
-    expression is assembled from centered moments, which keeps it
-    manifestly real and free of large-displacement cancellation.
+    Cubic and quartic phonon moments are reduced to the first and second
+    moments by the Gaussian factorization, exact for every state this
+    model produces (thermal, displaced, squeezed, damped). The expression
+    is assembled from centered moments, which keeps it manifestly real
+    and free of large-displacement cancellation. The moments may be
+    arrays, one state per element.
     """
     th = probe.coupling_norm
     iy = probe.intensity_y
     dth = probe.phase_diff
     s, c = math.sin(th), math.cos(th)
-    m = complex(state.mean_b)
-    nu = state.central_occupation
-    sig = state.central_anomalous
+    m = mean_b
+    nu = occupation - np.abs(m) ** 2
+    sig = anomalous - m * m
     rot = cmath.exp(1j * dth)
 
     # <n^2> - <n>^2 by the Gaussian factorization, centered form.
     var_n = (
         nu * (nu + 1.0)
-        + abs(sig) ** 2
-        + abs(m) ** 2 * (2.0 * nu + 1.0)
+        + np.abs(sig) ** 2
+        + np.abs(m) ** 2 * (2.0 * nu + 1.0)
         + 2.0 * (np.conj(m) ** 2 * sig).real
     )
     # Cubic beat term <b† b b> - <b† b><b>, centered.
@@ -142,12 +155,23 @@ def probe_variance(state: GaussianPhononState, probe: ProbeSpec) -> float:
     return (
         iy * c ** 4
         + s ** 4 * var_n
-        + s * s * c * c * (nu + abs(m) ** 2)
+        + s * s * c * c * (nu + np.abs(m) ** 2)
         + iy * s * s * c * c * (2.0 * nu + 1.0)
         - 2.0 * iy * s * s * c * c * (rot * rot * sig).real
         + 2.0 * math.sqrt(iy) * s * c ** 3 * (rot * m).imag
         + 4.0 * math.sqrt(iy) * s ** 3 * c * (rot * cubic).imag
     )
+
+
+def probe_mean(state: GaussianPhononState, probe: ProbeSpec) -> float:
+    """Mean detected photon number after the probe interaction."""
+    value = _mean_ny(state.mean_b, state.occupation, probe)
+    return float(_require_real(value, "probe mean"))
+
+
+def probe_variance(state: GaussianPhononState, probe: ProbeSpec) -> float:
+    """Variance of the detected photon number after the probe interaction."""
+    return float(_var_ny(state.mean_b, state.occupation, state.anomalous, probe))
 
 
 def observables(state: GaussianPhononState, probe: ProbeSpec) -> ObservablePair:
@@ -231,8 +255,11 @@ def predict_trace(
     """Noiseless model trace over a delay grid.
 
     Prepares a thermal phonon state, applies the impulsive pump, relaxes
-    to each delay and evaluates the probe read-out. Returns an array of
-    shape (len(delays), 3) with columns (delay, mean_ny, var_ny).
+    to every delay at once and evaluates the probe read-out on the moment
+    arrays, through the same formulas as probe_mean and probe_variance.
+    Each delay's state is checked for physicality and its mean for
+    reality; an error names the first delay that fails. Returns an array
+    of shape (len(delays), 3) with columns (delay, mean_ny, var_ny).
     """
     taus = np.asarray(delays, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
@@ -243,12 +270,12 @@ def predict_trace(
         raise ValueError("delays must be strictly increasing")
     c1, c2 = pump_coefficients(pump)
     pumped = apply_pump(thermal_state(thermal_n), c1, c2)
+    m, occ, an = evolved_moments(pumped, taus, bath)
+    check_moments(m, occ, an, taus)
     out = np.empty((taus.size, 3), dtype=float)
-    for i, tau in enumerate(taus):
-        state = evolve(pumped, float(tau), bath)
-        out[i, 0] = tau
-        out[i, 1] = probe_mean(state, probe)
-        out[i, 2] = probe_variance(state, probe)
+    out[:, 0] = taus
+    out[:, 1] = _require_real(_mean_ny(m, occ, probe), "probe mean", taus)
+    out[:, 2] = _var_ny(m, occ, an, probe)
     return out
 
 

@@ -29,6 +29,50 @@ class PhysicalityError(ValueError):
     """The moments do not describe a valid bosonic state."""
 
 
+def check_moments(mean_b, occupation, anomalous, delays=None) -> None:
+    """Raise PhysicalityError unless the moments describe bosonic states.
+
+    The moments may be arrays (one state per element, broadcast
+    together). The error names the first failing element's reason and,
+    when delays is given, that element's delay.
+    """
+    m, occ, an = (
+        np.ravel(v)
+        for v in np.broadcast_arrays(
+            np.asarray(mean_b, dtype=complex),
+            np.asarray(occupation, dtype=float),
+            np.asarray(anomalous, dtype=complex),
+        )
+    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        nu = occ - np.abs(m) ** 2
+        margin = (nu + 0.5) ** 2 - np.abs(an - m * m) ** 2
+        scale = np.maximum(1.0, (nu + 0.5) ** 2)
+        finite = np.isfinite(np.abs(m)) & np.isfinite(occ) & np.isfinite(np.abs(an))
+        negative = nu < -_PHYS_TOL * scale
+        # Heisenberg bound for one-mode Gaussian states.
+        uncertain = margin < 0.25 - _PHYS_TOL * scale
+    bad = ~finite | negative | uncertain
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if not finite[i]:
+        reason = (
+            f"moments are not finite: mean_b={complex(m[i])!r}, "
+            f"occupation={float(occ[i])!r}, anomalous={complex(an[i])!r}"
+        )
+    elif negative[i]:
+        reason = f"central occupation {nu[i]:.3e} is negative beyond tolerance"
+    else:
+        reason = (
+            "second moments violate the uncertainty bound: "
+            f"(nu+1/2)^2 - |sigma|^2 = {margin[i]:.6e} < 1/4"
+        )
+    if delays is not None:
+        reason = f"state at delay {float(np.ravel(delays)[i])!r} ps: {reason}"
+    raise PhysicalityError(reason)
+
+
 @dataclass(frozen=True)
 class GaussianPhononState:
     """Moment triple of a Gaussian phonon state.
@@ -54,22 +98,7 @@ class GaussianPhononState:
         object.__setattr__(self, "mean_b", m)
         object.__setattr__(self, "occupation", occ)
         object.__setattr__(self, "anomalous", an)
-        for name, val in (("mean_b", m), ("occupation", occ), ("anomalous", an)):
-            if not (math.isfinite(abs(complex(val)))):
-                raise PhysicalityError(f"{name} is not finite: {val!r}")
-        nu = occ - abs(m) ** 2
-        sig = an - m * m
-        scale = max(1.0, (nu + 0.5) ** 2)
-        if nu < -_PHYS_TOL * scale:
-            raise PhysicalityError(
-                f"central occupation {nu:.3e} is negative beyond tolerance"
-            )
-        # Heisenberg bound for one-mode Gaussian states.
-        if (nu + 0.5) ** 2 - abs(sig) ** 2 < 0.25 - _PHYS_TOL * scale:
-            raise PhysicalityError(
-                "second moments violate the uncertainty bound: "
-                f"(nu+1/2)^2 - |sigma|^2 = {(nu + 0.5) ** 2 - abs(sig) ** 2:.6e} < 1/4"
-            )
+        check_moments(m, occ, an)
 
     @property
     def central_occupation(self) -> float:
@@ -229,24 +258,37 @@ def apply_pump(
     )
 
 
-def evolve(
-    state: GaussianPhononState, tau: float, bath: BathSpec
-) -> GaussianPhononState:
-    """Relax the state for a delay tau under rotation and thermal damping.
+def evolved_moments(
+    state: GaussianPhononState, tau, bath: BathSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw moments (<b>, <b† b>, <b b>) after relaxing for each delay in tau.
 
     Closed-form solution of the weak-coupling master equation:
     <b> picks up exp(-i Omega tau - lambda tau / 2), the central anomalous
     moment exp(-2 i Omega tau - lambda tau), and the central occupation
-    relaxes exponentially toward the bath value.
+    relaxes exponentially toward the bath value. tau may be a scalar or
+    an array; the moments take its shape and are not yet checked for
+    physicality.
     """
-    if tau < 0 or not math.isfinite(tau):
-        raise ValueError(f"delay must be >= 0 and finite, got {tau}")
-    decay = math.exp(-bath.damping_rate * tau)
-    rot = cmath.exp(-1j * bath.omega_rad_ps * tau)
-    m = state.mean_b * rot * math.sqrt(decay)
+    tau = np.asarray(tau, dtype=float)
+    bad = ~(np.isfinite(tau) & (tau >= 0))
+    if bad.any():
+        raise ValueError(
+            f"delay must be >= 0 and finite, got {float(tau.flat[np.argmax(bad)])}"
+        )
+    decay = np.exp(-bath.damping_rate * tau)
+    rot = np.exp(-1j * bath.omega_rad_ps * tau)
+    m = state.mean_b * rot * np.sqrt(decay)
     sig = state.central_anomalous * rot * rot * decay
     nu = bath.n_bath + (state.central_occupation - bath.n_bath) * decay
-    return GaussianPhononState(m, nu + abs(m) ** 2, sig + m * m)
+    return m, nu + np.abs(m) ** 2, sig + m * m
+
+
+def evolve(
+    state: GaussianPhononState, tau: float, bath: BathSpec
+) -> GaussianPhononState:
+    """Relax the state for a delay tau under rotation and thermal damping."""
+    return GaussianPhononState(*evolved_moments(state, tau, bath))
 
 
 def quadrature_variance(state: GaussianPhononState) -> float:

@@ -90,19 +90,23 @@ def test_scan_rerun_is_byte_identical(tmp_path):
 
 
 def test_scan_threads_match_serial(tmp_path):
-    cfg = write_cfg(tmp_path, FAST_SCAN)
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    assert cli.main(["scan", "--config", cfg, "--out", str(serial)]) == 0
-    assert (
-        cli.main(
-            ["scan", "--config", cfg, "--out", str(threaded), "--threads", "4"]
+    per_pulse = "scan:\n  stop_ps: 0.62\n  n_pulses: 60\n  m_scans: 3\n"
+    for name, text in (("stats", FAST_SCAN), ("pulses", per_pulse)):
+        cfg = write_cfg(tmp_path, text, name=f"{name}.yaml")
+        serial = tmp_path / f"{name}_serial"
+        threaded = tmp_path / f"{name}_threaded"
+        assert cli.main(["scan", "--config", cfg, "--out", str(serial)]) == 0
+        assert (
+            cli.main(
+                ["scan", "--config", cfg, "--out", str(threaded), "--threads", "4"]
+            )
+            == 0
         )
-        == 0
-    )
-    assert (serial / "scan_trace.csv").read_bytes() == (
-        threaded / "scan_trace.csv"
-    ).read_bytes()
+        csvs = sorted(p.name for p in serial.glob("*.csv"))
+        assert "scan_per_scan.csv" in csvs
+        assert csvs == sorted(p.name for p in threaded.glob("*.csv"))
+        for csv in csvs:
+            assert (serial / csv).read_bytes() == (threaded / csv).read_bytes()
 
 
 def test_scan_full_monte_carlo_writes_histograms(tmp_path):

@@ -13,10 +13,13 @@ from isrsim import (
     calibrated_gain,
     default_detector,
     fit_line,
+    predict_trace,
+    probe_mean,
     sample_pulse_ensemble,
     sample_scan_statistics,
     scan_experiment,
     shot_noise_scan,
+    thermal_state,
     voltage_statistics,
     without_electronic_noise,
 )
@@ -132,29 +135,44 @@ def scan_args():
     return pump, bath, probe, det, delays
 
 
-def test_scan_split_by_delay_blocks_is_bit_identical():
+def test_scan_split_by_rows_is_bit_identical():
+    """Rows are independent streams: fewer rows, or rows on threads, change no row."""
     pump, bath, probe, det, delays = scan_args()
-    whole = scan_experiment(
-        pump, bath, probe, det, delays, n_pulses=50, m_scans=2, seed=5
+    for statistics_only in (False, True):
+        kwargs = dict(n_pulses=50, seed=5, statistics_only=statistics_only)
+        whole = scan_experiment(pump, bath, probe, det, delays, m_scans=4, **kwargs)
+        head = scan_experiment(pump, bath, probe, det, delays, m_scans=2, **kwargs)
+        assert np.array_equal(whole.per_scan_mean[:2], head.per_scan_mean)
+        assert np.array_equal(whole.per_scan_var[:2], head.per_scan_var)
+        threaded = scan_experiment(
+            pump, bath, probe, det, delays, m_scans=4, threads=3, **kwargs
+        )
+        assert np.array_equal(whole.per_scan_mean, threaded.per_scan_mean)
+        assert np.array_equal(whole.per_scan_var, threaded.per_scan_var)
+        assert np.array_equal(whole.dt_mean, threaded.dt_mean)
+        assert np.array_equal(whole.dt_var, threaded.dt_var)
+
+
+def test_statistics_only_row_stream_layout():
+    """Row s is one normal and one chisquare call on SeedSequence(prefix + [s])'s photon stream."""
+    pump, bath, probe, det, delays = scan_args()
+    n, n_pulses = bath.n_bath, 300
+    res = scan_experiment(
+        pump, bath, probe, det, delays, n_pulses=n_pulses, m_scans=3,
+        seed=[9, 2], statistics_only=True,
     )
-    left = scan_experiment(
-        pump, bath, probe, det, delays[:20], n_pulses=50, m_scans=2, seed=5
+    trace = predict_trace(pump, bath, probe, n, delays)
+    mu, var = voltage_statistics(
+        trace[:, 1], trace[:, 2], det, probe_mean(thermal_state(n), probe)
     )
-    right = scan_experiment(
-        pump,
-        bath,
-        probe,
-        det,
-        delays[20:],
-        n_pulses=50,
-        m_scans=2,
-        seed=5,
-        delay_index_base=20,
-    )
-    merged_mean = np.concatenate([left.dt_mean, right.dt_mean])
-    merged_var = np.concatenate([left.dt_var, right.dt_var])
-    assert np.array_equal(whole.dt_mean, merged_mean)
-    assert np.array_equal(whole.dt_var, merged_var)
+    for s in range(3):
+        photon = np.random.default_rng(np.random.SeedSequence([9, 2, s]).spawn(2)[0])
+        expected_mean = photon.normal(mu, np.sqrt(var / n_pulses))
+        expected_var = var * photon.chisquare(n_pulses - 1, size=delays.size) / (
+            n_pulses - 1
+        )
+        assert np.array_equal(res.per_scan_mean[s], expected_mean)
+        assert np.array_equal(res.per_scan_var[s], expected_var)
 
 
 def test_scan_seed_prefix_isolates_runs():

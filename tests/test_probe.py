@@ -16,6 +16,8 @@ from isrsim import (
     apply_pump,
     chi3_block,
     detrend_and_fft,
+    evolve,
+    load_config,
     observables,
     predict_trace,
     probe_mean,
@@ -26,7 +28,7 @@ from isrsim import (
 )
 from isrsim.fock import apply_pump_exact, build_thermal_fock, probe_exact
 from isrsim.probe import _require_real
-from isrsim.states import GaussianPhononState
+from isrsim.states import GaussianPhononState, PhysicalityError
 
 OMEGA = 2.0 * math.pi * 3.84
 
@@ -121,6 +123,9 @@ def test_require_real_guard():
     assert _require_real(complex(5.0, 4e-13), "x") == 5.0
     with pytest.raises(ArithmeticError):
         _require_real(complex(5.0, 1e-3), "x")
+    values = np.array([5.0 + 4e-13j, 2.0 + 0j, 5.0 + 1e-3j])
+    with pytest.raises(ArithmeticError, match="at delay 0.25 ps"):
+        _require_real(values, "x", np.array([0.0, 0.125, 0.25]))
 
 
 def test_probe_spec_validation():
@@ -206,6 +211,46 @@ def test_predict_trace_validation():
         predict_trace(pump, bath, probe, 1.0, [-0.5, 0.0])
     with pytest.raises(ValueError):
         predict_trace(pump, bath, probe, 1.0, [0.0, 0.2, 0.1])
+
+
+def test_predict_trace_matches_scalar_chain():
+    """The array path equals evolve -> probe_mean/probe_variance per delay."""
+    cfg = load_config()
+    bath, n, delays = cfg.bath_spec(), cfg.initial_occupation(), cfg.scan_delays()
+    top = max(cfg.section("fluence_series")["fluences"])
+    for pump, probe in (
+        (cfg.scan_pump_spec(), cfg.probe_spec()),
+        (cfg.fluence_pump_spec(top), cfg.fluence_probe_spec()),
+    ):
+        trace = predict_trace(pump, bath, probe, n, delays)
+        c1, c2 = pump_coefficients(pump)
+        pumped = apply_pump(thermal_state(n), c1, c2)
+        states = [evolve(pumped, float(tau), bath) for tau in delays]
+        means = np.array([probe_mean(st, probe) for st in states])
+        variances = np.array([probe_variance(st, probe) for st in states])
+        assert np.array_equal(trace[:, 0], delays)
+        np.testing.assert_allclose(trace[:, 1], means, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(trace[:, 2], variances, rtol=1e-12, atol=0.0)
+
+
+def test_predict_trace_names_first_unphysical_delay():
+    pump = PumpSpec(0.5, 0.0, 1, 1.0)
+    bath = BathSpec(OMEGA, 0.5, 0.0)
+    # A negative bath occupation, which BathSpec rejects, relaxes the
+    # state below the vacuum partway through the scan.
+    object.__setattr__(bath, "n_bath", -0.6)
+    delays = np.arange(21) * 0.1
+    pumped = apply_pump(thermal_state(0.2), *pump_coefficients(pump))
+    first_bad = None
+    for tau in delays:
+        try:
+            evolve(pumped, float(tau), bath)
+        except PhysicalityError:
+            first_bad = float(tau)
+            break
+    assert first_bad is not None and first_bad > 0.0
+    with pytest.raises(PhysicalityError, match=f"at delay {first_bad!r} ps"):
+        predict_trace(pump, bath, make_probe(), 0.2, delays)
 
 
 def test_chi3_block_structure():
