@@ -13,13 +13,13 @@ from .analysis import (
     FitError,
     FluenceFitResult,
     LifetimeResult,
+    LineFit,
     SpectrumResult,
-    amplitude_prefactor,
     detrend_and_fft,
     detrended_trace,
     extract_lifetimes,
-    extract_lifetimes_from_map,
     fit_fluence_series,
+    fit_line,
     interpolate_peak,
     morlet_noise_power,
     morlet_power,
@@ -28,18 +28,15 @@ from .analysis import (
 from .config import ConfigError, RunConfig, load_config
 from .detector import (
     DetectorSpec,
-    LineFit,
     PulseEnsemble,
     ScanResult,
     calibrated_gain,
-    default_detector,
-    fit_line,
+    row_streams,
     sample_pulse_ensemble,
     sample_scan_statistics,
     scan_experiment,
     shot_noise_scan,
     voltage_statistics,
-    without_electronic_noise,
 )
 from .fock import (
     CrossCheckCase,
@@ -60,12 +57,10 @@ from .probe import (
     ProbeSpec,
     amplitude_2omega,
     amplitude_omega,
-    chi3_block,
-    observables,
+    amplitude_prefactor,
     predict_trace,
     probe_mean,
     probe_variance,
-    pump_efficiency,
 )
 from .states import (
     BathSpec,

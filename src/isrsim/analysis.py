@@ -2,9 +2,9 @@
 
 Covers the read-out side of the experiment: peak amplitudes at the
 phonon frequency and its second harmonic from detrended FFTs, Morlet
-time-frequency maps for lifetime separation, and the closed-loop fit of
-the squeezing coupling against a fluence series of second-harmonic
-amplitudes.
+time-frequency maps for lifetime separation, least-squares line fits,
+and the closed-loop fit of the squeezing coupling against a fluence
+series of second-harmonic amplitudes.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import stats
 from scipy.optimize import least_squares
 
-from .probe import ProbeSpec
+from .probe import ProbeSpec, amplitude_prefactor
 from .states import BathSpec, squeezed_thermal_quadrature_variance
 
 DEFAULT_WAVELET_WIDTH = 8.0
@@ -154,7 +155,6 @@ def peak_contrast(
 
 def detrend_and_fft(
     trace,
-    window: str = "none",
     detrend_order: int = 3,
     fundamental_thz: float = 3.84,
 ) -> SpectrumResult:
@@ -165,18 +165,9 @@ def detrend_and_fft(
     are in THz for delays in ps.
     """
     taus, values = _as_trace(trace)
-    if window not in ("none", "hann"):
-        raise ValueError(f"unknown window {window!r}")
-    detrended = _detrend(taus, values, detrend_order)
     n = taus.size
-    if window == "hann":
-        w = np.hanning(n)
-        detrended = detrended * w
-        norm = w.sum()
-    else:
-        norm = float(n)
-    spec = np.fft.rfft(detrended)
-    amps = 2.0 * np.abs(spec) / norm
+    spec = np.fft.rfft(_detrend(taus, values, detrend_order))
+    amps = 2.0 * np.abs(spec) / n
     amps[0] *= 0.5
     if n % 2 == 0:
         amps[-1] *= 0.5
@@ -225,6 +216,40 @@ def morlet_power(
     filt[:, grid <= 0] = 0.0
     rows = np.fft.ifft(spec[None, :] * filt, axis=1)
     return np.abs(rows) ** 2
+
+
+@dataclass(frozen=True)
+class LineFit:
+    slope: float
+    intercept: float
+    r_squared: float
+    intercept_ci95: float
+    slope_stderr: float
+
+
+def fit_line(x, y) -> LineFit:
+    """Ordinary least-squares line, the slope's standard error and a 95%
+    CI on the intercept."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size != y.size or x.size < 3:
+        raise ValueError("need at least 3 points")
+    design = np.column_stack([x, np.ones_like(x)])
+    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    dof = x.size - 2
+    s2 = float(resid @ resid) / dof
+    cov = s2 * np.linalg.inv(design.T @ design)
+    tcrit = stats.t.ppf(0.975, dof)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
+    return LineFit(
+        slope=float(coef[0]),
+        intercept=float(coef[1]),
+        r_squared=r2,
+        intercept_ci95=float(tcrit * math.sqrt(cov[1, 1])),
+        slope_stderr=math.sqrt(cov[0, 0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -299,54 +324,12 @@ def _fit_row_decay(
     keep &= row > floor
     if np.count_nonzero(keep) < 8:
         return _ABSENT
-    x = taus[keep]
-    y = np.log(row[keep])
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    dof = x.size - 2
-    s2 = float(resid @ resid) / max(dof, 1)
-    cov = s2 * np.linalg.inv(design.T @ design)
-    power_rate = -float(coef[0])
-    stderr = float(np.sqrt(cov[0, 0]))
-    rate = 0.5 * power_rate  # amplitude envelope decays at half the power rate
-    rate_stderr = 0.5 * stderr
+    fit = fit_line(taus[keep], np.log(row[keep]))
+    rate = 0.5 * -fit.slope  # amplitude envelope decays at half the power rate
+    rate_stderr = 0.5 * fit.slope_stderr
     if abs(rate) <= 3.0 * rate_stderr:
         return ComponentLifetime(True, rate, rate_stderr, math.inf)
     return ComponentLifetime(True, rate, rate_stderr, 1.0 / rate)
-
-
-def extract_lifetimes_from_map(
-    taus: np.ndarray,
-    row_omega: np.ndarray,
-    row_2omega: np.ndarray,
-    omega_thz: float,
-    wavelet_width: float = DEFAULT_WAVELET_WIDTH,
-    presence_ratio: float = 1e-3,
-    noise_sd: float = 0.0,
-) -> LifetimeResult:
-    """Envelope lifetimes from precomputed spectrogram rows."""
-    taus = np.asarray(taus, dtype=float)
-    dt = taus[1] - taus[0]
-    log_n = math.log(taus.size)
-    sigma1 = wavelet_width / (2.0 * math.pi * omega_thz)
-    peak1 = _interior_peak(taus, row_omega, sigma1)
-    peak2 = _interior_peak(taus, row_2omega, 0.5 * sigma1)
-    noise1 = morlet_noise_power(noise_sd, dt, omega_thz, wavelet_width)
-    noise2 = morlet_noise_power(noise_sd, dt, 2.0 * omega_thz, wavelet_width)
-    floor1 = noise1 * (log_n + _DETECTION_LOG_MARGIN)
-    floor2 = noise2 * (log_n + _DETECTION_LOG_MARGIN)
-    if peak1 <= 0 or peak1 < floor1:
-        return LifetimeResult(_ABSENT, _ABSENT)
-    fund = _fit_row_decay(
-        taus, row_omega, sigma1, max(peak1 * 1e-3, 3.0 * noise1)
-    )
-    if peak2 < presence_ratio * peak1 or peak2 < floor2:
-        return LifetimeResult(fund, _ABSENT)
-    second = _fit_row_decay(
-        taus, row_2omega, 0.5 * sigma1, max(peak2 * 1e-3, 3.0 * noise2)
-    )
-    return LifetimeResult(fund, second)
 
 
 def extract_lifetimes(
@@ -371,18 +354,29 @@ def extract_lifetimes(
     discontinuity.
     """
     taus, _ = _as_trace(trace)
-    rows = morlet_power(
+    row_omega, row_2omega = morlet_power(
         detrended_trace(trace), [omega_thz, 2.0 * omega_thz], wavelet_width
     )
-    return extract_lifetimes_from_map(
-        taus,
-        rows[0],
-        rows[1],
-        omega_thz,
-        wavelet_width,
-        presence_ratio,
-        noise_sd,
+    dt = taus[1] - taus[0]
+    log_n = math.log(taus.size)
+    sigma1 = wavelet_width / (2.0 * math.pi * omega_thz)
+    peak1 = _interior_peak(taus, row_omega, sigma1)
+    peak2 = _interior_peak(taus, row_2omega, 0.5 * sigma1)
+    noise1 = morlet_noise_power(noise_sd, dt, omega_thz, wavelet_width)
+    noise2 = morlet_noise_power(noise_sd, dt, 2.0 * omega_thz, wavelet_width)
+    floor1 = noise1 * (log_n + _DETECTION_LOG_MARGIN)
+    floor2 = noise2 * (log_n + _DETECTION_LOG_MARGIN)
+    if peak1 <= 0 or peak1 < floor1:
+        return LifetimeResult(_ABSENT, _ABSENT)
+    fund = _fit_row_decay(
+        taus, row_omega, sigma1, max(peak1 * 1e-3, 3.0 * noise1)
     )
+    if peak2 < presence_ratio * peak1 or peak2 < floor2:
+        return LifetimeResult(fund, _ABSENT)
+    second = _fit_row_decay(
+        taus, row_2omega, 0.5 * sigma1, max(peak2 * 1e-3, 3.0 * noise2)
+    )
+    return LifetimeResult(fund, second)
 
 
 @dataclass(frozen=True)
@@ -407,27 +401,6 @@ class FluenceFitResult:
         prod = self.quad_uncertainties[:, 1] * self.quad_uncertainties[:, 2]
         if np.any(prod < _PRODUCT_BOUND):
             raise ValueError("quadrature uncertainty product below the quantum bound")
-
-
-def amplitude_prefactor(
-    bath: BathSpec,
-    probe: ProbeSpec,
-    tau_ref: float,
-    thermal_n: float | None = None,
-) -> float:
-    """Second-harmonic amplitude per sinh(2r), at the reference delay.
-
-    thermal_n is the occupation of the state the pump acts on; it
-    defaults to the bath occupation (no pump heating).
-    """
-    n = bath.n_bath if thermal_n is None else thermal_n
-    return (
-        probe.intensity_y
-        * (1.0 + 2.0 * n)
-        / 8.0
-        * math.exp(-bath.damping_rate * tau_ref)
-        * math.sin(2.0 * probe.coupling_norm) ** 2
-    )
 
 
 def fit_fluence_series(

@@ -21,7 +21,6 @@ import json
 import math
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +33,13 @@ from .analysis import (
     detrended_trace,
     extract_lifetimes,
     fit_fluence_series,
+    fit_line,
     morlet_power,
     peak_contrast,
 )
 from .config import ConfigError, RunConfig, load_config
 from .detector import (
     ScanResult,
-    fit_line,
     row_streams,
     sample_pulse_ensemble,
     scan_experiment,
@@ -120,6 +119,39 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, files: list[Path
     _write_json(outdir / "manifest.json", manifest)
 
 
+class _Outputs:
+    """One run's output directory, format filter and list of written files.
+
+    csv and json write a file only when outputs.formats asks for its
+    format; add writes unconditionally. finish writes the manifest over
+    every file written.
+    """
+
+    def __init__(self, cfg: RunConfig, command: str):
+        self.cfg = cfg
+        self.command = command
+        self.dir = Path(cfg.section("outputs")["directory"])
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.formats = cfg.section("outputs")["formats"]
+        self.files: list[Path] = []
+
+    def add(self, name: str, write, *content) -> None:
+        path = self.dir / name
+        write(path, *content)
+        self.files.append(path)
+
+    def csv(self, name: str, header: list[str], rows) -> None:
+        if "csv" in self.formats:
+            self.add(name, _write_csv, header, rows)
+
+    def json(self, name: str, obj) -> None:
+        if "json" in self.formats:
+            self.add(name, _write_json, obj)
+
+    def finish(self) -> None:
+        _write_manifest(self.dir, self.command, self.cfg, self.files)
+
+
 def _peak_block(spec) -> dict:
     return {
         "peak_omega": spec.peak_omega,
@@ -163,19 +195,26 @@ def _run_scan(cfg: RunConfig, pump, bath, probe, det, delays, seed, threads) -> 
     )
 
 
-def _amplitude_noise_sigma(res: ScanResult, n_pulses: int, m_scans: int) -> float:
-    """Estimated rms noise of one variance-spectrum amplitude bin.
+def _variance_noise_sd(res: ScanResult, s) -> float:
+    """Estimated sd of one scan-averaged per-delay burst variance.
 
     A per-cell sample variance of a Gaussian burst has relative sd
-    sqrt(2/(N-1)); averaging m scans and spreading white noise over the
-    spectrum gives 2 sigma_cell / sqrt(n_delays) per amplitude bin.
+    sqrt(2/(N-1)); averaging m scans divides it by sqrt(m).
     """
-    sigma_cell = (
+    return (
         float(np.median(res.dt_var))
-        * math.sqrt(2.0 / (n_pulses - 1))
-        / math.sqrt(m_scans)
+        * math.sqrt(2.0 / (s["n_pulses"] - 1))
+        / math.sqrt(s["m_scans"])
     )
-    return 2.0 * sigma_cell / math.sqrt(res.delays.size)
+
+
+def _amplitude_noise_sigma(res: ScanResult, s) -> float:
+    """Estimated rms noise of one variance-spectrum amplitude bin.
+
+    White per-delay noise spread over the spectrum gives
+    2 sd / sqrt(n_delays) per amplitude bin.
+    """
+    return 2.0 * _variance_noise_sd(res, s) / math.sqrt(res.delays.size)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -188,21 +227,15 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     n0 = cfg.initial_occupation()
     f0 = cfg.section("bath")["frequency_thz"]
     pump = cfg.scan_pump_spec()
-    formats = cfg.section("outputs")["formats"]
 
-    outdir = Path(cfg.section("outputs")["directory"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = []
+    out = _Outputs(cfg, "predict")
     variants = [
         ("squeezed", pump),
         ("reference", dataclasses.replace(pump, mu_squeeze=0.0)),
     ]
     for name, variant in variants:
         trace = predict_trace(variant, bath, probe, n0, delays)
-        if "csv" in formats:
-            path = outdir / f"predict_{name}_trace.csv"
-            _write_csv(path, ["delay_ps", "mean_ny", "var_ny"], trace)
-            files.append(path)
+        out.csv(f"predict_{name}_trace.csv", ["delay_ps", "mean_ny", "var_ny"], trace)
         spec_mean = detrend_and_fft(trace[:, [0, 1]], fundamental_thz=f0)
         spec_var = detrend_and_fft(trace[:, [0, 2]], fundamental_thz=f0)
         contrast = peak_contrast(spec_var.freqs, spec_var.power, 2.0 * f0)
@@ -210,23 +243,20 @@ def cmd_predict(cfg: RunConfig, args) -> int:
             spec_var.peak_2omega
             >= TWO_OMEGA_PRESENCE_RATIO * max(spec_var.peak_omega, 1e-300)
         ) and contrast >= MIN_PEAK_CONTRAST
-        if "json" in formats:
-            path = outdir / f"predict_{name}_spectrum.json"
-            _write_json(
-                path,
-                {
-                    "variant": name,
-                    "fundamental_thz": f0,
-                    "mean": _peak_block(spec_mean),
-                    "variance": _peak_block(spec_var),
-                    "two_omega_present": present,
-                    "two_omega_contrast": contrast,
-                    "presence_ratio": TWO_OMEGA_PRESENCE_RATIO,
-                    "min_contrast": MIN_PEAK_CONTRAST,
-                },
-            )
-            files.append(path)
-    _write_manifest(outdir, "predict", cfg, files)
+        out.json(
+            f"predict_{name}_spectrum.json",
+            {
+                "variant": name,
+                "fundamental_thz": f0,
+                "mean": _peak_block(spec_mean),
+                "variance": _peak_block(spec_var),
+                "two_omega_present": present,
+                "two_omega_contrast": contrast,
+                "presence_ratio": TWO_OMEGA_PRESENCE_RATIO,
+                "min_contrast": MIN_PEAK_CONTRAST,
+            },
+        )
+    out.finish()
     return 0
 
 
@@ -238,35 +268,26 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     det = cfg.detector_spec()
     pump = cfg.scan_pump_spec()
     f0 = cfg.section("bath")["frequency_thz"]
-    formats = cfg.section("outputs")["formats"]
 
     res = _run_scan(cfg, pump, bath, probe, det, delays, s["seed"], args.threads)
 
-    outdir = Path(cfg.section("outputs")["directory"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = []
+    out = _Outputs(cfg, "scan")
+    out.csv(
+        "scan_trace.csv",
+        ["delay_ps", "dt_mean_v", "dt_var_v2"],
+        zip(res.delays, res.dt_mean, res.dt_var),
+    )
+    out.csv(
+        "scan_per_scan.csv",
+        ["scan_index", "delay_ps", "mean_v", "var_v2"],
+        (
+            (i, res.delays[d], res.per_scan_mean[i, d], res.per_scan_var[i, d])
+            for i in range(res.per_scan_mean.shape[0])
+            for d in range(res.delays.size)
+        ),
+    )
 
-    if "csv" in formats:
-        path = outdir / "scan_trace.csv"
-        _write_csv(
-            path,
-            ["delay_ps", "dt_mean_v", "dt_var_v2"],
-            zip(res.delays, res.dt_mean, res.dt_var),
-        )
-        files.append(path)
-        path = outdir / "scan_per_scan.csv"
-        _write_csv(
-            path,
-            ["scan_index", "delay_ps", "mean_v", "var_v2"],
-            (
-                (i, res.delays[d], res.per_scan_mean[i, d], res.per_scan_var[i, d])
-                for i in range(res.per_scan_mean.shape[0])
-                for d in range(res.delays.size)
-            ),
-        )
-        files.append(path)
-
-    if "csv" in formats and not s["statistics_only"]:
+    if "csv" in out.formats and not s["statistics_only"]:
         # Per-pulse voltage histograms at three sample delays, drawn in
         # turn from the streams of the scan row past the ones the averages
         # consumed.
@@ -278,74 +299,66 @@ def cmd_scan(cfg: RunConfig, args) -> int:
                 trace[idx, 2],
                 det,
                 n_pulses=s["n_pulses"],
-                seed=streams,
+                streams=streams,
                 baseline_mean_ny=trace[0, 1],
             )
             counts, edges = np.histogram(ens.samples, bins=_HISTOGRAM_BINS)
-            path = outdir / f"histogram_delay_{idx:04d}.csv"
-            _write_csv(path, ["bin_left_v", "count"], zip(edges[:-1], counts))
-            files.append(path)
+            out.csv(
+                f"histogram_delay_{idx:04d}.csv",
+                ["bin_left_v", "count"],
+                zip(edges[:-1], counts),
+            )
 
     mean_trace = np.column_stack([res.delays, res.dt_mean])
     var_trace = np.column_stack([res.delays, res.dt_var])
     spec_mean = detrend_and_fft(mean_trace, fundamental_thz=f0)
     spec_var = detrend_and_fft(var_trace, fundamental_thz=f0)
-    sigma_amp = _amplitude_noise_sigma(res, s["n_pulses"], s["m_scans"])
-    present = spec_var.peak_2omega > DETECTION_SIGMAS * sigma_amp
-
-    if "csv" in formats:
-        path = outdir / "scan_spectrum.csv"
-        _write_csv(
-            path,
-            ["freq_thz", "mean_amp_v", "var_amp_v2"],
-            zip(spec_mean.freqs, spec_mean.power, spec_var.power),
-        )
-        files.append(path)
+    sigma_amp = _amplitude_noise_sigma(res, s)
+    out.csv(
+        "scan_spectrum.csv",
+        ["freq_thz", "mean_amp_v", "var_amp_v2"],
+        zip(spec_mean.freqs, spec_mean.power, spec_var.power),
+    )
 
     wavelet_freqs = np.linspace(0.5 * f0, 2.5 * f0, 33)
     power_map = morlet_power(detrended_trace(var_trace), wavelet_freqs)
-    if "csv" in formats:
-        path = outdir / "wavelet_map.csv"
-        _write_csv(
-            path,
-            ["freq_thz", "delay_ps", "power"],
-            (
-                (wavelet_freqs[i], res.delays[d], power_map[i, d])
-                for i in range(wavelet_freqs.size)
-                for d in range(res.delays.size)
-            ),
-        )
-        files.append(path)
+    out.csv(
+        "wavelet_map.csv",
+        ["freq_thz", "delay_ps", "power"],
+        (
+            (wavelet_freqs[i], res.delays[d], power_map[i, d])
+            for i in range(wavelet_freqs.size)
+            for d in range(res.delays.size)
+        ),
+    )
 
-    if "json" in formats:
+    if "json" in out.formats:
         # Per-delay estimator noise: the burst mean has sd sigma/sqrt(N),
         # the burst variance sd sigma^2 sqrt(2/(N-1)), both averaged over
         # m scans. Components buried under these are reported absent.
-        sigma_v2 = float(np.median(res.dt_var))
-        noise_mean = math.sqrt(sigma_v2 / (s["n_pulses"] * s["m_scans"]))
-        noise_var = sigma_v2 * math.sqrt(2.0 / (s["n_pulses"] - 1)) / math.sqrt(
-            s["m_scans"]
+        noise_mean = math.sqrt(
+            float(np.median(res.dt_var)) / (s["n_pulses"] * s["m_scans"])
         )
+        noise_var = _variance_noise_sd(res, s)
         life_mean = extract_lifetimes(mean_trace, omega_thz=f0, noise_sd=noise_mean)
         life_var = extract_lifetimes(var_trace, omega_thz=f0, noise_sd=noise_var)
-        path = outdir / "scan_spectrum.json"
-        _write_json(
-            path,
+        out.json(
+            "scan_spectrum.json",
             {
                 "fundamental_thz": f0,
                 "mean": _peak_block(spec_mean),
                 "variance": _peak_block(spec_var),
-                "two_omega_present": present,
+                "two_omega_present": spec_var.peak_2omega > DETECTION_SIGMAS * sigma_amp,
                 "amplitude_noise_sigma": sigma_amp,
                 "detection_sigmas": DETECTION_SIGMAS,
             },
         )
-        files.append(path)
-        path = outdir / "lifetimes.json"
-        _write_json(path, {"mean": _lifetime_block(life_mean), "variance": _lifetime_block(life_var)})
-        files.append(path)
+        out.json(
+            "lifetimes.json",
+            {"mean": _lifetime_block(life_mean), "variance": _lifetime_block(life_var)},
+        )
 
-    _write_manifest(outdir, "scan", cfg, files)
+    out.finish()
     return 0
 
 
@@ -366,34 +379,19 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
     n0 = cfg.initial_occupation()
     f0 = cfg.section("bath")["frequency_thz"]
     fluences = fser["fluences"]
-    formats = cfg.section("outputs")["formats"]
 
-    def one(i: int, fluence: float) -> ScanResult:
-        return _run_scan(
-            cfg,
-            cfg.fluence_pump_spec(fluence),
-            bath,
-            probe,
-            det,
-            delays,
-            (s["seed"], i),
-            threads=1,
-        )
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, range(len(fluences)), fluences))
-    else:
-        results = [one(i, f) for i, f in enumerate(fluences)]
-
+    # Fluence i scans on the streams of the seed prefix (seed, i); its
+    # rows run on args.threads threads.
     amps = np.empty(len(fluences))
     sigmas = np.empty(len(fluences))
-    for i, res in enumerate(results):
+    for i, fluence in enumerate(fluences):
+        pump = cfg.fluence_pump_spec(fluence)
+        res = _run_scan(cfg, pump, bath, probe, det, delays, (s["seed"], i), args.threads)
         spec = detrend_and_fft(
             np.column_stack([res.delays, res.dt_var]), fundamental_thz=f0
         )
         amps[i] = spec.peak_2omega
-        sigmas[i] = _amplitude_noise_sigma(res, s["n_pulses"], s["m_scans"])
+        sigmas[i] = _amplitude_noise_sigma(res, s)
 
     detected = bool(np.any(amps > DETECTION_SIGMAS * sigmas))
     if not detected:
@@ -426,53 +424,45 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
     )
 
     injected = cfg.section("pump")["mu_squeeze"]
-    outdir = Path(cfg.section("outputs")["directory"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = []
-    if "csv" in formats:
-        path = outdir / "fluence_series.csv"
-        _write_csv(
-            path,
-            [
-                "fluence",
-                "amp_2omega_v2",
-                "sigma_v2",
-                "r_fit",
-                "var_squeezed",
-                "var_antisqueezed",
-            ],
-            zip(
-                fluences,
-                amps,
-                sigmas,
-                fit.r_per_fluence[:, 1],
-                fit.quad_uncertainties[:, 1],
-                fit.quad_uncertainties[:, 2],
+    out = _Outputs(cfg, "fluence")
+    out.csv(
+        "fluence_series.csv",
+        [
+            "fluence",
+            "amp_2omega_v2",
+            "sigma_v2",
+            "r_fit",
+            "var_squeezed",
+            "var_antisqueezed",
+        ],
+        zip(
+            fluences,
+            amps,
+            sigmas,
+            fit.r_per_fluence[:, 1],
+            fit.quad_uncertainties[:, 1],
+            fit.quad_uncertainties[:, 2],
+        ),
+    )
+    out.json(
+        "fluence_fit.json",
+        {
+            "mu_s_hat": fit.mu_s_hat,
+            "mu_s_injected": injected,
+            "relative_error": (
+                abs(fit.mu_s_hat - injected) / injected if injected > 0 else None
             ),
-        )
-        files.append(path)
-    if "json" in formats:
-        path = outdir / "fluence_fit.json"
-        _write_json(
-            path,
-            {
-                "mu_s_hat": fit.mu_s_hat,
-                "mu_s_injected": injected,
-                "relative_error": (
-                    abs(fit.mu_s_hat - injected) / injected if injected > 0 else None
-                ),
-                "fit_residual": fit.fit_residual,
-                "two_omega_present": detected,
-                "amplitude_scale": amplitude_scale,
-                "calibration_peak": calib,
-                "conversion": fser["conversion"],
-                "k_modes": cfg.section("pump")["k_modes"],
-                "r_per_fluence": fit.r_per_fluence,
-                "quad_uncertainties": fit.quad_uncertainties,
-            },
-        )
-        files.append(path)
-    _write_manifest(outdir, "fluence", cfg, files)
+            "fit_residual": fit.fit_residual,
+            "two_omega_present": detected,
+            "amplitude_scale": amplitude_scale,
+            "calibration_peak": calib,
+            "conversion": fser["conversion"],
+            "k_modes": cfg.section("pump")["k_modes"],
+            "r_per_fluence": fit.r_per_fluence,
+            "quad_uncertainties": fit.quad_uncertainties,
+        },
+    )
+    out.finish()
     return 0
 
 
@@ -519,11 +509,10 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
         "fault_scale": args.inject_fault,
         "cases": rows,
     }
-    outdir = Path(cfg.section("outputs")["directory"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "oracle_report.json"
-    _write_json(path, report)
-    _write_manifest(outdir, "oracle", cfg, [path])
+    # The report is the command's result, written whatever formats says.
+    out = _Outputs(cfg, "oracle")
+    out.add("oracle_report.json", _write_json, report)
+    out.finish()
     return 0 if all_passed else 1
 
 
@@ -535,30 +524,21 @@ def cmd_shot_noise(cfg: RunConfig, args) -> int:
     )
     fit = fit_line(rows[:, 0], rows[:, 1])
     covered = abs(fit.intercept - det.electronic_var) <= fit.intercept_ci95
-    outdir = Path(cfg.section("outputs")["directory"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    formats = cfg.section("outputs")["formats"]
-    files: list[Path] = []
-    if "csv" in formats:
-        path = outdir / "shot_noise.csv"
-        _write_csv(path, ["power_mw", "dt_var_v2"], rows)
-        files.append(path)
-    if "json" in formats:
-        path = outdir / "shot_noise_fit.json"
-        _write_json(
-            path,
-            {
-                "slope_v2_per_mw": fit.slope,
-                "intercept_v2": fit.intercept,
-                "intercept_ci95": fit.intercept_ci95,
-                "r_squared": fit.r_squared,
-                "electronic_var": det.electronic_var,
-                "intercept_covers_electronic": covered,
-                "max_power_variance_v2": float(rows[-1, 1]),
-            },
-        )
-        files.append(path)
-    _write_manifest(outdir, "shot-noise", cfg, files)
+    out = _Outputs(cfg, "shot-noise")
+    out.csv("shot_noise.csv", ["power_mw", "dt_var_v2"], rows)
+    out.json(
+        "shot_noise_fit.json",
+        {
+            "slope_v2_per_mw": fit.slope,
+            "intercept_v2": fit.intercept,
+            "intercept_ci95": fit.intercept_ci95,
+            "r_squared": fit.r_squared,
+            "electronic_var": det.electronic_var,
+            "intercept_covers_electronic": covered,
+            "max_power_variance_v2": float(rows[-1, 1]),
+        },
+    )
+    out.finish()
     return 0
 
 
@@ -579,7 +559,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="YAML config overriding defaults")
     common.add_argument("--seed", type=int, default=None, help="override scan.seed")
     common.add_argument("--out", default=None, help="override outputs.directory")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1, help="threads per scan's rows")
 
     parser = argparse.ArgumentParser(
         prog="isrsim",
@@ -587,8 +568,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("predict", parents=[common], help="noiseless traces and spectra")
-    sub.add_parser("scan", parents=[common], help="full acquisition Monte Carlo")
-    sub.add_parser("fluence", parents=[common], help="fluence series and coupling fit")
+    sub.add_parser("scan", parents=[common, threads], help="full acquisition Monte Carlo")
+    sub.add_parser(
+        "fluence", parents=[common, threads], help="fluence series and coupling fit"
+    )
     oracle = sub.add_parser("oracle", parents=[common], help="exact cross-validation")
     oracle.add_argument(
         "--inject-fault",
@@ -603,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
         return _COMMANDS[args.command](cfg, args)

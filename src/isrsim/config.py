@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -171,6 +172,11 @@ def _validate_detector(sec: Mapping) -> dict:
     }
 
 
+def _delay_count(scan: Mapping) -> int:
+    """Delays from start_ps in steps of step_ps up to stop_ps (inclusive)."""
+    return int(math.floor((scan["stop_ps"] - scan["start_ps"]) / scan["step_ps"] + 1e-9)) + 1
+
+
 def _validate_scan(sec: Mapping) -> dict:
     _check_keys(
         "scan",
@@ -200,7 +206,7 @@ def _validate_scan(sec: Mapping) -> dict:
     }
     if out["stop_ps"] <= out["start_ps"]:
         raise ConfigError("scan.stop_ps: must be greater than scan.start_ps")
-    n_delays = int(math.floor((out["stop_ps"] - out["start_ps"]) / out["step_ps"] + 1e-9)) + 1
+    n_delays = _delay_count(out)
     if n_delays < 16:
         raise ConfigError(
             f"scan: the delay grid has {n_delays} points; need at least 16 for spectra"
@@ -292,9 +298,18 @@ def validate_mapping(mapping: Mapping) -> dict:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _parsed_defaults() -> dict:
+    return yaml.safe_load(resources.files("isrsim").joinpath("defaults.yaml").read_text())
+
+
 def default_mapping() -> dict:
-    text = resources.files("isrsim").joinpath("defaults.yaml").read_text()
-    return yaml.safe_load(text)
+    """A fresh copy of the packaged defaults, parsed once per process.
+
+    load_config assigns into the copy, so handing out the cached tree
+    itself would leak one run's overrides into the next.
+    """
+    return copy.deepcopy(_parsed_defaults())
 
 
 def _merge(base: dict, override: Mapping) -> dict:
@@ -416,8 +431,7 @@ class RunConfig:
 
     def scan_delays(self) -> np.ndarray:
         s = self.data["scan"]
-        n = int(math.floor((s["stop_ps"] - s["start_ps"]) / s["step_ps"] + 1e-9)) + 1
-        return s["start_ps"] + s["step_ps"] * np.arange(n)
+        return s["start_ps"] + s["step_ps"] * np.arange(_delay_count(s))
 
     def scan_pump_spec(self) -> PumpSpec:
         """Pump for the scan command, honoring the fluence preset."""

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .probe import ProbeSpec, predict_trace, probe_mean
 from .states import BathSpec, PumpSpec, thermal_state
@@ -31,13 +30,6 @@ from .states import BathSpec, PumpSpec, thermal_state
 # Photons per pulse per mW of average probe power; fixes the power scale
 # so that 2.5 mW corresponds to 1e6 detected-polarization photons.
 PHOTONS_PER_PULSE_PER_MW = 4.0e5
-
-# Summed-sample digitizer convention: a pulse with 1 V peak integrates
-# to this many volts. Exported voltages use the summed convention.
-SUMMED_V_PER_PEAK_V = 300.0
-
-DEFAULT_N_PULSES = 4000
-DEFAULT_M_SCANS = 10
 
 
 @dataclass(frozen=True)
@@ -87,26 +79,11 @@ def calibrated_gain(
     )
 
 
-def default_detector() -> DetectorSpec:
-    """Detection chain tuned to ~1 V^2 total variance at 2.5 mW."""
-    return DetectorSpec(
-        quantum_efficiency=0.94,
-        gain_v_per_photon=calibrated_gain(),
-        electronic_var=0.1,
-        ref_mean_photons=None,
-        unbalance_v=0.0,
-    )
-
-
 @dataclass(frozen=True)
 class PulseEnsemble:
     """Differential voltages of one acquisition burst."""
 
     samples: np.ndarray = field(repr=False)
-
-    @property
-    def n_pulses(self) -> int:
-        return self.samples.size
 
     def mean(self) -> float:
         return float(np.mean(self.samples))
@@ -128,33 +105,10 @@ class ScanResult:
     dt_var: np.ndarray
     per_scan_mean: np.ndarray = field(repr=False)
     per_scan_var: np.ndarray = field(repr=False)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if np.any(self.dt_var < 0):
             raise ValueError("dt_var must be non-negative")
-
-
-def _resolve_streams(seed) -> tuple[np.random.Generator, np.random.Generator]:
-    """Photon and electronic generators from a seed or SeedSequence.
-
-    A (photon, electronic) pair of Generators is passed through, so a
-    caller can draw several bursts in turn from one pair of streams.
-    """
-    if isinstance(seed, tuple) and isinstance(seed[0], np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(int(seed))
-    photon_ss, elec_ss = ss.spawn(2)
-    return np.random.default_rng(photon_ss), np.random.default_rng(elec_ss)
-
-
-def _seed_prefix(seed) -> list[int]:
-    if isinstance(seed, (list, tuple)):
-        return [int(v) for v in seed]
-    return [int(seed)]
 
 
 def row_streams(seed, row: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -163,7 +117,9 @@ def row_streams(seed, row: int) -> tuple[np.random.Generator, np.random.Generato
     seed may be an int or a sequence of ints (a stream prefix); the row's
     streams are spawned from SeedSequence(prefix + [row]).
     """
-    return _resolve_streams(np.random.SeedSequence(_seed_prefix(seed) + [row]))
+    prefix = [int(v) for v in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
+    photon, electronic = np.random.SeedSequence(prefix + [row]).spawn(2)
+    return np.random.default_rng(photon), np.random.default_rng(electronic)
 
 
 def _resolve_reference(det: DetectorSpec, baseline_mean_ny: float) -> float:
@@ -176,14 +132,14 @@ def sample_pulse_ensemble(
     mean_ny: float,
     var_ny: float,
     det: DetectorSpec,
-    n_pulses: int = DEFAULT_N_PULSES,
-    seed=0,
+    n_pulses: int,
+    streams: tuple[np.random.Generator, np.random.Generator],
     baseline_mean_ny: float | None = None,
 ) -> PulseEnsemble:
     """Draw one burst of differential voltages.
 
-    seed is an int, a SeedSequence, or a (photon, electronic) pair of
-    Generators that the burst continues. baseline_mean_ny feeds the
+    streams is the (photon, electronic) pair of Generators the burst
+    continues, as row_streams builds it. baseline_mean_ny feeds the
     balanced-reference default; it falls back to mean_ny itself when not
     given (perfectly balanced at this point).
     """
@@ -195,7 +151,7 @@ def sample_pulse_ensemble(
     ref_photons = _resolve_reference(
         det, mean_ny if baseline_mean_ny is None else baseline_mean_ny
     )
-    rng_photon, rng_elec = _resolve_streams(seed)
+    rng_photon, rng_elec = streams
     z = rng_photon.standard_normal((2, n_pulses))
     sig_sd = math.sqrt(eta * eta * var_ny + eta * (1.0 - eta) * mean_ny)
     signal = eta * mean_ny + sig_sd * z[0]
@@ -241,7 +197,7 @@ def sample_scan_statistics(
     var_ny,
     det: DetectorSpec,
     n_pulses: int,
-    seed,
+    streams: tuple[np.random.Generator, np.random.Generator],
     baseline_mean_ny: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (sample mean, sample variance) of bursts without the samples.
@@ -252,7 +208,7 @@ def sample_scan_statistics(
     aggregating sample_pulse_ensemble and much faster for trial loops.
     mean_ny and var_ny may be arrays, one burst per element (a scan row):
     all means come from one normal call on the photon stream, then all
-    variances from one chisquare call. seed is as for
+    variances from one chisquare call. streams is as for
     sample_pulse_ensemble. Requires the drift term to be off (samples
     would be correlated).
     """
@@ -266,7 +222,7 @@ def sample_scan_statistics(
         det,
         baseline_mean_ny,
     )
-    rng_photon, _ = _resolve_streams(seed)
+    rng_photon, _ = streams
     mean_hat = rng_photon.normal(mu, np.sqrt(var / n_pulses))
     chi2 = rng_photon.chisquare(n_pulses - 1, size=np.shape(var))
     var_hat = var * chi2 / (n_pulses - 1)
@@ -279,9 +235,9 @@ def scan_experiment(
     probe: ProbeSpec,
     det: DetectorSpec,
     delays: Sequence[float],
-    n_pulses: int = DEFAULT_N_PULSES,
-    m_scans: int = DEFAULT_M_SCANS,
-    seed=0,
+    n_pulses: int,
+    m_scans: int,
+    seed,
     thermal_n: float | None = None,
     statistics_only: bool = False,
     threads: int = 1,
@@ -334,15 +290,14 @@ def scan_experiment(
         dt_var=per_scan_var.mean(axis=0),
         per_scan_mean=per_scan_mean,
         per_scan_var=per_scan_var,
-        seed=_seed_prefix(seed)[0],
     )
 
 
 def shot_noise_scan(
     powers_mw: Sequence[float],
     det: DetectorSpec,
-    n_pulses: int = DEFAULT_N_PULSES,
-    seed: int = 0,
+    n_pulses: int,
+    seed: int,
 ) -> np.ndarray:
     """Variance of the differential voltage versus probe power, pump off.
 
@@ -355,43 +310,8 @@ def shot_noise_scan(
     out = np.empty((powers.size, 2))
     for i, p in enumerate(powers):
         photons = p * PHOTONS_PER_PULSE_PER_MW
-        cell = np.random.SeedSequence([int(seed), i])
-        ens = sample_pulse_ensemble(photons, photons, det, n_pulses, cell)
+        ens = sample_pulse_ensemble(
+            photons, photons, det, n_pulses, row_streams(seed, i)
+        )
         out[i] = (p, ens.variance())
     return out
-
-
-@dataclass(frozen=True)
-class LineFit:
-    slope: float
-    intercept: float
-    r_squared: float
-    intercept_ci95: float
-
-
-def fit_line(x, y) -> LineFit:
-    """Ordinary least-squares line with a 95% CI on the intercept."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size or x.size < 3:
-        raise ValueError("need at least 3 points")
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    dof = x.size - 2
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(design.T @ design)
-    tcrit = stats.t.ppf(0.975, dof)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
-    return LineFit(
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        r_squared=r2,
-        intercept_ci95=float(tcrit * math.sqrt(cov[1, 1])),
-    )
-
-
-def without_electronic_noise(det: DetectorSpec) -> DetectorSpec:
-    """Copy of the chain with the electronic term switched off."""
-    return replace(det, electronic_var=0.0)

@@ -27,15 +27,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from .probe import ObservablePair, ProbeSpec, probe_mean, probe_variance
-from .states import (
-    BathSpec,
-    GaussianPhononState,
-    PumpSpec,
-    apply_pump,
-    evolve,
-    pump_coefficients,
-    thermal_state,
-)
+from .states import BathSpec, apply_pump, evolve, thermal_state
 
 DEFAULT_PHONON_DIM = 60
 DEFAULT_PHOTON_DIM = 40
@@ -127,11 +119,6 @@ class FockDensityMatrix:
         sub2 = np.diagonal(self.rho, offset=-2)
         anom = complex(np.dot(np.sqrt((k[:-2] + 1.0) * (k[:-2] + 2.0)), sub2))
         return mean_b, occ, anom
-
-    def gaussian_view(self) -> GaussianPhononState:
-        """Project onto the moment representation (drops higher cumulants)."""
-        m, occ, anom = self.moments()
-        return GaussianPhononState(m, occ, anom)
 
 
 def _destroy(dim: int) -> np.ndarray:
@@ -514,12 +501,13 @@ def cross_validate(
         if max_dim is not None:
             core_dim = min(core_dim, max_dim)
 
-        def pump_stage(dim: int) -> FockDensityMatrix:
-            return apply_pump_exact(
+        exact, _, _ = _retry_truncation(
+            lambda dim, _: apply_pump_exact(
                 build_thermal_fock(case.thermal_n, dim), case.c1, case.c2
-            )
-
-        exact = _retry_truncation(pump_stage, core_dim, max_dim=max_dim)
+            ),
+            core_dim,
+            max_dim=max_dim,
+        )
         errs = {}
         em, eo, ea = exact.moments()
         errs["pump_mean_b"] = _rel_err(fast.mean_b, em)
@@ -527,10 +515,8 @@ def cross_validate(
         errs["pump_anomalous"] = _rel_err(fast.anomalous, ea)
 
         fast = evolve(fast, case.delay, bath)
-        exact = _retry_truncation(
-            lambda dim: evolve_lindblad_exact(
-                embed(exact, dim), case.delay, bath
-            ),
+        exact, _, _ = _retry_truncation(
+            lambda dim, _: evolve_lindblad_exact(embed(exact, dim), case.delay, bath),
             exact.dim,
             max_dim=max_dim,
         )
@@ -549,8 +535,15 @@ def cross_validate(
         )
         if max_dim is not None:
             probe_dim = min(probe_dim, max_dim)
-        pair, probe_dim, photon_used = _probe_with_retry(
-            exact, probe, probe_dim, photon_dim, max_dim=max_dim
+        # Shrink (or pad) to the probe-stage cutoff first; the cut is
+        # refused unless the discarded population is negligible.
+        pair, probe_dim, photon_used = _retry_truncation(
+            lambda dim, photons: probe_exact(
+                truncate(exact, max(dim, 8)), probe, photons
+            ),
+            probe_dim,
+            photon_dim,
+            max_dim,
         )
         mean_err = _rel_err(mean_fast, pair.mean_ny)
         var_err = _rel_err(var_fast, pair.var_ny)
@@ -576,50 +569,26 @@ def cross_validate(
     return results
 
 
-def _retry_truncation(
-    stage, dim: int, attempts: int = 3, max_dim: int | None = None
-) -> FockDensityMatrix:
-    last: TruncationError | None = None
-    for _ in range(attempts):
+def _retry_truncation(stage, dim: int, photon_dim: int = 0, max_dim: int | None = None):
+    """Run stage(dim, photon_dim), growing the register a truncation names.
+
+    A TruncationError from the photon register grows photon_dim; one from
+    the phonon register grows dim, to at most max_dim, and propagates once
+    dim is already there. Returns (result, dim, photon_dim) of the first
+    attempt that passes; the third failure propagates.
+    """
+    for attempt in range(3):
         try:
-            return stage(dim)
+            return stage(dim, photon_dim), dim, photon_dim
         except TruncationError as exc:
-            last = exc
+            if attempt == 2:
+                raise
+            if exc.register == "photon":
+                photon_dim = exc.suggested_dim or 2 * photon_dim
+                continue
             bigger = exc.suggested_dim or 2 * dim
             if max_dim is not None and bigger > max_dim:
                 if dim >= max_dim:
                     raise
                 bigger = max_dim
             dim = bigger
-    assert last is not None
-    raise last
-
-
-def _probe_with_retry(
-    exact: FockDensityMatrix,
-    probe: ProbeSpec,
-    probe_dim: int,
-    photon_dim: int,
-    attempts: int = 3,
-    max_dim: int | None = None,
-) -> tuple[ObservablePair, int, int]:
-    last: TruncationError | None = None
-    for _ in range(attempts):
-        try:
-            # Shrink (or pad) to the probe-stage cutoff first; the cut is
-            # refused unless the discarded population is negligible.
-            staged = truncate(exact, max(probe_dim, 8))
-            return probe_exact(staged, probe, photon_dim), probe_dim, photon_dim
-        except TruncationError as exc:
-            last = exc
-            if exc.register == "photon":
-                photon_dim = exc.suggested_dim or 2 * photon_dim
-            else:
-                bigger = exc.suggested_dim or 2 * probe_dim
-                if max_dim is not None and bigger > max_dim:
-                    if probe_dim >= max_dim:
-                        raise
-                    bigger = max_dim
-                probe_dim = bigger
-    assert last is not None
-    raise last

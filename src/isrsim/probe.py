@@ -174,9 +174,25 @@ def probe_variance(state: GaussianPhononState, probe: ProbeSpec) -> float:
     return float(_var_ny(state.mean_b, state.occupation, state.anomalous, probe))
 
 
-def observables(state: GaussianPhononState, probe: ProbeSpec) -> ObservablePair:
-    """Mean and variance of the read-out photon number, as a pair."""
-    return ObservablePair(probe_mean(state, probe), probe_variance(state, probe))
+def amplitude_prefactor(
+    bath: BathSpec,
+    probe: ProbeSpec,
+    tau_ref: float,
+    thermal_n: float | None = None,
+) -> float:
+    """Second-harmonic amplitude per sinh(2r), at the reference delay.
+
+    thermal_n is the occupation of the state the pump acts on; it
+    defaults to the bath occupation (no pump heating).
+    """
+    n = bath.n_bath if thermal_n is None else thermal_n
+    return (
+        probe.intensity_y
+        * (1.0 + 2.0 * n)
+        / 8.0
+        * math.exp(-bath.damping_rate * tau_ref)
+        * math.sin(2.0 * probe.coupling_norm) ** 2
+    )
 
 
 def amplitude_2omega(
@@ -190,14 +206,7 @@ def amplitude_2omega(
     """
     _, c2 = pump_coefficients(pump)
     r = 2.0 * abs(c2)
-    return (
-        probe.intensity_y
-        * (1.0 + 2.0 * bath.n_bath)
-        / 8.0
-        * math.exp(-bath.damping_rate * tau)
-        * math.sin(2.0 * probe.coupling_norm) ** 2
-        * math.sinh(2.0 * r)
-    )
+    return amplitude_prefactor(bath, probe, tau) * math.sinh(2.0 * r)
 
 
 def amplitude_omega(
@@ -277,28 +286,3 @@ def predict_trace(
     out[:, 1] = _require_real(_mean_ny(m, occ, probe), "probe mean", taus)
     out[:, 2] = _var_ny(m, occ, an, probe)
     return out
-
-
-def chi3_block(a: float, c: float) -> np.ndarray:
-    """Third-order susceptibility of the two Raman-active symmetries.
-
-    Returns the 4x4 matrix chi[2(i-1)+(k-1), 2(j-1)+(l-1)] built from
-    the isotropic tensor (weight a) and the two traceless tensors
-    (weight c); the off-diagonal blocks encode the cross-polarized
-    scattering channel used for detection.
-    """
-    iso = np.array([[a, 0.0], [0.0, a]])
-    trans = np.array([[c, 0.0], [0.0, -c]])
-    longi = np.array([[0.0, -c], [-c, 0.0]])
-    return np.kron(iso, iso) + np.kron(trans, trans) + np.kron(longi, longi)
-
-
-def pump_efficiency(theta_pump: float, c: float) -> float:
-    """Cross-polarized drive strength for a pump polarized at theta_pump.
-
-    Only the tensor elements mixing the two transverse directions drive
-    the detected channel; they require orthogonal pump components, so
-    the drive scales as |c^2 sin(theta) cos(theta)| and peaks at 45
-    degrees.
-    """
-    return abs(c * c * math.sin(theta_pump) * math.cos(theta_pump))

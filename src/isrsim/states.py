@@ -200,22 +200,6 @@ def squeeze_parameters(c2: complex) -> tuple[float, float]:
     return 2.0 * abs(c2), cmath.phase(c2) + math.pi / 2.0
 
 
-def bogoliubov_matrix(c2: complex) -> np.ndarray:
-    """Linear part S of the Heisenberg map of the pump unitary.
-
-    Acts on the operator vector (b, b†); det S = 1 identically.
-    """
-    c2 = complex(c2)
-    r = 2.0 * abs(c2)
-    if r == 0.0:
-        return np.eye(2, dtype=complex)
-    unit = c2 / abs(c2)
-    off = -1j * unit * math.sinh(r)
-    return np.array(
-        [[math.cosh(r), off], [np.conj(off), math.cosh(r)]], dtype=complex
-    )
-
-
 def apply_pump(
     state: GaussianPhononState, c1: complex, c2: complex
 ) -> GaussianPhononState:

@@ -14,6 +14,7 @@ from isrsim import (
     detrended_trace,
     extract_lifetimes,
     fit_fluence_series,
+    fit_line,
     interpolate_peak,
     morlet_noise_power,
     morlet_power,
@@ -105,8 +106,6 @@ def test_trace_validation():
     ragged[20:] += 0.013
     with pytest.raises(ValueError, match="uniform"):
         detrend_and_fft(np.column_stack([ragged, np.ones(32)]))
-    with pytest.raises(ValueError, match="window"):
-        detrend_and_fft(np.column_stack([taus, np.ones(32)]), window="flat")
 
 
 def test_interpolate_peak_outside_spectrum():
@@ -193,6 +192,22 @@ def test_peak_contrast_distinguishes_line_from_wing():
     wspec = detrend_and_fft(wing)
     # At the second harmonic there is only the fundamental's smooth tail.
     assert peak_contrast(wspec.freqs, wspec.power, 2 * F0) < 3.0
+
+
+def test_fit_line_slope_stderr():
+    x = np.arange(8.0)
+    wiggle = np.array([0.1, -0.2, 0.05, 0.15, -0.1, 0.0, -0.05, 0.05])
+    y = 0.7 * x + 0.25 + wiggle
+    fit = fit_line(x, y)
+    design = np.column_stack([x, np.ones_like(x)])
+    resid = y - design @ np.array([fit.slope, fit.intercept])
+    s2 = float(resid @ resid) / (x.size - 2)
+    cov = s2 * np.linalg.inv(design.T @ design)
+    assert fit.slope_stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
+    # Textbook form of the same quantity.
+    expected = math.sqrt(s2 / float(np.sum((x - x.mean()) ** 2)))
+    assert fit.slope_stderr == pytest.approx(expected, rel=1e-12)
+    assert fit_line(x, 0.7 * x + 0.25).slope_stderr == pytest.approx(0.0, abs=1e-12)
 
 
 def test_amplitude_prefactor_consistency():

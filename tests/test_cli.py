@@ -109,6 +109,32 @@ def test_scan_threads_match_serial(tmp_path):
             assert (serial / csv).read_bytes() == (threaded / csv).read_bytes()
 
 
+def test_fluence_threads_match_serial(tmp_path):
+    per_pulse = "scan:\n  stop_ps: 0.62\n  n_pulses: 60\n  m_scans: 3\n"
+    cfg = write_cfg(tmp_path, per_pulse)
+    serial = tmp_path / "serial"
+    threaded = tmp_path / "threaded"
+    assert cli.main(["fluence", "--config", cfg, "--out", str(serial)]) == 0
+    assert (
+        cli.main(["fluence", "--config", cfg, "--out", str(threaded), "--threads", "2"])
+        == 0
+    )
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == ["fluence_fit.json", "fluence_series.csv", "manifest.json"]
+    assert names == sorted(p.name for p in threaded.iterdir())
+    for name in names:
+        assert (serial / name).read_bytes() == (threaded / name).read_bytes()
+
+
+def test_threads_flag_only_on_scan_and_fluence(tmp_path, capsys):
+    for command in ("predict", "oracle", "shot-noise"):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--threads", "2", "--out", str(tmp_path / "o")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_scan_full_monte_carlo_writes_histograms(tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -81,6 +81,19 @@ def test_file_overrides_and_flag_precedence(tmp_path):
     assert flagged.section("outputs")["directory"] == "elsewhere"
 
 
+def test_overrides_do_not_leak_into_later_loads(tmp_path):
+    """The parsed defaults are cached; each load must still start from them."""
+    fresh = load_config()
+    load_config(seed=5, out_dir=str(tmp_path / "elsewhere"))
+    load_config(write(tmp_path, "scan:\n  m_scans: 3\n"))
+    default_mapping()["pump"]["k_modes"] = 7
+    again = load_config()
+    assert again.data == fresh.data
+    assert again.section("scan")["seed"] == 20260814
+    assert again.section("scan")["m_scans"] == 10
+    assert again.section("outputs")["directory"] == fresh.section("outputs")["directory"]
+
+
 def test_hash_ignores_output_destination(tmp_path):
     cfg_a = load_config(out_dir="a")
     cfg_b = load_config(out_dir="b")

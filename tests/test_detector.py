@@ -1,5 +1,6 @@
 """Differential acquisition chain: statistics, seeding, and the power scan."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,20 +12,28 @@ from isrsim import (
     ProbeSpec,
     PumpSpec,
     calibrated_gain,
-    default_detector,
     fit_line,
+    load_config,
     predict_trace,
     probe_mean,
+    row_streams,
     sample_pulse_ensemble,
     sample_scan_statistics,
     scan_experiment,
     shot_noise_scan,
     thermal_state,
     voltage_statistics,
-    without_electronic_noise,
 )
 
 OMEGA = 2.0 * math.pi * 3.84
+
+
+def config_detector():
+    return load_config().detector_spec()
+
+
+def streams(seed):
+    return row_streams(seed, 0)
 
 
 def quiet_detector(electronic_var=0.0):
@@ -38,7 +47,7 @@ def quiet_detector(electronic_var=0.0):
 def test_calibrated_gain_value():
     g = calibrated_gain(1.0e6, 0.94, 0.9)
     assert g == pytest.approx(math.sqrt(0.9 / (2 * 0.94 * 1.0e6)), rel=1e-12)
-    det = default_detector()
+    det = config_detector()
     # 2.5 mW -> 1e6 photons -> 0.9 photonic + 0.1 electronic = 1 V^2.
     _, var = voltage_statistics(1.0e6, 1.0e6, det)
     assert var == pytest.approx(1.0, rel=1e-12)
@@ -60,9 +69,9 @@ def test_voltage_statistics_closed_form():
 
 def test_pulse_ensemble_deterministic():
     det = quiet_detector(0.03)
-    a = sample_pulse_ensemble(1e6, 1.2e6, det, n_pulses=500, seed=7)
-    b = sample_pulse_ensemble(1e6, 1.2e6, det, n_pulses=500, seed=7)
-    c = sample_pulse_ensemble(1e6, 1.2e6, det, n_pulses=500, seed=8)
+    a = sample_pulse_ensemble(1e6, 1.2e6, det, n_pulses=500, streams=streams(7))
+    b = sample_pulse_ensemble(1e6, 1.2e6, det, n_pulses=500, streams=streams(7))
+    c = sample_pulse_ensemble(1e6, 1.2e6, det, n_pulses=500, streams=streams(8))
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
@@ -70,7 +79,7 @@ def test_pulse_ensemble_deterministic():
 def test_pulse_ensemble_unbiased():
     det = quiet_detector(0.04)
     mu, var = voltage_statistics(1e6, 1.3e6, det)
-    ens = sample_pulse_ensemble(1e6, 1.3e6, det, n_pulses=200_000, seed=11)
+    ens = sample_pulse_ensemble(1e6, 1.3e6, det, n_pulses=200_000, streams=streams(11))
     # Expected spread of the estimates themselves.
     assert ens.mean() == pytest.approx(mu, abs=5 * math.sqrt(var / 2e5))
     assert ens.variance() == pytest.approx(var, rel=0.02)
@@ -80,8 +89,8 @@ def test_electronic_noise_is_additive_and_stream_isolated():
     """Toggling the electronic term must not touch the photon draws."""
     base = quiet_detector(0.0)
     noisy = quiet_detector(0.05)
-    a = sample_pulse_ensemble(1e6, 1e6, base, n_pulses=50_000, seed=3)
-    b = sample_pulse_ensemble(1e6, 1e6, noisy, n_pulses=50_000, seed=3)
+    a = sample_pulse_ensemble(1e6, 1e6, base, n_pulses=50_000, streams=streams(3))
+    b = sample_pulse_ensemble(1e6, 1e6, noisy, n_pulses=50_000, streams=streams(3))
     added = b.samples - a.samples
     # The residual is exactly the electronic stream: zero-mean, variance
     # 0.05, and uncorrelated with the photon part.
@@ -89,7 +98,7 @@ def test_electronic_noise_is_additive_and_stream_isolated():
     assert np.var(added, ddof=1) == pytest.approx(0.05, rel=0.05)
     corr = np.corrcoef(added, a.samples)[0, 1]
     assert abs(corr) < 0.02
-    assert without_electronic_noise(noisy) == base
+    assert dataclasses.replace(noisy, electronic_var=0.0) == base
 
 
 def test_statistics_only_matches_full_sampling_distribution():
@@ -98,7 +107,7 @@ def test_statistics_only_matches_full_sampling_distribution():
     n = 2000
     means, variances = [], []
     for i in range(300):
-        mh, vh = sample_scan_statistics(5e5, 6e5, det, n, seed=1000 + i)
+        mh, vh = sample_scan_statistics(5e5, 6e5, det, n, streams(1000 + i))
         means.append(mh)
         variances.append(vh)
     assert np.mean(means) == pytest.approx(mu, abs=5 * math.sqrt(var / n / 300))
@@ -118,19 +127,19 @@ def test_guards():
     with pytest.raises(ValueError):
         DetectorSpec(1.2, 1e-4, 0.1)
     with pytest.raises(ValueError):
-        sample_pulse_ensemble(1e6, 1e6, quiet_detector(), n_pulses=1)
+        sample_pulse_ensemble(1e6, 1e6, quiet_detector(), 1, streams(0))
     with pytest.raises(ValueError):
-        sample_pulse_ensemble(1e6, -1.0, quiet_detector())
+        sample_pulse_ensemble(1e6, -1.0, quiet_detector(), 100, streams(0))
     drifty = DetectorSpec(0.9, 1e-4, 0.0, drift_rms_v=1e-4)
     with pytest.raises(ValueError):
-        sample_scan_statistics(1e6, 1e6, drifty, 100, seed=0)
+        sample_scan_statistics(1e6, 1e6, drifty, 100, streams(0))
 
 
 def scan_args():
     pump = PumpSpec(0.5, 0.002, 100, math.sqrt(2.0))
     bath = BathSpec(OMEGA, 2.0 / 7.0, 1.1787)
     probe = ProbeSpec(0.05, 0.0, 1.0e6, 0.0)
-    det = default_detector()
+    det = config_detector()
     delays = np.arange(32) * 0.02
     return pump, bath, probe, det, delays
 
@@ -217,7 +226,7 @@ def test_scan_statistics_only_agrees_with_full_monte_carlo():
 
 
 def test_shot_noise_power_scan_is_linear():
-    det = default_detector()
+    det = config_detector()
     powers = np.linspace(0.25, 2.5, 10)
     rows = shot_noise_scan(powers, det, n_pulses=4000, seed=1)
     fit = fit_line(rows[:, 0], rows[:, 1])

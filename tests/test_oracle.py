@@ -8,6 +8,7 @@ from isrsim import BathSpec, apply_pump, evolve, thermal_state
 from isrsim.fock import (
     CrossCheckCase,
     TruncationError,
+    _retry_truncation,
     apply_pump_exact,
     build_thermal_fock,
     cross_validate,
@@ -84,6 +85,42 @@ def test_cross_validate_respects_dimension_cap():
     )
     with pytest.raises(TruncationError):
         cross_validate([hot], max_dim=24)
+
+
+def test_photon_register_retry_grows_photon_dim():
+    # A strong exchange (angle 1.4) with a coherent phonon (|<b>| = 2)
+    # scatters more photons into the register than 30 levels hold; the
+    # retry must double the photon cutoff and keep the phonon cutoff.
+    case = CrossCheckCase(0.0, 2.0, 0.0, 1.0, 0.0, 1.4, 2.0, 0.0)
+    [res] = cross_validate([case], photon_dim=30)
+    assert res.passed
+    assert res.photon_dim == 60
+    assert res.phonon_dim == 32
+
+
+def test_retry_ladder_grows_the_named_register_up_to_the_cap():
+    def failing(registers):
+        tried = []
+
+        def stage(dim, photons):
+            tried.append((dim, photons))
+            register = registers[len(tried) - 1]
+            size = photons if register == "photon" else dim
+            raise TruncationError(register, 2 * size, register=register)
+
+        return stage, tried
+
+    stage, tried = failing(["photon", "phonon", "phonon"])
+    with pytest.raises(TruncationError, match="phonon"):
+        _retry_truncation(stage, 40, 30, max_dim=64)
+    assert tried == [(40, 30), (40, 60), (64, 60)]
+
+    stage, tried = failing(["phonon"])
+    with pytest.raises(TruncationError, match="phonon"):
+        _retry_truncation(stage, 64, 30, max_dim=64)
+    assert tried == [(64, 30)]
+
+    assert _retry_truncation(lambda dim, photons: dim + photons, 8, 2) == (10, 8, 2)
 
 
 def test_default_grid_covers_validated_ranges():

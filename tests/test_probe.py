@@ -14,16 +14,13 @@ from isrsim import (
     amplitude_2omega,
     amplitude_omega,
     apply_pump,
-    chi3_block,
     detrend_and_fft,
     evolve,
     load_config,
-    observables,
     predict_trace,
     probe_mean,
     probe_variance,
     pump_coefficients,
-    pump_efficiency,
     thermal_state,
 )
 from isrsim.fock import apply_pump_exact, build_thermal_fock, probe_exact
@@ -109,10 +106,8 @@ def test_matches_exact_fock_readout():
 
 
 def test_observables_pair_and_guards():
-    probe = make_probe()
-    pair = observables(thermal_state(0.7), probe)
-    assert pair.mean_ny == probe_mean(thermal_state(0.7), probe)
-    assert pair.var_ny == probe_variance(thermal_state(0.7), probe)
+    pair = ObservablePair(1.0, 0.5)
+    assert (pair.mean_ny, pair.var_ny) == (1.0, 0.5)
     with pytest.raises(ValueError):
         ObservablePair(-1.0, 0.5)
     with pytest.raises(ValueError):
@@ -251,29 +246,3 @@ def test_predict_trace_names_first_unphysical_delay():
     assert first_bad is not None and first_bad > 0.0
     with pytest.raises(PhysicalityError, match=f"at delay {first_bad!r} ps"):
         predict_trace(pump, bath, make_probe(), 0.2, delays)
-
-
-def test_chi3_block_structure():
-    a, c = 1.7, 0.6
-    chi = chi3_block(a, c)
-    assert chi.shape == (4, 4)
-    assert np.allclose(chi, chi.T)
-    # Co-polarized entries pick up iso^2 plus one traceless channel each;
-    # the anti-diagonal carries the cross-polarized coupling.
-    assert chi[0, 0] == pytest.approx(a * a + c * c)
-    assert chi[3, 3] == pytest.approx(a * a + c * c)
-    assert chi[1, 1] == pytest.approx(a * a - c * c)
-    assert chi[0, 3] == pytest.approx(c * c)
-    assert chi[1, 2] == pytest.approx(c * c)
-    assert chi[0, 1] == 0.0
-
-
-def test_pump_efficiency_peaks_at_diagonal_polarization():
-    c = 0.8
-    best = pump_efficiency(math.pi / 4, c)
-    assert best == pytest.approx(c * c / 2.0, rel=1e-12)
-    assert pump_efficiency(0.0, c) == 0.0
-    assert pump_efficiency(math.pi / 2, c) == pytest.approx(0.0, abs=1e-12)
-    grid = np.linspace(0.0, math.pi / 2, 91)
-    vals = [pump_efficiency(t, c) for t in grid]
-    assert max(vals) <= best + 1e-12

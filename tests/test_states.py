@@ -3,7 +3,6 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 
 from isrsim import (
@@ -22,7 +21,6 @@ from isrsim import (
     thermal_occupation,
     thermal_state,
 )
-from isrsim.states import bogoliubov_matrix
 
 OMEGA = 2.0 * math.pi * 3.84
 
@@ -78,17 +76,6 @@ def test_pump_coefficients_phase_cancels():
         c1, c2 = pump_coefficients(pump)
         assert c1 == pytest.approx(0.5 * 100 * 2.0, rel=1e-12)
         assert c2 == pytest.approx(0.002 * 100 * 2.0, rel=1e-12)
-
-
-def test_bogoliubov_matrix_is_symplectic():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        c2 = complex(rng.normal(0, 0.2), rng.normal(0, 0.2))
-        s = bogoliubov_matrix(c2)
-        assert abs(np.linalg.det(s) - 1.0) < 1e-12
-        # (b, b†) structure: diagonal real cosh, off-diagonals conjugate.
-        assert s[0, 0] == pytest.approx(math.cosh(2.0 * abs(c2)))
-        assert s[1, 0] == pytest.approx(np.conj(s[0, 1]))
 
 
 def test_pure_displacement_sign_convention():
