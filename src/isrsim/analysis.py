@@ -14,13 +14,22 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 from scipy.optimize import least_squares
 
 from .probe import ProbeSpec, amplitude_prefactor
 from .states import BathSpec, squeezed_thermal_quadrature_variance
 
+# Morlet width: sigma_t = DEFAULT_WAVELET_WIDTH / (2 pi f) at row frequency f.
 DEFAULT_WAVELET_WIDTH = 8.0
+# Order of the polynomial baseline removed before any spectrum or map.
+_DETREND_ORDER = 3
+# Half-width of the window a spectral peak is looked for in, and the
+# width of the background annulus around it.
+_PEAK_BINS = 3
+_ANNULUS_BINS = 8
+# The second harmonic counts as present in extract_lifetimes only above
+# this fraction of the fundamental's peak power.
+_PRESENCE_RATIO = 1e-3
 
 # Quantum lower bound on the product of the two quadrature variances.
 _PRODUCT_BOUND = 0.25 - 1e-9
@@ -70,14 +79,14 @@ def _as_trace(trace) -> tuple[np.ndarray, np.ndarray]:
     return taus, values
 
 
-def _detrend(taus: np.ndarray, values: np.ndarray, order: int) -> np.ndarray:
+def _detrend(taus: np.ndarray, values: np.ndarray) -> np.ndarray:
     # Normalized abscissa keeps the polynomial solve well conditioned.
     x = (taus - taus[0]) / (taus[-1] - taus[0])
-    coef = np.polynomial.polynomial.polyfit(x, values, order)
+    coef = np.polynomial.polynomial.polyfit(x, values, _DETREND_ORDER)
     return values - np.polynomial.polynomial.polyval(x, coef)
 
 
-def detrended_trace(trace, order: int = 3) -> np.ndarray:
+def detrended_trace(trace) -> np.ndarray:
     """(tau, value) rows with the polynomial baseline removed.
 
     Removing the relaxation background before time-frequency analysis
@@ -86,11 +95,11 @@ def detrended_trace(trace, order: int = 3) -> np.ndarray:
     spectrum as a wrap-around discontinuity.
     """
     taus, values = _as_trace(trace)
-    return np.column_stack([taus, _detrend(taus, values, order)])
+    return np.column_stack([taus, _detrend(taus, values)])
 
 
 def interpolate_peak(
-    freqs: np.ndarray, amps: np.ndarray, nominal: float, halfwidth_bins: int = 3
+    freqs: np.ndarray, amps: np.ndarray, nominal: float
 ) -> tuple[float, float]:
     """Refined (frequency, amplitude) near a nominal frequency.
 
@@ -100,8 +109,8 @@ def interpolate_peak(
     """
     df = freqs[1] - freqs[0]
     center = int(round(nominal / df))
-    lo = max(1, center - halfwidth_bins)
-    hi = min(len(amps) - 1, center + halfwidth_bins + 1)
+    lo = max(1, center - _PEAK_BINS)
+    hi = min(len(amps) - 1, center + _PEAK_BINS + 1)
     if lo >= hi:
         raise ValueError("nominal frequency outside the spectrum")
     j = lo + int(np.argmax(amps[lo:hi]))
@@ -116,13 +125,7 @@ def interpolate_peak(
     return j * df, float(amps[j])
 
 
-def peak_contrast(
-    freqs: np.ndarray,
-    power: np.ndarray,
-    nominal: float,
-    exclude_bins: int = 3,
-    annulus_bins: int = 8,
-) -> float:
+def peak_contrast(freqs: np.ndarray, power: np.ndarray, nominal: float) -> float:
     """Peak height over the local spectral background near a frequency.
 
     The background is the median over an annulus of bins around the
@@ -134,15 +137,15 @@ def peak_contrast(
     power = np.asarray(power, dtype=float)
     df = freqs[1] - freqs[0]
     center = int(round(nominal / df))
-    lo = max(1, center - exclude_bins)
-    hi = min(power.size - 1, center + exclude_bins + 1)
+    lo = max(1, center - _PEAK_BINS)
+    hi = min(power.size - 1, center + _PEAK_BINS + 1)
     if lo >= hi:
         raise ValueError("nominal frequency outside the spectrum")
     peak = float(np.max(power[lo:hi]))
     ring = np.concatenate(
         [
-            power[max(1, center - exclude_bins - annulus_bins) : lo],
-            power[hi : min(power.size, center + exclude_bins + annulus_bins + 1)],
+            power[max(1, center - _PEAK_BINS - _ANNULUS_BINS) : lo],
+            power[hi : min(power.size, center + _PEAK_BINS + _ANNULUS_BINS + 1)],
         ]
     )
     if ring.size == 0:
@@ -153,11 +156,7 @@ def peak_contrast(
     return peak / background
 
 
-def detrend_and_fft(
-    trace,
-    detrend_order: int = 3,
-    fundamental_thz: float = 3.84,
-) -> SpectrumResult:
+def detrend_and_fft(trace, fundamental_thz: float) -> SpectrumResult:
     """Amplitude spectrum of the oscillating part of a trace.
 
     A low-order polynomial baseline is removed first, so relaxation
@@ -166,7 +165,7 @@ def detrend_and_fft(
     """
     taus, values = _as_trace(trace)
     n = taus.size
-    spec = np.fft.rfft(_detrend(taus, values, detrend_order))
+    spec = np.fft.rfft(_detrend(taus, values))
     amps = 2.0 * np.abs(spec) / n
     amps[0] *= 0.5
     if n % 2 == 0:
@@ -185,29 +184,28 @@ def detrend_and_fft(
     )
 
 
-def morlet_power(
-    trace,
-    freqs: Sequence[float],
-    wavelet_width: float = DEFAULT_WAVELET_WIDTH,
-) -> np.ndarray:
+def _sigma_t(freq):
+    """Time width of the Morlet wavelet of the row at freq."""
+    return DEFAULT_WAVELET_WIDTH / (2.0 * math.pi * freq)
+
+
+def morlet_power(trace, freqs: Sequence[float]) -> np.ndarray:
     """Morlet time-frequency power map, rows indexed by freqs.
 
     The analytic wavelet is applied in the frequency domain with unit
     amplitude response: a pure cosine of amplitude A gives |w| = A along
     its row, so the returned power is A^2. Row bandwidth scales as
-    freq / wavelet_width.
+    freq / DEFAULT_WAVELET_WIDTH.
     """
     taus, values = _as_trace(trace)
     target = np.asarray(freqs, dtype=float)
     if target.ndim != 1 or np.any(target <= 0):
         raise ValueError("freqs must be positive")
-    if wavelet_width <= 0:
-        raise ValueError("wavelet_width must be positive")
     n = taus.size
     dt = taus[1] - taus[0]
     grid = np.fft.fftfreq(n, d=dt)
     spec = np.fft.fft(values)
-    sigma_t = wavelet_width / (2.0 * math.pi * target)
+    sigma_t = _sigma_t(target)
     # Analytic filter: positive frequencies only, amplitude 2 so that a
     # real cosine (half its weight at +f) returns unit response.
     filt = 2.0 * np.exp(
@@ -223,13 +221,23 @@ class LineFit:
     slope: float
     intercept: float
     r_squared: float
-    intercept_ci95: float
     slope_stderr: float
+    intercept_stderr: float
+    dof: int
+
+    @property
+    def intercept_ci95(self) -> float:
+        """Half-width of the 95% confidence interval on the intercept."""
+        # scipy.stats is imported here, on first use: it is costly to load,
+        # and only the shot-noise read-out asks for the interval.
+        from scipy import stats
+
+        return float(stats.t.ppf(0.975, self.dof) * self.intercept_stderr)
 
 
 def fit_line(x, y) -> LineFit:
-    """Ordinary least-squares line, the slope's standard error and a 95%
-    CI on the intercept."""
+    """Ordinary least-squares line with the standard errors of both
+    coefficients."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 3:
@@ -240,15 +248,15 @@ def fit_line(x, y) -> LineFit:
     dof = x.size - 2
     s2 = float(resid @ resid) / dof
     cov = s2 * np.linalg.inv(design.T @ design)
-    tcrit = stats.t.ppf(0.975, dof)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
     return LineFit(
         slope=float(coef[0]),
         intercept=float(coef[1]),
         r_squared=r2,
-        intercept_ci95=float(tcrit * math.sqrt(cov[1, 1])),
         slope_stderr=math.sqrt(cov[0, 0]),
+        intercept_stderr=math.sqrt(cov[1, 1]),
+        dof=dof,
     )
 
 
@@ -286,42 +294,19 @@ _ABSENT = ComponentLifetime(False, math.nan, math.nan, math.nan)
 _DETECTION_LOG_MARGIN = 5.0
 
 
-def morlet_noise_power(
-    noise_sd: float,
-    dt: float,
-    freq: float,
-    wavelet_width: float = DEFAULT_WAVELET_WIDTH,
-) -> float:
+def morlet_noise_power(noise_sd: float, dt: float, freq: float) -> float:
     """Expected spectrogram power of white per-sample noise in one row.
 
     White noise of standard deviation noise_sd passes the row's Gaussian
     band with integrated response 2 dt / (sqrt(pi) sigma_t), which is
     the mean |w|^2 it contributes along the row.
     """
-    sigma_t = wavelet_width / (2.0 * math.pi * freq)
-    return noise_sd ** 2 * 2.0 * dt / (math.sqrt(math.pi) * sigma_t)
+    return noise_sd ** 2 * 2.0 * dt / (math.sqrt(math.pi) * _sigma_t(freq))
 
 
-def _interior_peak(taus: np.ndarray, row: np.ndarray, sigma_t: float) -> float:
-    # Peak power away from the cone-of-influence margins, where edge
-    # artifacts of the finite record would otherwise dominate.
-    margin = 3.0 * sigma_t
-    keep = (taus >= taus[0] + margin) & (taus <= taus[-1] - margin)
-    if not np.any(keep):
-        return float(np.max(row))
-    return float(np.max(row[keep]))
-
-
-def _fit_row_decay(
-    taus: np.ndarray,
-    row: np.ndarray,
-    sigma_t: float,
-    floor: float,
-) -> ComponentLifetime:
-    # Trim the cone-of-influence margins, then fit log power linearly.
-    margin = 3.0 * sigma_t
-    keep = (taus >= taus[0] + margin) & (taus <= taus[-1] - margin)
-    keep &= row > floor
+def _fit_row_decay(taus: np.ndarray, row: np.ndarray, floor: float) -> ComponentLifetime:
+    # Fit log power linearly where the row stands above floor.
+    keep = row > floor
     if np.count_nonzero(keep) < 8:
         return _ABSENT
     fit = fit_line(taus[keep], np.log(row[keep]))
@@ -332,51 +317,46 @@ def _fit_row_decay(
     return ComponentLifetime(True, rate, rate_stderr, 1.0 / rate)
 
 
-def extract_lifetimes(
-    trace,
-    omega_thz: float = 3.84,
-    wavelet_width: float = DEFAULT_WAVELET_WIDTH,
-    presence_ratio: float = 1e-3,
-    noise_sd: float = 0.0,
-) -> LifetimeResult:
+def extract_lifetimes(trace, omega_thz: float, noise_sd: float = 0.0) -> LifetimeResult:
     """Envelope lifetimes of the two oscillating components of a trace.
 
     The trace's fundamental and second-harmonic rows of the Morlet map
-    are fitted with exponential envelopes. A component is reported as
-    absent rather than fitted when its peak power stays below
-    presence_ratio times the fundamental's (the default ratio sits above
-    the spectral wing a damped fundamental leaves at its second
-    harmonic) or below the expected peak of the white-noise row power
-    implied by noise_sd. A fitted rate within 3 sigma of zero is
-    reported as non-decaying (infinite lifetime). The trace is detrended
-    before the transform so the relaxation background neither fills the
-    low-frequency rows nor rings across the record as a wrap-around
-    discontinuity.
+    are fitted with exponential envelopes. Each row is read only outside
+    its cone of influence, 3 sigma_t from either end of the record, where
+    edge artifacts of the finite record would otherwise dominate. A
+    component is reported as absent rather than fitted when its peak
+    power there stays below the expected peak of the white-noise row
+    power implied by noise_sd; the second harmonic is also absent below
+    _PRESENCE_RATIO times the fundamental's peak (a ratio above the
+    spectral wing a damped fundamental leaves at its second harmonic),
+    and whenever the fundamental is. A fitted rate within 3 sigma of
+    zero is reported as non-decaying (infinite lifetime). The trace is
+    detrended before the transform so the relaxation background neither
+    fills the low-frequency rows nor rings across the record as a
+    wrap-around discontinuity.
     """
     taus, _ = _as_trace(trace)
-    row_omega, row_2omega = morlet_power(
-        detrended_trace(trace), [omega_thz, 2.0 * omega_thz], wavelet_width
-    )
+    freqs = [omega_thz, 2.0 * omega_thz]
+    rows = morlet_power(detrended_trace(trace), freqs)
     dt = taus[1] - taus[0]
     log_n = math.log(taus.size)
-    sigma1 = wavelet_width / (2.0 * math.pi * omega_thz)
-    peak1 = _interior_peak(taus, row_omega, sigma1)
-    peak2 = _interior_peak(taus, row_2omega, 0.5 * sigma1)
-    noise1 = morlet_noise_power(noise_sd, dt, omega_thz, wavelet_width)
-    noise2 = morlet_noise_power(noise_sd, dt, 2.0 * omega_thz, wavelet_width)
-    floor1 = noise1 * (log_n + _DETECTION_LOG_MARGIN)
-    floor2 = noise2 * (log_n + _DETECTION_LOG_MARGIN)
-    if peak1 <= 0 or peak1 < floor1:
-        return LifetimeResult(_ABSENT, _ABSENT)
-    fund = _fit_row_decay(
-        taus, row_omega, sigma1, max(peak1 * 1e-3, 3.0 * noise1)
-    )
-    if peak2 < presence_ratio * peak1 or peak2 < floor2:
-        return LifetimeResult(fund, _ABSENT)
-    second = _fit_row_decay(
-        taus, row_2omega, 0.5 * sigma1, max(peak2 * 1e-3, 3.0 * noise2)
-    )
-    return LifetimeResult(fund, second)
+    components = []
+    min_peak = 0.0
+    for freq, row in zip(freqs, rows):
+        margin = 3.0 * _sigma_t(freq)
+        interior = (taus >= taus[0] + margin) & (taus <= taus[-1] - margin)
+        peak = float(np.max(row[interior] if np.any(interior) else row))
+        noise = morlet_noise_power(noise_sd, dt, freq)
+        if peak <= 0 or peak < min_peak or peak < noise * (log_n + _DETECTION_LOG_MARGIN):
+            break
+        components.append(
+            _fit_row_decay(
+                taus[interior], row[interior], max(peak * 1e-3, 3.0 * noise)
+            )
+        )
+        min_peak = _PRESENCE_RATIO * peak
+    components += [_ABSENT] * (2 - len(components))
+    return LifetimeResult(*components)
 
 
 @dataclass(frozen=True)
@@ -407,21 +387,20 @@ def fit_fluence_series(
     points,
     bath: BathSpec,
     probe: ProbeSpec,
-    tau_ref: float,
     k_modes: int,
     conversion: float,
     amplitude_scale: float = 1.0,
-    max_nfev: int = 200,
     thermal_n: float | None = None,
 ) -> FluenceFitResult:
     """Weighted fit of the squeezing coupling to measured amplitudes.
 
     points rows are (fluence, a2omega, sigma). The model is
-    amplitude_scale * prefactor * sinh(2 r(F)) with r(F) = 2 k_modes
-    mu_s conversion F, where conversion maps fluence to the squared
-    pump-mode amplitude. The single parameter mu_s is bounded below by
-    zero; the gradient is supplied in closed form. thermal_n is the
-    occupation of the pre-pump state (defaults to the bath occupation).
+    amplitude_scale * prefactor * sinh(2 r(F)), the prefactor taken at
+    zero delay, with r(F) = 2 k_modes mu_s conversion F, where
+    conversion maps fluence to the squared pump-mode amplitude. The
+    single parameter mu_s is bounded below by zero; the gradient is
+    supplied in closed form. thermal_n is the occupation of the pre-pump
+    state (defaults to the bath occupation).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -438,7 +417,7 @@ def fit_fluence_series(
         raise ValueError("k_modes must be >= 1 and conversion positive")
 
     n0 = bath.n_bath if thermal_n is None else thermal_n
-    pref = amplitude_scale * amplitude_prefactor(bath, probe, tau_ref, n0)
+    pref = amplitude_scale * amplitude_prefactor(bath, probe, 0.0, n0)
     slope = 2.0 * k_modes * conversion  # r = slope * mu_s * F
 
     def finish(mu: float, residual: float) -> FluenceFitResult:
@@ -488,7 +467,7 @@ def fit_fluence_series(
         jac=jacobian,
         bounds=([0.0], [np.inf]),
         method="trf",
-        max_nfev=max_nfev,
+        max_nfev=200,
         xtol=1e-14,
         ftol=1e-12,
         gtol=1e-14,

@@ -416,7 +416,6 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
         np.column_stack([fluences, amps, sigmas]),
         bath,
         probe,
-        tau_ref=0.0,
         k_modes=cfg.section("pump")["k_modes"],
         conversion=fser["conversion"],
         amplitude_scale=amplitude_scale,

@@ -5,18 +5,19 @@ every key; a user file overrides any subset; command-line flags win
 last. Validation is all-or-nothing and happens before any computation,
 with field-level error paths like ``scan.step_ps``. Unknown sections or
 keys are rejected rather than ignored, so typos cannot silently fall
-back to defaults.
+back to defaults. Each key's type and range are declared once, in the
+rule table _SCHEMA.
 """
 
 from __future__ import annotations
 
 import cmath
 import copy
-import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from importlib import resources
 from typing import Any, Mapping
 
@@ -43,6 +44,7 @@ def _number(
     minimum: float | None = None,
     exclusive: bool = False,
     allow_none: bool = False,
+    maximum: float | None = None,
 ):
     if value is None:
         if allow_none:
@@ -58,10 +60,16 @@ def _number(
             raise ConfigError(f"{path}: must be > {minimum}, got {out}")
         if not exclusive and out < minimum:
             raise ConfigError(f"{path}: must be >= {minimum}, got {out}")
+    if maximum is not None and out > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {out}")
     return out
 
 
-def _integer(value, path: str, minimum: int | None = None) -> int:
+def _integer(
+    value, path: str, minimum: int | None = None, allow_none: bool = False
+) -> int | None:
+    if value is None and allow_none:
+        return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -75,17 +83,35 @@ def _boolean(value, path: str) -> bool:
     return value
 
 
-def _number_list(
-    value, path: str, minimum: float | None = None, min_len: int = 1
-) -> list[float]:
+def _number_list(value, path: str, min_len: int = 1) -> list[float]:
+    """At least min_len numbers, each > 0."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{path}: expected a list of numbers")
     if len(value) < min_len:
         raise ConfigError(f"{path}: need at least {min_len} entries")
     return [
-        _number(v, f"{path}[{i}]", minimum=minimum, exclusive=True)
+        _number(v, f"{path}[{i}]", minimum=0.0, exclusive=True)
         for i, v in enumerate(value)
     ]
+
+
+def _directory(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a non-empty string")
+    return value
+
+
+def _formats(value, path: str) -> list[str]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    seen = []
+    for i, fmt in enumerate(value):
+        if fmt not in ("csv", "json"):
+            raise ConfigError(f"{path}[{i}]: must be 'csv' or 'json', got {fmt!r}")
+        if fmt in seen:
+            raise ConfigError(f"{path}[{i}]: duplicate entry {fmt!r}")
+        seen.append(fmt)
+    return seen
 
 
 def _check_keys(path: str, mapping: Mapping, allowed) -> None:
@@ -96,80 +122,65 @@ def _check_keys(path: str, mapping: Mapping, allowed) -> None:
         raise ConfigError(f"{path}: unknown key(s): {', '.join(unknown)}")
 
 
-def _validate_pump(sec: Mapping) -> dict:
-    _check_keys("pump", sec, ("mu_displace", "mu_squeeze", "k_modes", "nu_amp", "nu_phase"))
-    return {
-        "mu_displace": _number(sec.get("mu_displace"), "pump.mu_displace", minimum=0.0),
-        "mu_squeeze": _number(sec.get("mu_squeeze"), "pump.mu_squeeze", minimum=0.0),
-        "k_modes": _integer(sec.get("k_modes"), "pump.k_modes", minimum=1),
-        "nu_amp": _number(sec.get("nu_amp"), "pump.nu_amp", minimum=0.0),
-        "nu_phase": _number(sec.get("nu_phase"), "pump.nu_phase"),
-    }
+_positive = partial(_number, minimum=0.0, exclusive=True)
+_nonnegative = partial(_number, minimum=0.0)
 
-
-def _validate_bath(sec: Mapping) -> dict:
-    _check_keys("bath", sec, ("frequency_thz", "damping_rate", "temperature_k", "n_bath"))
-    return {
-        "frequency_thz": _number(
-            sec.get("frequency_thz"), "bath.frequency_thz", minimum=0.0, exclusive=True
-        ),
-        "damping_rate": _number(sec.get("damping_rate"), "bath.damping_rate", minimum=0.0),
-        "temperature_k": _number(
-            sec.get("temperature_k"), "bath.temperature_k", minimum=0.0, exclusive=True
-        ),
-        "n_bath": _number(sec.get("n_bath"), "bath.n_bath", minimum=0.0, allow_none=True),
-    }
-
-
-def _validate_probe(sec: Mapping) -> dict:
-    _check_keys("probe", sec, ("coupling_norm", "theta_prime", "intensity_y", "theta_y"))
-    return {
-        "coupling_norm": _number(sec.get("coupling_norm"), "probe.coupling_norm", minimum=0.0),
-        "theta_prime": _number(sec.get("theta_prime"), "probe.theta_prime"),
-        "intensity_y": _number(sec.get("intensity_y"), "probe.intensity_y", minimum=0.0),
-        "theta_y": _number(sec.get("theta_y"), "probe.theta_y"),
-    }
-
-
-def _validate_detector(sec: Mapping) -> dict:
-    _check_keys(
-        "detector",
-        sec,
-        (
-            "quantum_efficiency",
-            "gain_v_per_photon",
-            "electronic_var",
-            "ref_mean_photons",
-            "unbalance_v",
-            "drift_rms_v",
-        ),
-    )
-    qe = _number(
-        sec.get("quantum_efficiency"), "detector.quantum_efficiency", minimum=0.0, exclusive=True
-    )
-    if qe > 1.0:
-        raise ConfigError(f"detector.quantum_efficiency: must be <= 1, got {qe}")
-    return {
-        "quantum_efficiency": qe,
-        "gain_v_per_photon": _number(
-            sec.get("gain_v_per_photon"),
-            "detector.gain_v_per_photon",
-            minimum=0.0,
-            exclusive=True,
-            allow_none=True,
-        ),
-        "electronic_var": _number(
-            sec.get("electronic_var"), "detector.electronic_var", minimum=0.0
-        ),
-        "ref_mean_photons": _number(
-            sec.get("ref_mean_photons"),
-            "detector.ref_mean_photons",
-            minimum=0.0,
-            allow_none=True,
-        ),
-        "unbalance_v": _number(sec.get("unbalance_v"), "detector.unbalance_v"),
-        "drift_rms_v": _number(sec.get("drift_rms_v"), "detector.drift_rms_v", minimum=0.0),
-    }
+# Every config key, with the one rule that declares its type and range:
+# section -> key -> rule(value, path) returning the resolved value, a
+# check above with its bounds fixed.
+_SCHEMA = {
+    "pump": {
+        "mu_displace": _nonnegative,
+        "mu_squeeze": _nonnegative,
+        "k_modes": partial(_integer, minimum=1),
+        "nu_amp": _nonnegative,
+        "nu_phase": _number,
+    },
+    "bath": {
+        "frequency_thz": _positive,
+        "damping_rate": _nonnegative,
+        "temperature_k": _positive,
+        "n_bath": partial(_number, minimum=0.0, allow_none=True),
+    },
+    "probe": {
+        "coupling_norm": _nonnegative,
+        "theta_prime": _number,
+        "intensity_y": _nonnegative,
+        "theta_y": _number,
+    },
+    "detector": {
+        "quantum_efficiency": partial(_number, minimum=0.0, exclusive=True, maximum=1),
+        "gain_v_per_photon": partial(_number, minimum=0.0, exclusive=True, allow_none=True),
+        "electronic_var": _nonnegative,
+        "ref_mean_photons": partial(_number, minimum=0.0, allow_none=True),
+        "unbalance_v": _number,
+        "drift_rms_v": _nonnegative,
+    },
+    "scan": {
+        "start_ps": _nonnegative,
+        "stop_ps": _number,
+        "step_ps": _positive,
+        "n_pulses": partial(_integer, minimum=2),
+        "m_scans": partial(_integer, minimum=1),
+        "seed": partial(_integer, minimum=0),
+        "statistics_only": _boolean,
+        "fluence": partial(_number, minimum=0.0, exclusive=True, allow_none=True),
+    },
+    "fluence_series": {
+        "fluences": _number_list,
+        "conversion": _positive,
+        "coupling_norm": partial(_number, minimum=0.0, allow_none=True),
+    },
+    "shot_noise": {
+        "powers_mw": partial(_number_list, min_len=3),
+        "n_pulses": partial(_integer, minimum=2),
+    },
+    "outputs": {"directory": _directory, "formats": _formats},
+    "oracle": {
+        "photon_dim": partial(_integer, minimum=2),
+        "max_phonon_dim": partial(_integer, minimum=2, allow_none=True),
+    },
+}
 
 
 def _delay_count(scan: Mapping) -> int:
@@ -177,36 +188,22 @@ def _delay_count(scan: Mapping) -> int:
     return int(math.floor((scan["stop_ps"] - scan["start_ps"]) / scan["step_ps"] + 1e-9)) + 1
 
 
-def _validate_scan(sec: Mapping) -> dict:
-    _check_keys(
-        "scan",
-        sec,
-        (
-            "start_ps",
-            "stop_ps",
-            "step_ps",
-            "n_pulses",
-            "m_scans",
-            "seed",
-            "statistics_only",
-            "fluence",
-        ),
-    )
-    out = {
-        "start_ps": _number(sec.get("start_ps"), "scan.start_ps", minimum=0.0),
-        "stop_ps": _number(sec.get("stop_ps"), "scan.stop_ps"),
-        "step_ps": _number(sec.get("step_ps"), "scan.step_ps", minimum=0.0, exclusive=True),
-        "n_pulses": _integer(sec.get("n_pulses"), "scan.n_pulses", minimum=2),
-        "m_scans": _integer(sec.get("m_scans"), "scan.m_scans", minimum=1),
-        "seed": _integer(sec.get("seed"), "scan.seed", minimum=0),
-        "statistics_only": _boolean(sec.get("statistics_only"), "scan.statistics_only"),
-        "fluence": _number(
-            sec.get("fluence"), "scan.fluence", minimum=0.0, exclusive=True, allow_none=True
-        ),
-    }
-    if out["stop_ps"] <= out["start_ps"]:
+def validate_mapping(mapping: Mapping) -> dict:
+    """Full-schema validation; returns the resolved plain-float tree."""
+    _check_keys("config", mapping, _SCHEMA)
+    out = {}
+    for name, rules in _SCHEMA.items():
+        section = mapping.get(name)
+        if section is None:
+            raise ConfigError(f"{name}: section is missing")
+        _check_keys(name, section, rules)
+        out[name] = {
+            key: rule(section.get(key), f"{name}.{key}") for key, rule in rules.items()
+        }
+    scan = out["scan"]
+    if scan["stop_ps"] <= scan["start_ps"]:
         raise ConfigError("scan.stop_ps: must be greater than scan.start_ps")
-    n_delays = _delay_count(out)
+    n_delays = _delay_count(scan)
     if n_delays < 16:
         raise ConfigError(
             f"scan: the delay grid has {n_delays} points; need at least 16 for spectra"
@@ -214,91 +211,7 @@ def _validate_scan(sec: Mapping) -> dict:
     return out
 
 
-def _validate_fluence(sec: Mapping) -> dict:
-    _check_keys("fluence_series", sec, ("fluences", "conversion", "coupling_norm"))
-    return {
-        "fluences": _number_list(
-            sec.get("fluences"), "fluence_series.fluences", minimum=0.0, min_len=1
-        ),
-        "conversion": _number(
-            sec.get("conversion"), "fluence_series.conversion", minimum=0.0, exclusive=True
-        ),
-        "coupling_norm": _number(
-            sec.get("coupling_norm"),
-            "fluence_series.coupling_norm",
-            minimum=0.0,
-            allow_none=True,
-        ),
-    }
-
-
-def _validate_shot_noise(sec: Mapping) -> dict:
-    _check_keys("shot_noise", sec, ("powers_mw", "n_pulses"))
-    return {
-        "powers_mw": _number_list(
-            sec.get("powers_mw"), "shot_noise.powers_mw", minimum=0.0, min_len=3
-        ),
-        "n_pulses": _integer(sec.get("n_pulses"), "shot_noise.n_pulses", minimum=2),
-    }
-
-
-def _validate_outputs(sec: Mapping) -> dict:
-    _check_keys("outputs", sec, ("directory", "formats"))
-    directory = sec.get("directory")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError("outputs.directory: expected a non-empty string")
-    formats = sec.get("formats")
-    if not isinstance(formats, (list, tuple)) or not formats:
-        raise ConfigError("outputs.formats: expected a non-empty list")
-    seen = []
-    for i, fmt in enumerate(formats):
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"outputs.formats[{i}]: must be 'csv' or 'json', got {fmt!r}")
-        if fmt in seen:
-            raise ConfigError(f"outputs.formats[{i}]: duplicate entry {fmt!r}")
-        seen.append(fmt)
-    return {"directory": directory, "formats": seen}
-
-
-def _validate_oracle(sec: Mapping) -> dict:
-    _check_keys("oracle", sec, ("photon_dim", "max_phonon_dim"))
-    out = {
-        "photon_dim": _integer(sec.get("photon_dim"), "oracle.photon_dim", minimum=2),
-        "max_phonon_dim": sec.get("max_phonon_dim"),
-    }
-    if out["max_phonon_dim"] is not None:
-        out["max_phonon_dim"] = _integer(
-            out["max_phonon_dim"], "oracle.max_phonon_dim", minimum=2
-        )
-    return out
-
-
-_VALIDATORS = {
-    "pump": _validate_pump,
-    "bath": _validate_bath,
-    "probe": _validate_probe,
-    "detector": _validate_detector,
-    "scan": _validate_scan,
-    "fluence_series": _validate_fluence,
-    "shot_noise": _validate_shot_noise,
-    "outputs": _validate_outputs,
-    "oracle": _validate_oracle,
-}
-
-
-def validate_mapping(mapping: Mapping) -> dict:
-    """Full-schema validation; returns the resolved plain-float tree."""
-    _check_keys("config", mapping, _VALIDATORS)
-    out = {}
-    for name, validator in _VALIDATORS.items():
-        section = mapping.get(name)
-        if section is None:
-            raise ConfigError(f"{name}: section is missing")
-        out[name] = validator(section)
-    return out
-
-
-@functools.lru_cache(maxsize=1)
+@lru_cache(maxsize=1)
 def _parsed_defaults() -> dict:
     return yaml.safe_load(resources.files("isrsim").joinpath("defaults.yaml").read_text())
 
@@ -364,9 +277,6 @@ class RunConfig:
         return self.data[name]
 
     # -- hashing ---------------------------------------------------------
-    def canonical_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
-
     def sha256(self) -> str:
         """Digest of everything that determines the output values.
 

@@ -30,6 +30,8 @@ from .states import BathSpec, PumpSpec, thermal_state
 # Photons per pulse per mW of average probe power; fixes the power scale
 # so that 2.5 mW corresponds to 1e6 detected-polarization photons.
 PHOTONS_PER_PULSE_PER_MW = 4.0e5
+# Photonic part of the voltage variance that calibrated_gain targets (V^2).
+PHOTONIC_VAR_V2 = 0.9
 
 
 @dataclass(frozen=True)
@@ -64,19 +66,13 @@ class DetectorSpec:
             raise ValueError("drift_rms_v must be >= 0")
 
 
-def calibrated_gain(
-    probe_photons: float = 1.0e6,
-    quantum_efficiency: float = 0.94,
-    photonic_var_v2: float = 0.9,
-) -> float:
-    """Gain making a balanced coherent probe produce the target variance.
+def calibrated_gain(probe_photons: float, quantum_efficiency: float) -> float:
+    """Gain making a balanced coherent probe's photonic variance PHOTONIC_VAR_V2.
 
     Both arms contribute eta * photons of shot variance, so the photonic
     part of the voltage variance is 2 eta photons gain^2.
     """
-    return math.sqrt(
-        photonic_var_v2 / (2.0 * quantum_efficiency * probe_photons)
-    )
+    return math.sqrt(PHOTONIC_VAR_V2 / (2.0 * quantum_efficiency * probe_photons))
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,11 @@ def row_streams(seed, row: int) -> tuple[np.random.Generator, np.random.Generato
     """Photon and electronic generators of scan row `row` under seed.
 
     seed may be an int or a sequence of ints (a stream prefix); the row's
-    streams are spawned from SeedSequence(prefix + [row]).
+    streams are spawned from SeedSequence(prefix + [row]). SeedSequence
+    ignores trailing zero words, so prefix + [0] seeds the same streams
+    as prefix alone: [s, 0] equals [s], and [s, i, 0] equals [s, i].
+    Distinct keys of one length never collide, so every command keys all
+    of its rows under prefixes of one length.
     """
     prefix = [int(v) for v in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
     photon, electronic = np.random.SeedSequence(prefix + [row]).spawn(2)

@@ -36,6 +36,10 @@ _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _EIG_TOL = 1e-10
 _TAIL_TOL = 1e-8
+# cross_validate passes a case when every moment agrees to MOMENT_TOL and
+# both probe observables to PROBE_TOL, relative.
+MOMENT_TOL = 1e-6
+PROBE_TOL = 1e-4
 
 # Absolute moment-error budget steering the default integrator step. In
 # the rotating frame the moments relax at rates of at most lambda, so
@@ -466,8 +470,6 @@ def _rel_err(fast, oracle) -> float:
 
 def cross_validate(
     cases: Sequence[CrossCheckCase] | None = None,
-    moment_tol: float = 1e-6,
-    probe_tol: float = 1e-4,
     photon_dim: int = 32,
     fault_scale: float = 0.0,
     max_dim: int | None = None,
@@ -549,9 +551,9 @@ def cross_validate(
         var_err = _rel_err(var_fast, pair.var_ny)
 
         passed = (
-            all(e < moment_tol for e in errs.values())
-            and mean_err < probe_tol
-            and var_err < probe_tol
+            all(e < MOMENT_TOL for e in errs.values())
+            and mean_err < PROBE_TOL
+            and var_err < PROBE_TOL
         )
         results.append(
             CrossCheckResult(

@@ -46,7 +46,7 @@ def test_fft_exact_on_integer_grid():
     dt = 1.0 / (F0 * 16)
     trace = tone_trace(n=160, dt=dt, freqs=(F0, 2 * F0), amps=(2.0, 0.5),
                        rates=(0.0, 0.0))
-    spec = detrend_and_fft(trace)
+    spec = detrend_and_fft(trace, F0)
     assert spec.peak_omega == pytest.approx(2.0, rel=2e-3)
     assert spec.peak_2omega == pytest.approx(0.5, rel=2e-3)
     assert spec.peak_omega_freq == pytest.approx(F0, abs=0.05)
@@ -58,7 +58,7 @@ def test_fft_off_bin_scalloping_bounds():
     # always on the low side; calibrated pipelines cancel it by pushing
     # a reference tone through the same extraction.
     trace = tone_trace(n=512, dt=0.02, amps=(3.0,))
-    spec = detrend_and_fft(trace)
+    spec = detrend_and_fft(trace, F0)
     assert 0.75 * 3.0 < spec.peak_omega < 3.0
     assert spec.peak_omega_freq == pytest.approx(F0, abs=0.1)
 
@@ -89,23 +89,23 @@ def test_detrend_removes_cubic_baseline():
     assert np.max(np.abs(flat[:, 1] - flat_bare[:, 1])) < 1e-9
     # The fit absorbs a little of the tone near the record edges, but
     # the extracted amplitude is untouched relative to the bare tone.
-    spec = detrend_and_fft(trace)
-    spec_bare = detrend_and_fft(bare)
+    spec = detrend_and_fft(trace, F0)
+    spec_bare = detrend_and_fft(bare, F0)
     assert spec.peak_omega == pytest.approx(spec_bare.peak_omega, rel=1e-9)
 
 
 def test_trace_validation():
     with pytest.raises(ValueError, match="16"):
-        detrend_and_fft(np.column_stack([np.arange(8) * 0.1, np.ones(8)]))
+        detrend_and_fft(np.column_stack([np.arange(8) * 0.1, np.ones(8)]), F0)
     taus = np.arange(32) * 0.02
     bad = taus.copy()
     bad[10] = bad[9]  # not strictly increasing
     with pytest.raises(ValueError):
-        detrend_and_fft(np.column_stack([bad, np.ones(32)]))
+        detrend_and_fft(np.column_stack([bad, np.ones(32)]), F0)
     ragged = taus.copy()
     ragged[20:] += 0.013
     with pytest.raises(ValueError, match="uniform"):
-        detrend_and_fft(np.column_stack([ragged, np.ones(32)]))
+        detrend_and_fft(np.column_stack([ragged, np.ones(32)]), F0)
 
 
 def test_interpolate_peak_outside_spectrum():
@@ -129,7 +129,7 @@ def test_morlet_two_tone_rates_and_ratio():
         rates=(lam / 2.0, lam),
         phases=(0.3, 1.2),
     )
-    fit = extract_lifetimes(trace)
+    fit = extract_lifetimes(trace, F0)
     assert fit.fundamental.present and fit.second_harmonic.present
     assert fit.fundamental.rate == pytest.approx(lam / 2.0, rel=1e-2)
     assert fit.second_harmonic.rate == pytest.approx(lam, rel=1e-2)
@@ -139,7 +139,7 @@ def test_morlet_two_tone_rates_and_ratio():
 
 def test_morlet_single_tone_reports_absent_second_harmonic():
     trace = tone_trace(amps=(1.0,), rates=(0.3,))
-    fit = extract_lifetimes(trace)
+    fit = extract_lifetimes(trace, F0)
     assert fit.fundamental.present
     assert not fit.second_harmonic.present
     assert math.isnan(fit.second_harmonic.rate)
@@ -147,7 +147,7 @@ def test_morlet_single_tone_reports_absent_second_harmonic():
 
 def test_morlet_undamped_tone_has_infinite_lifetime():
     trace = tone_trace(amps=(1.0,), rates=(0.0,))
-    fit = extract_lifetimes(trace)
+    fit = extract_lifetimes(trace, F0)
     assert fit.fundamental.present
     assert math.isinf(fit.fundamental.lifetime)
 
@@ -155,14 +155,14 @@ def test_morlet_undamped_tone_has_infinite_lifetime():
 def test_morlet_pure_noise_reports_absent():
     taus = np.arange(512) * 0.02
     values = np.random.default_rng(5).normal(0.0, 0.4, 512)
-    fit = extract_lifetimes(np.column_stack([taus, values]), noise_sd=0.4)
+    fit = extract_lifetimes(np.column_stack([taus, values]), F0, noise_sd=0.4)
     assert not fit.fundamental.present
     assert not fit.second_harmonic.present
 
 
 def test_morlet_tone_survives_noise_gate():
     trace = tone_trace(amps=(1.0,), rates=(0.12,), noise_sd=0.05, seed=3)
-    fit = extract_lifetimes(trace, noise_sd=0.05)
+    fit = extract_lifetimes(trace, F0, noise_sd=0.05)
     assert fit.fundamental.present
     assert fit.fundamental.rate == pytest.approx(0.12, rel=0.15)
 
@@ -185,11 +185,11 @@ def test_peak_contrast_distinguishes_line_from_wing():
     # Narrow line on bin: huge contrast. Smooth damped wing: near unity.
     dt = 1.0 / (F0 * 16)
     line = tone_trace(n=320, dt=dt, amps=(1.0,), rates=(0.0,))
-    spec = detrend_and_fft(line)
+    spec = detrend_and_fft(line, F0)
     assert peak_contrast(spec.freqs, spec.power, F0) > 50.0
 
     wing = tone_trace(n=320, dt=dt, amps=(1.0,), rates=(1.5,))
-    wspec = detrend_and_fft(wing)
+    wspec = detrend_and_fft(wing, F0)
     # At the second harmonic there is only the fundamental's smooth tail.
     assert peak_contrast(wspec.freqs, wspec.power, 2 * F0) < 3.0
 
@@ -222,19 +222,19 @@ def test_amplitude_prefactor_consistency():
 def fluence_setup():
     bath = BathSpec(OMEGA, 2.0 / 7.0, 1.1787)
     probe = ProbeSpec(0.05, 0.0, 1.0e6, 0.0)
-    k_modes, conversion, tau_ref = 100, 0.15, 0.0
-    return bath, probe, tau_ref, k_modes, conversion
+    k_modes, conversion = 100, 0.15
+    return bath, probe, k_modes, conversion
 
 
 def test_fluence_fit_recovers_exact_coupling():
-    bath, probe, tau_ref, k_modes, conversion = fluence_setup()
+    bath, probe, k_modes, conversion = fluence_setup()
     mu_s = 2.4e-3
     slope = 2.0 * k_modes * conversion
     fluences = np.linspace(2.0, 12.0, 6)
-    pref = amplitude_prefactor(bath, probe, tau_ref)
+    pref = amplitude_prefactor(bath, probe, 0.0)
     amps = pref * np.sinh(2.0 * slope * mu_s * fluences)
     pts = np.column_stack([fluences, amps, np.full(6, 1e-3)])
-    fit = fit_fluence_series(pts, bath, probe, tau_ref, k_modes, conversion)
+    fit = fit_fluence_series(pts, bath, probe, k_modes, conversion)
     assert fit.mu_s_hat == pytest.approx(mu_s, rel=1e-9)
     assert fit.fit_residual < 1e-12
     assert fit.r_per_fluence[-1, 1] == pytest.approx(
@@ -246,10 +246,10 @@ def test_fluence_fit_recovers_exact_coupling():
 
 
 def test_fluence_fit_zero_amplitudes():
-    bath, probe, tau_ref, k_modes, conversion = fluence_setup()
+    bath, probe, k_modes, conversion = fluence_setup()
     fluences = np.array([2.0, 5.0, 8.0])
     pts = np.column_stack([fluences, np.zeros(3), np.full(3, 1e-3)])
-    fit = fit_fluence_series(pts, bath, probe, tau_ref, k_modes, conversion)
+    fit = fit_fluence_series(pts, bath, probe, k_modes, conversion)
     assert fit.mu_s_hat == 0.0
     assert np.all(fit.r_per_fluence[:, 1] == 0.0)
     # All quadrature variances collapse to the thermal value.
@@ -257,21 +257,21 @@ def test_fluence_fit_zero_amplitudes():
 
 
 def test_fluence_fit_validation():
-    bath, probe, tau_ref, k_modes, conversion = fluence_setup()
+    bath, probe, k_modes, conversion = fluence_setup()
     with pytest.raises(FitError, match="3 fluence"):
         fit_fluence_series(
             np.array([[1.0, 0.1, 1e-3], [2.0, 0.2, 1e-3]]),
-            bath, probe, tau_ref, k_modes, conversion,
+            bath, probe, k_modes, conversion,
         )
     with pytest.raises(ValueError):
         fit_fluence_series(
             np.array([[1.0, 0.1], [2.0, 0.2], [3.0, 0.3]]),
-            bath, probe, tau_ref, k_modes, conversion,
+            bath, probe, k_modes, conversion,
         )
     with pytest.raises(ValueError, match="sigma"):
         fit_fluence_series(
             np.array([[1.0, 0.1, 0.0], [2.0, 0.2, 1e-3], [3.0, 0.3, 1e-3]]),
-            bath, probe, tau_ref, k_modes, conversion,
+            bath, probe, k_modes, conversion,
         )
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import isrsim.cli as cli
-from isrsim import load_config
+import isrsim.detector as detector
+from isrsim import load_config, row_streams
 from isrsim.fock import CrossCheckCase, CrossCheckResult
 
 FAST_SCAN = """\
@@ -150,6 +151,38 @@ def test_scan_full_monte_carlo_writes_histograms(tmp_path):
     ]
     header = (out / "histogram_delay_0000.csv").read_text().splitlines()[0]
     assert header == "bin_left_v,count"
+
+
+def test_streams_within_one_command_are_distinct(tmp_path, monkeypatch):
+    """No two streams drawn in one default scan or one fluence run alias.
+
+    numpy's SeedSequence ignores trailing zero words, so [s, 0] seeds the
+    same streams as [s]; a layout that mixed prefix lengths could hand
+    two rows one stream. The default scan draws rows 0..m_scans-1 plus
+    the histogram row m_scans under prefix [seed]; fluence point i draws
+    rows 0..m_scans-1 under [seed, i], per-pulse or statistics-only alike.
+    """
+    states = []
+
+    def recording(seed, row):
+        pair = row_streams(seed, row)
+        states.extend(tuple(g.bit_generator.seed_seq.generate_state(4)) for g in pair)
+        return pair
+
+    monkeypatch.setattr(cli, "row_streams", recording)
+    monkeypatch.setattr(detector, "row_streams", recording)
+    cfg = load_config()
+    m_scans = cfg.section("scan")["m_scans"]
+    n_fluences = len(cfg.section("fluence_series")["fluences"])
+    statistics_only = write_cfg(tmp_path, "scan:\n  statistics_only: true\n")
+    for argv, n_rows in (
+        (["scan"], m_scans + 1),
+        (["fluence", "--config", statistics_only], n_fluences * m_scans),
+    ):
+        states.clear()
+        assert cli.main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+        assert len(states) == 2 * n_rows
+        assert len(set(states)) == len(states)
 
 
 def test_seed_flag_changes_outputs(tmp_path):

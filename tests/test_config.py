@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isrsim import ConfigError, load_config
-from isrsim.config import RunConfig, default_mapping, validate_mapping
+from isrsim.config import _SCHEMA, RunConfig, default_mapping, validate_mapping
 from isrsim.detector import calibrated_gain
 
 N_300K = 1.178733690798772
@@ -43,7 +43,7 @@ def test_typed_builders_from_defaults():
 
     det = cfg.detector_spec()
     assert det.gain_v_per_photon == pytest.approx(
-        calibrated_gain(1.0e6, 0.94, 0.9), rel=1e-12
+        calibrated_gain(1.0e6, 0.94), rel=1e-12
     )
     assert det.electronic_var == 0.1
 
@@ -98,7 +98,7 @@ def test_hash_ignores_output_destination(tmp_path):
     cfg_a = load_config(out_dir="a")
     cfg_b = load_config(out_dir="b")
     assert cfg_a.sha256() == cfg_b.sha256()
-    assert cfg_a.canonical_json() != cfg_b.canonical_json()
+    assert cfg_a.data != cfg_b.data
     # Physics changes do move the digest.
     other = load_config(write(tmp_path, "pump:\n  mu_squeeze: 0.003\n"))
     assert other.sha256() != cfg_a.sha256()
@@ -159,6 +159,22 @@ def test_missing_or_malformed_file(tmp_path):
         load_config(write(tmp_path, "scan: [unclosed\n"))
     with pytest.raises(ConfigError, match="mapping"):
         load_config(write(tmp_path, "- just\n- a\n- list\n"))
+
+
+@pytest.mark.parametrize(
+    "section,key", [(section, key) for section, rules in _SCHEMA.items() for key in rules]
+)
+def test_every_rule_rejects_a_wrong_type(section, key):
+    mapping = default_mapping()
+    mapping[section][key] = {"wrong": "type"}
+    with pytest.raises(ConfigError, match=f"^{section}\\.{key}: "):
+        validate_mapping(mapping)
+
+
+def test_rule_table_and_defaults_declare_the_same_keys():
+    """An optional key cannot drop out of defaults.yaml unnoticed."""
+    declared = {section: set(rules) for section, rules in _SCHEMA.items()}
+    assert declared == {section: set(keys) for section, keys in default_mapping().items()}
 
 
 def test_missing_section_rejected():

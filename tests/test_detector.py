@@ -45,7 +45,7 @@ def quiet_detector(electronic_var=0.0):
 
 
 def test_calibrated_gain_value():
-    g = calibrated_gain(1.0e6, 0.94, 0.9)
+    g = calibrated_gain(1.0e6, 0.94)
     assert g == pytest.approx(math.sqrt(0.9 / (2 * 0.94 * 1.0e6)), rel=1e-12)
     det = config_detector()
     # 2.5 mW -> 1e6 photons -> 0.9 photonic + 0.1 electronic = 1 V^2.
