@@ -2,9 +2,12 @@
 
 Refactors of this package promise the same output bytes for the same
 config and seed. This test runs three cheap commands in-process at the
-default config and compares the first 16 hex digits of each data file's
+default config, plus a small per-pulse scan and one statistics-only
+fluence trial, and compares the first 16 hex digits of each data file's
 sha256 with the digests recorded when the current random-stream layout
-was fixed. Manifests are left out: they embed package versions.
+was fixed (the last two cases were recorded later, on code that gave
+the first three the same digests). Manifests are left out: they embed
+package versions.
 
 The digests were taken with numpy 2.4.6 on Python 3.11.7. Another numpy
 may change the last bits of a float, and with them a digest, without any
@@ -17,7 +20,15 @@ import pytest
 
 import isrsim.cli as cli
 
-STATISTICS_ONLY = "scan:\n  statistics_only: true\n"
+# Case name -> (command, config overriding the defaults, or None).
+CASES = {
+    "predict": ("predict", None),
+    "shot-noise": ("shot-noise", None),
+    "scan": ("scan", "scan:\n  statistics_only: true\n"),
+    "scan-per-pulse": ("scan", "scan:\n  stop_ps: 1.0\n  n_pulses: 200\n  m_scans: 2\n"),
+    # The statistics-only trial of the fluence acceptance loop.
+    "fluence": ("fluence", "scan:\n  stop_ps: 5.10\n  statistics_only: true\n"),
+}
 
 GOLDEN = {
     "predict": {
@@ -38,21 +49,37 @@ GOLDEN = {
         "wavelet_map.csv": "342f6e90f75e6500",
         "lifetimes.json": "1f8af8b5521ac952",
     },
+    "scan-per-pulse": {
+        "histogram_delay_0000.csv": "3cea112691080f42",
+        "histogram_delay_0025.csv": "0f4d661d1ccc5815",
+        "histogram_delay_0050.csv": "68805dcb22038777",
+        "lifetimes.json": "c08498aeaedcd3f8",
+        "scan_per_scan.csv": "b97ddd22d90a5d95",
+        "scan_spectrum.csv": "21915165ab0e151c",
+        "scan_spectrum.json": "68c59a3353ac8d0c",
+        "scan_trace.csv": "384c811935de3186",
+        "wavelet_map.csv": "c7a88c79504a42ce",
+    },
+    "fluence": {
+        "fluence_fit.json": "764c1528135fc08b",
+        "fluence_series.csv": "4b3fa855f265c55d",
+    },
 }
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_outputs_match_recorded_digests(tmp_path, command):
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_outputs_match_recorded_digests(tmp_path, case):
+    command, config = CASES[case]
     argv = [command, "--out", str(tmp_path / "out")]
-    if command == "scan":
-        cfg = tmp_path / "statistics_only.yaml"
-        cfg.write_text(STATISTICS_ONLY)
+    if config is not None:
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(config)
         argv += ["--config", str(cfg)]
     assert cli.main(argv) == 0
     written = sorted(p.name for p in (tmp_path / "out").iterdir())
-    assert written == sorted([*GOLDEN[command], "manifest.json"])
+    assert written == sorted([*GOLDEN[case], "manifest.json"])
     digests = {
         name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()[:16]
-        for name in GOLDEN[command]
+        for name in GOLDEN[case]
     }
-    assert digests == GOLDEN[command]
+    assert digests == GOLDEN[case]
