@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .probe import ProbeSpec, amplitude_prefactor
 from .states import BathSpec, squeezed_thermal_quadrature_variance
@@ -461,6 +460,10 @@ def fit_fluence_series(
         2.0 * slope * fluence[top], 1e-300
     )
     guess = max(guess, 1e-12)
+    # scipy.optimize is imported here, on first use: it is the costliest
+    # scipy module to load, and only the fluence fit needs it.
+    from scipy.optimize import least_squares
+
     result = least_squares(
         residuals,
         x0=[guess],

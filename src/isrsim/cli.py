@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -24,7 +25,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import (
@@ -64,16 +64,18 @@ _HISTOGRAM_BINS = 50
 # -- deterministic writers -------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return repr(float(value))
+def _column_text(column) -> list[str]:
+    """Integers as str(int), everything else as repr(float)."""
+    values = np.asarray(column)
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return list(map(repr, values.astype(float).tolist()))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """One row per element of the equal-length columns."""
+    cells = [_column_text(c) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -103,6 +105,17 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's version, read from its installed metadata once per process.
+
+    Importing scipy would cost more than most commands that never use it.
+    """
+    from importlib import metadata
+
+    return metadata.version("scipy")
+
+
 def _write_manifest(outdir: Path, command: str, cfg: RunConfig, files: list[Path]) -> None:
     manifest = {
         "command": command,
@@ -112,7 +125,7 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, files: list[Path
             "isrsim": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
         },
         "files": {p.name: _sha256(p) for p in sorted(files)},
     }
@@ -140,9 +153,9 @@ class _Outputs:
         write(path, *content)
         self.files.append(path)
 
-    def csv(self, name: str, header: list[str], rows) -> None:
+    def csv(self, name: str, header: list[str], columns) -> None:
         if "csv" in self.formats:
-            self.add(name, _write_csv, header, rows)
+            self.add(name, _write_csv, header, columns)
 
     def json(self, name: str, obj) -> None:
         if "json" in self.formats:
@@ -235,7 +248,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     ]
     for name, variant in variants:
         trace = predict_trace(variant, bath, probe, n0, delays)
-        out.csv(f"predict_{name}_trace.csv", ["delay_ps", "mean_ny", "var_ny"], trace)
+        out.csv(f"predict_{name}_trace.csv", ["delay_ps", "mean_ny", "var_ny"], trace.T)
         spec_mean = detrend_and_fft(trace[:, [0, 1]], fundamental_thz=f0)
         spec_var = detrend_and_fft(trace[:, [0, 2]], fundamental_thz=f0)
         contrast = peak_contrast(spec_var.freqs, spec_var.power, 2.0 * f0)
@@ -275,16 +288,18 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     out.csv(
         "scan_trace.csv",
         ["delay_ps", "dt_mean_v", "dt_var_v2"],
-        zip(res.delays, res.dt_mean, res.dt_var),
+        [res.delays, res.dt_mean, res.dt_var],
     )
+    n_scans, n_delays = res.per_scan_mean.shape
     out.csv(
         "scan_per_scan.csv",
         ["scan_index", "delay_ps", "mean_v", "var_v2"],
-        (
-            (i, res.delays[d], res.per_scan_mean[i, d], res.per_scan_var[i, d])
-            for i in range(res.per_scan_mean.shape[0])
-            for d in range(res.delays.size)
-        ),
+        [
+            np.repeat(np.arange(n_scans), n_delays),
+            np.tile(res.delays, n_scans),
+            res.per_scan_mean.ravel(),
+            res.per_scan_var.ravel(),
+        ],
     )
 
     if "csv" in out.formats and not s["statistics_only"]:
@@ -306,7 +321,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
             out.csv(
                 f"histogram_delay_{idx:04d}.csv",
                 ["bin_left_v", "count"],
-                zip(edges[:-1], counts),
+                [edges[:-1], counts],
             )
 
     mean_trace = np.column_stack([res.delays, res.dt_mean])
@@ -317,7 +332,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     out.csv(
         "scan_spectrum.csv",
         ["freq_thz", "mean_amp_v", "var_amp_v2"],
-        zip(spec_mean.freqs, spec_mean.power, spec_var.power),
+        [spec_mean.freqs, spec_mean.power, spec_var.power],
     )
 
     wavelet_freqs = np.linspace(0.5 * f0, 2.5 * f0, 33)
@@ -325,11 +340,11 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     out.csv(
         "wavelet_map.csv",
         ["freq_thz", "delay_ps", "power"],
-        (
-            (wavelet_freqs[i], res.delays[d], power_map[i, d])
-            for i in range(wavelet_freqs.size)
-            for d in range(res.delays.size)
-        ),
+        [
+            np.repeat(wavelet_freqs, n_delays),
+            np.tile(res.delays, wavelet_freqs.size),
+            power_map.ravel(),
+        ],
     )
 
     if "json" in out.formats:
@@ -434,14 +449,14 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
             "var_squeezed",
             "var_antisqueezed",
         ],
-        zip(
+        [
             fluences,
             amps,
             sigmas,
             fit.r_per_fluence[:, 1],
             fit.quad_uncertainties[:, 1],
             fit.quad_uncertainties[:, 2],
-        ),
+        ],
     )
     out.json(
         "fluence_fit.json",
@@ -472,6 +487,10 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
         fault_scale=args.inject_fault,
         max_dim=osec["max_phonon_dim"],
     )
+    # The wall time goes to stderr, not into the report, so that the
+    # report and the manifest that hashes it are the same on every rerun.
+    total_s = sum(r.elapsed_s for r in results)
+    print(f"oracle: {len(results)} cases in {total_s:.2f} s", file=sys.stderr)
     rows = []
     for r in results:
         rows.append(
@@ -489,7 +508,6 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
                 "var_error": r.var_error,
                 "phonon_dim": r.phonon_dim,
                 "photon_dim": r.photon_dim,
-                "elapsed_s": r.elapsed_s,
                 "passed": r.passed,
                 "detail": r.detail,
             }
@@ -504,7 +522,6 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
         "worst_probe_error": max(
             max(r.mean_error, r.var_error) for r in results
         ),
-        "total_elapsed_s": sum(r.elapsed_s for r in results),
         "fault_scale": args.inject_fault,
         "cases": rows,
     }
@@ -524,7 +541,7 @@ def cmd_shot_noise(cfg: RunConfig, args) -> int:
     fit = fit_line(rows[:, 0], rows[:, 1])
     covered = abs(fit.intercept - det.electronic_var) <= fit.intercept_ci95
     out = _Outputs(cfg, "shot-noise")
-    out.csv("shot_noise.csv", ["power_mw", "dt_var_v2"], rows)
+    out.csv("shot_noise.csv", ["power_mw", "dt_var_v2"], rows.T)
     out.json(
         "shot_noise_fit.json",
         {

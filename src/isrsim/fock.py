@@ -22,9 +22,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from .probe import ObservablePair, ProbeSpec, probe_mean, probe_variance
 from .states import BathSpec, apply_pump, evolve, thermal_state
@@ -193,6 +190,10 @@ def apply_pump_exact(
     state: FockDensityMatrix, c1: complex, c2: complex
 ) -> FockDensityMatrix:
     """Conjugate by the exponential of the truncated pump generator."""
+    # scipy's linear algebra is imported on first use, here and in
+    # probe_exact, so that commands which never run the oracle skip it.
+    from scipy.linalg import expm
+
     d = state.dim
     b = _destroy(d)
     bd = b.conj().T
@@ -332,6 +333,9 @@ def probe_exact(
     """
     if photon_dim < 30:
         raise ValueError("photon_dim must be at least 30")
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply
+
     dph = rho_phonon.dim
     theta = probe.coupling_norm
     amp = math.sqrt(probe.intensity_y) * cmath.exp(-1j * probe.phase_diff)

@@ -16,11 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
 # Below this squeeze weight the pump is treated as a pure displacement;
 # the affine map's S - 1 factor would otherwise lose precision as 0/0.
 DISPLACEMENT_ONLY_THRESHOLD = 1e-8
+
+# Planck and Boltzmann constants, exact in the SI since 2019.
+PLANCK_J_S = 6.62607015e-34
+BOLTZMANN_J_PER_K = 1.380649e-23
 
 _PHYS_TOL = 1e-10
 
@@ -171,7 +174,7 @@ def beta_omega_from_temperature(frequency_thz: float, temperature_k: float) -> f
     """hbar*Omega / (k_B T) for a mode frequency in THz."""
     if frequency_thz <= 0 or temperature_k <= 0:
         raise ValueError("frequency and temperature must be positive")
-    return constants.h * frequency_thz * 1e12 / (constants.k * temperature_k)
+    return PLANCK_J_S * frequency_thz * 1e12 / (BOLTZMANN_J_PER_K * temperature_k)
 
 
 def thermal_state(n: float) -> GaussianPhononState:

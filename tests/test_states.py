@@ -4,6 +4,7 @@ import cmath
 import math
 
 import pytest
+from scipy import constants
 
 from isrsim import (
     BathSpec,
@@ -21,6 +22,7 @@ from isrsim import (
     thermal_occupation,
     thermal_state,
 )
+from isrsim.states import BOLTZMANN_J_PER_K, PLANCK_J_S
 
 OMEGA = 2.0 * math.pi * 3.84
 
@@ -47,6 +49,11 @@ def test_room_temperature_occupation():
     beta = beta_omega_from_temperature(3.84, 300.0)
     assert beta == pytest.approx(BETA_300K, rel=1e-12)
     assert thermal_occupation(beta) == pytest.approx(N_300K, rel=1e-12)
+
+
+def test_si_constants_are_exact():
+    assert PLANCK_J_S == constants.h
+    assert BOLTZMANN_J_PER_K == constants.k
 
 
 def test_beta_omega_scales_linearly():
