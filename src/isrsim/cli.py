@@ -65,11 +65,20 @@ _HISTOGRAM_BINS = 50
 
 
 def _column_text(column) -> list[str]:
-    """Integers as str(int), everything else as repr(float)."""
+    """Integers as str(int), everything else as repr(float).
+
+    Each distinct float bit pattern is formatted once: grid columns repeat
+    a few frequencies or delays thousands of times. Keying on the int64
+    view keeps -0.0 apart from 0.0.
+    """
     values = np.asarray(column)
     if values.dtype.kind in "iu":
         return list(map(str, values.tolist()))
-    return list(map(repr, values.astype(float).tolist()))
+    bits, inverse = np.unique(
+        values.astype(float).view(np.int64), return_inverse=True
+    )
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:

@@ -6,11 +6,11 @@ classical fourth-order Runge-Kutta scheme in the frame rotating with the
 mode; the rotation commutes with the phase-covariant dissipator, so it
 is applied exactly at the end. The probe read-out is an exact two-mode
 computation with the bright field held in a displaced frame so that a
-small photon cutoff suffices; the exponential of the sparse two-mode
-generator is applied to the photon-vacuum columns only, by Al-Mohy and
-Higham's action-of-the-exponential algorithm (SIAM J. Sci. Comput. 33,
-488, 2011). Nothing in this module reuses the closed-form moment algebra
-it is meant to check.
+small photon cutoff suffices, and in a phase frame that makes the sparse
+two-mode generator real symmetric; its exponential is applied to the
+photon-vacuum columns only, by a Chebyshev series in real arithmetic
+(Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984). Nothing in this
+module reuses the closed-form moment algebra it is meant to check.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _EIG_TOL = 1e-10
 _TAIL_TOL = 1e-8
+# Bound on the discarded tail of probe_exact's Chebyshev series.
+_CHEB_TOL = 1e-15
 # cross_validate passes a case when every moment agrees to MOMENT_TOL and
 # both probe observables to PROBE_TOL, relative.
 MOMENT_TOL = 1e-6
@@ -315,6 +317,76 @@ def evolve_lindblad_exact(
     return (out, drift_err) if return_drift else out
 
 
+def _chebyshev_coefficients(radius: float) -> np.ndarray:
+    """Coefficients c_k of exp(-i x) = sum_k c_k (-i)^k T_k(x / radius).
+
+    The expansion (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984)
+    holds for |x| <= radius, with c_0 = J_0(radius) and c_k = 2 J_k(radius).
+    Since |J_k(R)| <= (R/2)^k / k!, the terms from K on sum to at most
+    2 (R/2)^K / K! / (1 - R / (2K + 2)); the series keeps the first K
+    terms, K the first count that bounds this tail by _CHEB_TOL. The
+    Bessel values come from Miller's backward recurrence, normalised by
+    J_0 + 2 sum_m J_2m = 1.
+    """
+    if radius == 0.0:
+        return np.ones(1)
+    half = 0.5 * radius
+    n_terms = 1
+    while not (
+        half < n_terms + 1
+        and math.log(2.0)
+        + n_terms * math.log(half)
+        - math.lgamma(n_terms + 1)
+        - math.log1p(-half / (n_terms + 1))
+        <= math.log(_CHEB_TOL)
+    ):
+        n_terms += 1
+    start = n_terms + 16 + int(math.sqrt(40.0 * n_terms))
+    bessel = np.zeros(start + 2)
+    bessel[start] = 1.0
+    for k in range(start, 0, -1):
+        bessel[k - 1] = (2.0 * k / radius) * bessel[k] - bessel[k + 1]
+        if abs(bessel[k - 1]) > 1e250:
+            bessel[k - 1 :] *= 1e-250
+    bessel /= bessel[0] + 2.0 * bessel[2::2].sum()
+    coeffs = 2.0 * bessel[:n_terms]
+    coeffs[0] = bessel[0]
+    return coeffs
+
+
+def _vacuum_block(gen, photon_dim: int, dph: int) -> np.ndarray:
+    """exp(-i G) on the photon-vacuum columns, as a (photon, phonon, column) array.
+
+    G is the real symmetric sparse generator. The Chebyshev terms
+    T_k(G / R) E, E the vacuum columns and R the Gershgorin bound on G's
+    spectrum, follow from T_{k+1} = (2 / R) G T_k - T_{k-1} on real
+    arrays. G moves the phonon index by one, so T_k E is nonzero only
+    where j - c (row phonon level minus column) has the parity of k: the
+    even terms, whose coefficients (-i)^k c_k are real, and the odd
+    terms, whose coefficients are imaginary, never overlap. One real sum
+    holds both, with the sign of (-i)^k folded in, and the factor -i of
+    the odd entries is restored once at the end.
+    """
+    radius = float(abs(gen).sum(axis=1).max())
+    coeffs = _chebyshev_coefficients(radius)
+    prev = np.eye(photon_dim * dph, dph)
+    acc = coeffs[0] * prev
+    cur = None
+    if coeffs.size > 1:
+        gen = gen * (2.0 / radius)
+        cur = 0.5 * (gen @ prev)
+        acc += coeffs[1] * cur
+    for k in range(2, coeffs.size):
+        # T_k = (2 / R) G T_{k-1} - T_{k-2}, written over T_{k-2}.
+        np.subtract(gen @ cur, prev, out=prev)
+        acc += (-coeffs[k] if k % 4 >= 2 else coeffs[k]) * prev
+        prev, cur = cur, prev
+    del prev, cur
+    j = np.arange(dph)
+    odd = (j[:, None] - j[None, :]) % 2 == 1
+    return acc.reshape(photon_dim, dph, dph) * np.where(odd, -1j, 1.0)
+
+
 def probe_exact(
     rho_phonon: FockDensityMatrix,
     probe: ProbeSpec,
@@ -323,53 +395,44 @@ def probe_exact(
     """Exact two-mode probe read-out.
 
     The bright field is held in a frame displaced by its coherent
-    amplitude, so the photon register starts in the vacuum and a small
-    cutoff suffices; the exchange unitary and the number operator are
-    conjugated into the same frame, which is exact. The one-exchange
-    generator is assembled as a sparse matrix, and the action of its
-    exponential on the photon-vacuum columns, the only block the initial
-    state populates, is computed directly (Al-Mohy and Higham, SIAM J.
-    Sci. Comput. 33, 488, 2011); the full unitary is never formed.
+    amplitude amp = sqrt(I_y) exp(-i phase_diff), so the photon register
+    starts in the vacuum and a small cutoff suffices; the exchange unitary
+    and the number operator are conjugated into the same frame, which is
+    exact. A second exact change of basis, the diagonal phases
+    exp(-i p phase_diff) x exp(-i j phase_diff) on photon level p and
+    phonon level j, makes amp real: the one-exchange generator becomes
+    the real symmetric theta (C x b^T + C^T x b) with C = a + sqrt(I_y),
+    the number operator C^T C, and the phonon state picks up
+    exp(i phase_diff (j - k)); the diagonals the tail checks read are
+    unchanged. The exponential is applied to the photon-vacuum columns
+    only, the one block the initial state populates, by a Chebyshev
+    series in the generator scaled by its Gershgorin bound, run on real
+    arrays; the full unitary is never formed.
     """
     if photon_dim < 30:
         raise ValueError("photon_dim must be at least 30")
     import scipy.sparse as sp
-    from scipy.sparse.linalg import expm_multiply
 
     dph = rho_phonon.dim
-    theta = probe.coupling_norm
-    amp = math.sqrt(probe.intensity_y) * cmath.exp(-1j * probe.phase_diff)
-
-    a = _destroy(photon_dim)
-    b = sp.csr_array(_destroy(dph))
-    eye_a = sp.identity(photon_dim, format="csr")
-    # theta * (A_coll b† + A_coll† b) with A_coll = a + amp in the
-    # displaced frame; assembled from sparse Kronecker products directly.
-    gen = theta * (
-        sp.kron(a, b.conj().T)
-        + sp.kron(a.conj().T, b)
-        + amp * sp.kron(eye_a, b.conj().T)
-        + np.conj(amp) * sp.kron(eye_a, b)
+    coll = np.diag(np.sqrt(np.arange(1.0, photon_dim)), 1) + math.sqrt(
+        probe.intensity_y
+    ) * np.eye(photon_dim)
+    b = sp.csr_array(np.diag(np.sqrt(np.arange(1.0, dph)), 1))
+    gen = probe.coupling_norm * (
+        sp.kron(sp.csr_array(coll), b.T) + sp.kron(sp.csr_array(coll.T), b)
     )
-    # Initial state = photon vacuum x rho_phonon occupies the first dph
-    # rows/columns, so only that column block of the unitary is needed.
-    vacuum = np.eye(photon_dim * dph, dph, dtype=complex)
-    block = expm_multiply(-1j * gen.tocsr(), vacuum)
+    block3 = _vacuum_block(gen.tocsr(), photon_dim, dph)
+    block = block3.reshape(photon_dim * dph, dph)
 
-    # Number operator in the displaced frame acts on the photon factor
-    # alone: (a† + amp*)(a + amp).
-    n_photon = (
-        a.conj().T @ a
-        + amp * a.conj().T
-        + np.conj(amp) * a
-        + (abs(amp) ** 2) * np.eye(photon_dim)
-    )
-    block3 = block.reshape(photon_dim, dph, dph)
+    # Number operator in the displaced, phase-aligned frame acts on the
+    # photon factor alone: C^T C.
+    n_photon = coll.T @ coll
     n_block = np.einsum("pq,qkj->pkj", n_photon, block3).reshape(
         photon_dim * dph, dph
     )
 
-    rho = rho_phonon.rho
+    rot = np.exp(1j * probe.phase_diff * np.arange(dph))
+    rho = rot[:, None] * rho_phonon.rho * rot.conj()[None, :]
     m1 = block.conj().T @ n_block
     m2 = n_block.conj().T @ n_block
     mean = float(np.einsum("ij,ji->", m1, rho).real)

@@ -26,10 +26,12 @@ scan:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Run in a fresh interpreter: fails if importing the package, or running
-# predict or a statistics-only scan, loads any scipy module.
+# predict or a statistics-only scan, loads any scipy module, or if an
+# oracle case loads scipy.sparse.linalg.
 NO_SCIPY = """
 import sys
 import isrsim, isrsim.cli
+from isrsim.fock import CrossCheckCase, cross_validate
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -38,6 +40,9 @@ assert scipy_modules() == [], scipy_modules()
 for argv in (["predict"], ["scan", "--config", sys.argv[2]]):
     assert isrsim.cli.main([*argv, "--out", sys.argv[1]]) == 0
     assert scipy_modules() == [], (argv, scipy_modules())
+[result] = cross_validate([CrossCheckCase(0.5, 0.2, 0.05j, 1.0, 0.5, 0.2, 10.0, 0.4)])
+assert result.passed, result
+assert "scipy.sparse.linalg" not in sys.modules
 """
 
 

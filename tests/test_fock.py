@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.special import jv
 
 from isrsim import BathSpec, ProbeSpec, apply_pump, evolve, thermal_state
 from isrsim.fock import (
+    _CHEB_TOL,
     FockDensityMatrix,
     StepSizeError,
     TruncationError,
+    _chebyshev_coefficients,
     apply_pump_exact,
     build_thermal_fock,
     default_step,
@@ -254,11 +257,16 @@ def test_trace_drift_raises_when_population_escapes():
 
 def test_probe_exact_decoupled_angle():
     # theta = 0: the phonon is untouched and the read-out is the bare
-    # coherent field, Poisson at iy.
-    probe = ProbeSpec(0.0, 0.0, 12.0, 0.3)
-    pair = probe_exact(build_thermal_fock(0.7, 32), probe, photon_dim=30)
-    assert pair.mean_ny == pytest.approx(12.0, rel=1e-10)
-    assert pair.var_ny == pytest.approx(12.0, rel=1e-9)
+    # coherent field, Poisson at iy, whatever the phonon state and phase.
+    for rho in (
+        build_thermal_fock(0.7, 32),
+        apply_pump_exact(build_thermal_fock(0.3, 48), 0.3 - 0.2j, 0.05j),
+    ):
+        for phi in (0.0, 0.7, -2.0):
+            probe = ProbeSpec(0.0, phi, 12.0, 0.3)
+            pair = probe_exact(rho, probe, photon_dim=30)
+            assert pair.mean_ny == pytest.approx(12.0, rel=1e-14)
+            assert pair.var_ny == pytest.approx(12.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("dph", [32, 48])
@@ -270,6 +278,97 @@ def test_probe_exact_matches_dense_reference(dph, photon_dim):
     mean, var = _dense_probe(rho, probe, photon_dim)
     assert pair.mean_ny == pytest.approx(mean, rel=1e-12)
     assert pair.var_ny == pytest.approx(var, rel=1e-12)
+
+
+def _expm_multiply_probe(rho, probe, photon_dim):
+    """Probe read-out in the displaced frame by scipy's expm_multiply.
+
+    The complex-amplitude generator, applied with Al-Mohy and Higham's
+    action of the exponential (SIAM J. Sci. Comput. 33, 488, 2011); no
+    phase frame and no Chebyshev series.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply
+
+    dph = rho.dim
+    amp = math.sqrt(probe.intensity_y) * cmath.exp(-1j * probe.phase_diff)
+    a = np.diag(np.sqrt(np.arange(1.0, photon_dim)), 1).astype(complex)
+    b = sp.csr_array(np.diag(np.sqrt(np.arange(1.0, dph)), 1).astype(complex))
+    eye_a = sp.identity(photon_dim, format="csr")
+    gen = probe.coupling_norm * (
+        sp.kron(a, b.conj().T)
+        + sp.kron(a.conj().T, b)
+        + amp * sp.kron(eye_a, b.conj().T)
+        + np.conj(amp) * sp.kron(eye_a, b)
+    )
+    block = expm_multiply(
+        -1j * gen.tocsr(), np.eye(photon_dim * dph, dph, dtype=complex)
+    )
+    coll = a + amp * np.eye(photon_dim)
+    n_photon = coll.conj().T @ coll
+    n_block = np.einsum(
+        "pq,qkj->pkj", n_photon, block.reshape(photon_dim, dph, dph)
+    ).reshape(block.shape)
+    mean = np.trace(block.conj().T @ n_block @ rho.rho).real
+    second = np.trace(n_block.conj().T @ n_block @ rho.rho).real
+    return mean, second - mean**2
+
+
+@pytest.mark.parametrize(
+    "dph, photon_dim",
+    [(88, 32), (48, 60)],  # the benchmark's largest probe; a photon retry
+)
+def test_probe_exact_matches_expm_multiply_reference(dph, photon_dim):
+    probe = ProbeSpec(0.3, -2.1, 50.0, 0.0)
+    rho = apply_pump_exact(build_thermal_fock(0.3, dph), 0.9 - 0.4j, 0.1j)
+    pair = probe_exact(rho, probe, photon_dim=photon_dim)
+    mean, var = _expm_multiply_probe(rho, probe, photon_dim)
+    assert pair.mean_ny == pytest.approx(mean, rel=1e-12)
+    assert pair.var_ny == pytest.approx(var, rel=1e-12)
+
+
+def test_probe_exact_phase_enters_as_a_phonon_rotation():
+    # Conjugating the read-out by D = diag(exp(-i j phi)) on the phonon,
+    # and by the same phases on the photon, makes the displaced field
+    # real: the probe phase acts on the state as rho -> D^dagger rho D.
+    rho = apply_pump_exact(build_thermal_fock(0.3, 48), 0.3 - 0.2j, 0.05j)
+    j = np.arange(rho.dim)
+    aligned = ProbeSpec(0.25, 0.0, 12.0, 0.0)
+    for phi in (0.7, -2.0, math.pi, 3.0):
+        d = np.exp(-1j * phi * j)
+        rotated = FockDensityMatrix(rho.dim, d.conj()[:, None] * rho.rho * d[None, :])
+        pair = probe_exact(rho, ProbeSpec(0.25, phi, 12.0, 0.0), photon_dim=32)
+        ref = probe_exact(rotated, aligned, photon_dim=32)
+        assert pair.mean_ny == pytest.approx(ref.mean_ny, rel=1e-12)
+        assert pair.var_ny == pytest.approx(ref.var_ny, rel=1e-12)
+
+
+def _chebyshev_tail_bound(radius, n_terms):
+    """2 (R/2)^K / K! / (1 - R / (2K + 2)), infinite where the sum diverges."""
+    ratio = radius / (2 * n_terms + 2)
+    if ratio >= 1.0:
+        return math.inf
+    log_term = n_terms * math.log(0.5 * radius) - math.lgamma(n_terms + 1)
+    return 2.0 * math.exp(log_term) / (1.0 - ratio)
+
+
+@pytest.mark.parametrize("radius", [1e-3, 0.7, 41.7, 70.3, 150.0])
+def test_chebyshev_coefficients_stop_at_the_tail_bound(radius):
+    coeffs = _chebyshev_coefficients(radius)
+    n = coeffs.size
+    # The first K whose discarded tail is bounded by the tolerance.
+    assert _chebyshev_tail_bound(radius, n) <= _CHEB_TOL
+    assert _chebyshev_tail_bound(radius, n - 1) > _CHEB_TOL
+    ref = 2.0 * jv(np.arange(n), radius)
+    ref[0] *= 0.5
+    np.testing.assert_allclose(coeffs, ref, rtol=0.0, atol=1e-14)
+    # The series reproduces exp(-i x) across [-R, R].
+    x = np.linspace(-radius, radius, 101)
+    k = np.arange(n)
+    cheb = np.cos(k[:, None] * np.arccos(x / radius)[None, :])
+    series = ((coeffs * (-1j) ** k)[:, None] * cheb).sum(axis=0)
+    np.testing.assert_allclose(series, np.exp(-1j * x), rtol=0.0, atol=1e-13)
+    assert _chebyshev_coefficients(0.0).tolist() == [1.0]
 
 
 def test_probe_exact_requires_minimum_photon_dim():
