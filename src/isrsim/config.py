@@ -177,7 +177,6 @@ _SCHEMA = {
     },
     "outputs": {"directory": _directory, "formats": _formats},
     "oracle": {
-        "photon_dim": partial(_integer, minimum=2),
         "max_phonon_dim": partial(_integer, minimum=2, allow_none=True),
     },
 }

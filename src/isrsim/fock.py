@@ -1,16 +1,17 @@
 """Brute-force validation path on truncated number-state density matrices.
 
 Every fast-path result has an exact counterpart here. The pump unitary is
-a dense matrix exponential. Dissipative evolution is integrated with a
-classical fourth-order Runge-Kutta scheme in the frame rotating with the
-mode; the rotation commutes with the phase-covariant dissipator, so it
-is applied exactly at the end. The probe read-out is an exact two-mode
-computation with the bright field held in a displaced frame so that a
-small photon cutoff suffices, and in a phase frame that makes the sparse
-two-mode generator real symmetric; its exponential is applied to the
-photon-vacuum columns only, by a Chebyshev series in real arithmetic
-(Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984). Nothing in this
-module reuses the closed-form moment algebra it is meant to check.
+the exponential of the Hermitian pump generator, formed from its
+eigendecomposition. Dissipative evolution is integrated with a classical
+fourth-order Runge-Kutta scheme in the frame rotating with the mode; the
+rotation commutes with the phase-covariant dissipator, so it is applied
+exactly at the end. The probe read-out needs no photon register: the
+exchange moves the bright field's displacement out exactly and conserves
+the total number of quanta, so the detected photon's reduced state
+follows from the phonon state by the binomial amplitudes of a beam
+splitter (Campos, Saleh and Teich, Phys. Rev. A 40, 1371, 1989). Nothing
+in this module reuses the closed-form moment algebra it is meant to
+check.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from .probe import ObservablePair, ProbeSpec, probe_mean, probe_variance
 from .states import BathSpec, apply_pump, evolve, thermal_state
 
 DEFAULT_PHONON_DIM = 60
+# Unused by the package; kept only for perfbench/spans.py until ROADMAP item 1.
 DEFAULT_PHOTON_DIM = 40
 
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _EIG_TOL = 1e-10
 _TAIL_TOL = 1e-8
-# Bound on the discarded tail of probe_exact's Chebyshev series.
-_CHEB_TOL = 1e-15
 # cross_validate passes a case when every moment agrees to MOMENT_TOL and
 # both probe observables to PROBE_TOL, relative.
 MOMENT_TOL = 1e-6
@@ -52,15 +52,9 @@ _RK4_STABLE_Z = 2.5
 class TruncationError(RuntimeError):
     """Hilbert-space cutoff too small for the state it must hold."""
 
-    def __init__(
-        self,
-        message: str,
-        suggested_dim: int | None = None,
-        register: str = "phonon",
-    ):
+    def __init__(self, message: str, suggested_dim: int | None = None):
         super().__init__(message)
         self.suggested_dim = suggested_dim
-        self.register = register
 
 
 class StepSizeError(RuntimeError):
@@ -172,6 +166,7 @@ def embed(state: FockDensityMatrix, dim: int) -> FockDensityMatrix:
     return FockDensityMatrix(dim, rho)
 
 
+# Unused by the package; kept only for perfbench/spans.py until ROADMAP item 1.
 def truncate(state: FockDensityMatrix, dim: int) -> FockDensityMatrix:
     """Cut to a smaller cutoff, allowed only when the cut mass is negligible."""
     if dim >= state.dim:
@@ -191,16 +186,17 @@ def truncate(state: FockDensityMatrix, dim: int) -> FockDensityMatrix:
 def apply_pump_exact(
     state: FockDensityMatrix, c1: complex, c2: complex
 ) -> FockDensityMatrix:
-    """Conjugate by the exponential of the truncated pump generator."""
-    # scipy's linear algebra is imported on first use, here and in
-    # probe_exact, so that commands which never run the oracle skip it.
-    from scipy.linalg import expm
+    """Conjugate by the exponential of the truncated pump generator.
 
+    The generator is Hermitian, so exp(-i G) = V diag(exp(-i w)) V^dagger
+    from its eigendecomposition G = V diag(w) V^dagger.
+    """
     d = state.dim
     b = _destroy(d)
     bd = b.conj().T
     gen = c1 * bd + np.conj(c1) * b + c2 * (bd @ bd) + np.conj(c2) * (b @ b)
-    u = expm(-1j * gen)
+    w, v = np.linalg.eigh(gen)
+    u = (v * np.exp(-1j * w)) @ v.conj().T
     return FockDensityMatrix(d, u @ state.rho @ u.conj().T)
 
 
@@ -317,153 +313,54 @@ def evolve_lindblad_exact(
     return (out, drift_err) if return_drift else out
 
 
-def _chebyshev_coefficients(radius: float) -> np.ndarray:
-    """Coefficients c_k of exp(-i x) = sum_k c_k (-i)^k T_k(x / radius).
+def probe_exact(rho_phonon: FockDensityMatrix, probe: ProbeSpec) -> ObservablePair:
+    """Exact probe read-out, one conserved-number sector at a time.
 
-    The expansion (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984)
-    holds for |x| <= radius, with c_0 = J_0(radius) and c_k = 2 J_k(radius).
-    Since |J_k(R)| <= (R/2)^k / k!, the terms from K on sum to at most
-    2 (R/2)^K / K! / (1 - R / (2K + 2)); the series keeps the first K
-    terms, K the first count that bounds this tail by _CHEB_TOL. The
-    Bessel values come from Miller's backward recurrence, normalised by
-    J_0 + 2 sum_m J_2m = 1.
+    The diagonal phases exp(i phase_diff j) on the phonon make the bright
+    field's amplitude alpha = sqrt(I_y) real. The exchange
+    U = exp(-i theta (a b^dagger + a^dagger b)) moves that displacement out
+    exactly, U D_a(alpha) = D_a(alpha c) D_b(-i alpha s) U with
+    s = sin theta and c = cos theta, and D_b leaves photon observables
+    alone; so the read-out is the number (a^dagger + alpha c)(a + alpha c)
+    on U (|0><0| x rho) U^dagger. U conserves a^dagger a + b^dagger b and
+    sends |0, k> to sum_p sqrt(C(k, p)) (-i s)^p c^(k-p) |p, k-p>, so the
+    photon's reduced state is
+    rho_ph[p, p'] = sum_q rho[p+q, p'+q] B[p, q] conj(B[p', q]) with
+    B[p, q] = sqrt(C(p+q, p)) (-i s)^p c^q. Nothing is truncated: rho_ph
+    lives on the phonon cutoff's levels, and padding it by two levels
+    makes the number operator and its square exact there.
     """
-    if radius == 0.0:
-        return np.ones(1)
-    half = 0.5 * radius
-    n_terms = 1
-    while not (
-        half < n_terms + 1
-        and math.log(2.0)
-        + n_terms * math.log(half)
-        - math.lgamma(n_terms + 1)
-        - math.log1p(-half / (n_terms + 1))
-        <= math.log(_CHEB_TOL)
-    ):
-        n_terms += 1
-    start = n_terms + 16 + int(math.sqrt(40.0 * n_terms))
-    bessel = np.zeros(start + 2)
-    bessel[start] = 1.0
-    for k in range(start, 0, -1):
-        bessel[k - 1] = (2.0 * k / radius) * bessel[k] - bessel[k + 1]
-        if abs(bessel[k - 1]) > 1e250:
-            bessel[k - 1 :] *= 1e-250
-    bessel /= bessel[0] + 2.0 * bessel[2::2].sum()
-    coeffs = 2.0 * bessel[:n_terms]
-    coeffs[0] = bessel[0]
-    return coeffs
+    d = rho_phonon.dim
+    s, c = math.sin(probe.coupling_norm), math.cos(probe.coupling_norm)
+    # |B|^2 along each sector k = p + q is the binomial distribution
+    # C(k, p) s^2p c^2(k-p); its Pascal recurrence adds positive terms
+    # only, so it neither overflows nor cancels, at any angle.
+    weights = np.zeros((d, d))
+    weights[0, 0] = 1.0
+    for k in range(1, d):
+        weights[k, : k + 1] = c * c * weights[k - 1, : k + 1]
+        weights[k, 1 : k + 1] += s * s * weights[k - 1, :k]
+    amp = np.sqrt(weights)
 
-
-def _vacuum_block(gen, photon_dim: int, dph: int) -> np.ndarray:
-    """exp(-i G) on the photon-vacuum columns, as a (photon, phonon, column) array.
-
-    G is the real symmetric sparse generator. The Chebyshev terms
-    T_k(G / R) E, E the vacuum columns and R the Gershgorin bound on G's
-    spectrum, follow from T_{k+1} = (2 / R) G T_k - T_{k-1} on real
-    arrays. G moves the phonon index by one, so T_k E is nonzero only
-    where j - c (row phonon level minus column) has the parity of k: the
-    even terms, whose coefficients (-i)^k c_k are real, and the odd
-    terms, whose coefficients are imaginary, never overlap. One real sum
-    holds both, with the sign of (-i)^k folded in, and the factor -i of
-    the odd entries is restored once at the end.
-    """
-    radius = float(abs(gen).sum(axis=1).max())
-    coeffs = _chebyshev_coefficients(radius)
-    prev = np.eye(photon_dim * dph, dph)
-    acc = coeffs[0] * prev
-    cur = None
-    if coeffs.size > 1:
-        gen = gen * (2.0 / radius)
-        cur = 0.5 * (gen @ prev)
-        acc += coeffs[1] * cur
-    for k in range(2, coeffs.size):
-        # T_k = (2 / R) G T_{k-1} - T_{k-2}, written over T_{k-2}.
-        np.subtract(gen @ cur, prev, out=prev)
-        acc += (-coeffs[k] if k % 4 >= 2 else coeffs[k]) * prev
-        prev, cur = cur, prev
-    del prev, cur
-    j = np.arange(dph)
-    odd = (j[:, None] - j[None, :]) % 2 == 1
-    return acc.reshape(photon_dim, dph, dph) * np.where(odd, -1j, 1.0)
-
-
-def probe_exact(
-    rho_phonon: FockDensityMatrix,
-    probe: ProbeSpec,
-    photon_dim: int = DEFAULT_PHOTON_DIM,
-) -> ObservablePair:
-    """Exact two-mode probe read-out.
-
-    The bright field is held in a frame displaced by its coherent
-    amplitude amp = sqrt(I_y) exp(-i phase_diff), so the photon register
-    starts in the vacuum and a small cutoff suffices; the exchange unitary
-    and the number operator are conjugated into the same frame, which is
-    exact. A second exact change of basis, the diagonal phases
-    exp(-i p phase_diff) x exp(-i j phase_diff) on photon level p and
-    phonon level j, makes amp real: the one-exchange generator becomes
-    the real symmetric theta (C x b^T + C^T x b) with C = a + sqrt(I_y),
-    the number operator C^T C, and the phonon state picks up
-    exp(i phase_diff (j - k)); the diagonals the tail checks read are
-    unchanged. The exponential is applied to the photon-vacuum columns
-    only, the one block the initial state populates, by a Chebyshev
-    series in the generator scaled by its Gershgorin bound, run on real
-    arrays; the full unitary is never formed.
-    """
-    if photon_dim < 30:
-        raise ValueError("photon_dim must be at least 30")
-    import scipy.sparse as sp
-
-    dph = rho_phonon.dim
-    coll = np.diag(np.sqrt(np.arange(1.0, photon_dim)), 1) + math.sqrt(
-        probe.intensity_y
-    ) * np.eye(photon_dim)
-    b = sp.csr_array(np.diag(np.sqrt(np.arange(1.0, dph)), 1))
-    gen = probe.coupling_norm * (
-        sp.kron(sp.csr_array(coll), b.T) + sp.kron(sp.csr_array(coll.T), b)
-    )
-    block3 = _vacuum_block(gen.tocsr(), photon_dim, dph)
-    block = block3.reshape(photon_dim * dph, dph)
-
-    # Number operator in the displaced, phase-aligned frame acts on the
-    # photon factor alone: C^T C.
-    n_photon = coll.T @ coll
-    n_block = np.einsum("pq,qkj->pkj", n_photon, block3).reshape(
-        photon_dim * dph, dph
-    )
-
-    rot = np.exp(1j * probe.phase_diff * np.arange(dph))
+    rot = np.exp(1j * probe.phase_diff * np.arange(d))
     rho = rot[:, None] * rho_phonon.rho * rot.conj()[None, :]
-    m1 = block.conj().T @ n_block
-    m2 = n_block.conj().T @ n_block
-    mean = float(np.einsum("ij,ji->", m1, rho).real)
-    second = float(np.einsum("ij,ji->", m2, rho).real)
+    rho_ph = np.zeros((d + 2, d + 2), dtype=complex)
+    for q in range(d):
+        col = np.diagonal(amp, -q)  # |B[p, q]| for p = 0 .. d-1-q
+        rho_ph[: d - q, : d - q] += rho[q:, q:] * np.outer(col, col)
+    # The phases (-i sign(s))^p of B; the sign of c cancels between B and
+    # its conjugate.
+    phase = np.array([1.0, -1j, -1.0, 1j])[np.arange(d + 2) % 4]
+    if s < 0:
+        phase = phase.conj()
+    rho_ph *= phase[:, None] * phase.conj()[None, :]
 
-    # Truncation health of the evolved two-mode state, checked on the
-    # reduced diagonals without forming the full density matrix:
-    # Re sum_k (B rho)_jk conj(B_jk), summed over real and imaginary parts
-    # so that B rho is the only block-sized temporary. B rho is taken one
-    # photon level (a dph x dph slice) at a time: one tall product touches
-    # more BLAS buffer memory and raised the oracle's peak RSS.
-    block_rho = (block3 @ rho).reshape(block.shape)
-    joint_diag = np.einsum("ij,ij->i", block_rho.real, block.real) + np.einsum(
-        "ij,ij->i", block_rho.imag, block.imag
-    )
-    joint = joint_diag.reshape(photon_dim, dph)
-    photon_tail = float(joint[int(math.ceil(0.9 * photon_dim)) :, :].sum())
-    phonon_tail = float(joint[:, int(math.ceil(0.9 * dph)) :].sum())
-    if photon_tail > _TAIL_TOL:
-        raise TruncationError(
-            f"photon register tail mass {photon_tail:.3e}; "
-            f"retry with photon_dim >= {2 * photon_dim}",
-            suggested_dim=2 * photon_dim,
-            register="photon",
-        )
-    if phonon_tail > _TAIL_TOL:
-        raise TruncationError(
-            f"phonon register tail mass {phonon_tail:.3e}; "
-            f"retry with phonon dim >= {2 * dph}",
-            suggested_dim=2 * dph,
-        )
+    coll = np.diag(np.sqrt(np.arange(1.0, d + 2)), 1) + math.sqrt(
+        probe.intensity_y
+    ) * c * np.eye(d + 2)
+    number = coll.T @ coll
+    mean = float(np.einsum("ij,ji->", number, rho_ph).real)
+    second = float(np.einsum("ij,ji->", number @ number, rho_ph).real)
     return ObservablePair(mean, second - mean * mean)
 
 
@@ -497,7 +394,6 @@ class CrossCheckResult:
     mean_error: float
     var_error: float
     phonon_dim: int
-    photon_dim: int
     elapsed_s: float
     passed: bool
     detail: str = ""
@@ -537,7 +433,6 @@ def _rel_err(fast, oracle) -> float:
 
 def cross_validate(
     cases: Sequence[CrossCheckCase] | None = None,
-    photon_dim: int = 32,
     fault_scale: float = 0.0,
     max_dim: int | None = None,
 ) -> list[CrossCheckResult]:
@@ -547,7 +442,8 @@ def cross_validate(
     amount before comparison; it exists so the harness can prove the
     check actually fails when a formula is wrong. max_dim caps the
     phonon cutoff; states that genuinely need more levels then raise
-    TruncationError instead of retrying upward.
+    TruncationError instead of retrying upward. The probe truncates
+    nothing, so it reads out the evolved state at that state's cutoff.
     """
     if cases is None:
         cases = default_grid()
@@ -570,12 +466,12 @@ def cross_validate(
         if max_dim is not None:
             core_dim = min(core_dim, max_dim)
 
-        exact, _, _ = _retry_truncation(
-            lambda dim, _: apply_pump_exact(
+        exact, _ = _retry_truncation(
+            lambda dim: apply_pump_exact(
                 build_thermal_fock(case.thermal_n, dim), case.c1, case.c2
             ),
             core_dim,
-            max_dim=max_dim,
+            max_dim,
         )
         errs = {}
         em, eo, ea = exact.moments()
@@ -584,37 +480,19 @@ def cross_validate(
         errs["pump_anomalous"] = _rel_err(fast.anomalous, ea)
 
         fast = evolve(fast, case.delay, bath)
-        exact, _, _ = _retry_truncation(
-            lambda dim, _: evolve_lindblad_exact(embed(exact, dim), case.delay, bath),
+        exact, _ = _retry_truncation(
+            lambda dim: evolve_lindblad_exact(embed(exact, dim), case.delay, bath),
             exact.dim,
-            max_dim=max_dim,
+            max_dim,
         )
         em, eo, ea = exact.moments()
         errs["evolve_mean_b"] = _rel_err(fast.mean_b, em)
         errs["evolve_occupation"] = _rel_err(fast.occupation, eo)
         errs["evolve_anomalous"] = _rel_err(fast.anomalous, ea)
 
-        mean_fast = probe_mean(fast, probe)
+        pair = probe_exact(exact, probe)
+        mean_err = _rel_err(probe_mean(fast, probe), pair.mean_ny)
         var_fast = probe_variance(fast, probe) * (1.0 + fault_scale)
-        drive = abs(fast.mean_b) + case.coupling_norm * math.sqrt(
-            case.intensity_y
-        )
-        probe_dim = suggest_dim(
-            fast.central_occupation + abs(fast.central_anomalous), drive ** 2
-        )
-        if max_dim is not None:
-            probe_dim = min(probe_dim, max_dim)
-        # Shrink (or pad) to the probe-stage cutoff first; the cut is
-        # refused unless the discarded population is negligible.
-        pair, probe_dim, photon_used = _retry_truncation(
-            lambda dim, photons: probe_exact(
-                truncate(exact, max(dim, 8)), probe, photons
-            ),
-            probe_dim,
-            photon_dim,
-            max_dim,
-        )
-        mean_err = _rel_err(mean_fast, pair.mean_ny)
         var_err = _rel_err(var_fast, pair.var_ny)
 
         passed = (
@@ -628,8 +506,7 @@ def cross_validate(
                 moment_errors=errs,
                 mean_error=mean_err,
                 var_error=var_err,
-                phonon_dim=probe_dim,
-                photon_dim=photon_used,
+                phonon_dim=exact.dim,
                 elapsed_s=time.perf_counter() - t0,
                 passed=passed,
                 detail="" if passed else "tolerance exceeded",
@@ -638,23 +515,19 @@ def cross_validate(
     return results
 
 
-def _retry_truncation(stage, dim: int, photon_dim: int = 0, max_dim: int | None = None):
-    """Run stage(dim, photon_dim), growing the register a truncation names.
+def _retry_truncation(stage, dim: int, max_dim: int | None = None):
+    """Run stage(dim), growing the phonon cutoff a truncation asks for.
 
-    A TruncationError from the photon register grows photon_dim; one from
-    the phonon register grows dim, to at most max_dim, and propagates once
-    dim is already there. Returns (result, dim, photon_dim) of the first
-    attempt that passes; the third failure propagates.
+    dim grows to at most max_dim, and a TruncationError propagates once
+    dim is already there. Returns (result, dim) of the first attempt that
+    passes; the third failure propagates.
     """
     for attempt in range(3):
         try:
-            return stage(dim, photon_dim), dim, photon_dim
+            return stage(dim), dim
         except TruncationError as exc:
             if attempt == 2:
                 raise
-            if exc.register == "photon":
-                photon_dim = exc.suggested_dim or 2 * photon_dim
-                continue
             bigger = exc.suggested_dim or 2 * dim
             if max_dim is not None and bigger > max_dim:
                 if dim >= max_dim:

@@ -25,9 +25,9 @@ scan:
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Run in a fresh interpreter: fails if importing the package, or running
-# predict or a statistics-only scan, loads any scipy module, or if an
-# oracle case loads scipy.sparse.linalg.
+# Run in a fresh interpreter: fails if importing the package, running
+# predict or a statistics-only scan, or cross-validating an oracle case
+# loads any scipy module.
 NO_SCIPY = """
 import sys
 import isrsim, isrsim.cli
@@ -42,7 +42,7 @@ for argv in (["predict"], ["scan", "--config", sys.argv[2]]):
     assert scipy_modules() == [], (argv, scipy_modules())
 [result] = cross_validate([CrossCheckCase(0.5, 0.2, 0.05j, 1.0, 0.5, 0.2, 10.0, 0.4)])
 assert result.passed, result
-assert "scipy.sparse.linalg" not in sys.modules
+assert scipy_modules() == [], scipy_modules()
 """
 
 
@@ -308,7 +308,7 @@ def test_oracle_exit_and_report_via_stub(tmp_path, monkeypatch, capsys):
     case = CrossCheckCase(0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 5.0, 0.0)
     seen = {"elapsed_s": 0.01}
 
-    def fake_cross_validate(photon_dim, fault_scale, max_dim):
+    def fake_cross_validate(fault_scale, max_dim):
         seen["fault_scale"] = fault_scale
         failed = fault_scale > 0
         return [
@@ -318,7 +318,6 @@ def test_oracle_exit_and_report_via_stub(tmp_path, monkeypatch, capsys):
                 mean_error=0.0,
                 var_error=fault_scale,
                 phonon_dim=32,
-                photon_dim=photon_dim,
                 elapsed_s=seen["elapsed_s"],
                 passed=not failed,
                 detail="tolerance exceeded" if failed else "",

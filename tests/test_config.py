@@ -193,8 +193,9 @@ def test_oracle_section(tmp_path):
     cfg = load_config(write(tmp_path, "oracle:\n  max_phonon_dim: 24\n"))
     assert cfg.section("oracle")["max_phonon_dim"] == 24
     assert load_config().section("oracle")["max_phonon_dim"] is None
-    with pytest.raises(ConfigError, match="oracle.photon_dim"):
-        load_config(write(tmp_path, "oracle:\n  photon_dim: 1\n"))
+    # The probe read-out has no photon register, so no photon cutoff.
+    with pytest.raises(ConfigError, match="oracle: unknown key.*photon_dim"):
+        load_config(write(tmp_path, "oracle:\n  photon_dim: 32\n"))
 
 
 def test_validated_tree_round_trips_through_builders():

@@ -6,15 +6,12 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.special import jv
 
 from isrsim import BathSpec, ProbeSpec, apply_pump, evolve, thermal_state
 from isrsim.fock import (
-    _CHEB_TOL,
     FockDensityMatrix,
     StepSizeError,
     TruncationError,
-    _chebyshev_coefficients,
     apply_pump_exact,
     build_thermal_fock,
     default_step,
@@ -87,7 +84,11 @@ def _lab_frame_rk4(rho, tau, bath, steps):
 
 
 def _dense_probe(rho, probe, photon_dim):
-    """Probe read-out from a dense eigendecomposition of the two-mode generator."""
+    """Probe read-out from a dense eigendecomposition of the two-mode generator.
+
+    The photon register is truncated at photon_dim levels and the phonon
+    register at the state's cutoff.
+    """
     dph = rho.dim
     amp = math.sqrt(probe.intensity_y) * cmath.exp(-1j * probe.phase_diff)
     a = np.diag(np.sqrt(np.arange(1.0, photon_dim)), 1)
@@ -264,7 +265,7 @@ def test_probe_exact_decoupled_angle():
     ):
         for phi in (0.0, 0.7, -2.0):
             probe = ProbeSpec(0.0, phi, 12.0, 0.3)
-            pair = probe_exact(rho, probe, photon_dim=30)
+            pair = probe_exact(rho, probe)
             assert pair.mean_ny == pytest.approx(12.0, rel=1e-14)
             assert pair.var_ny == pytest.approx(12.0, rel=1e-14)
 
@@ -274,7 +275,7 @@ def test_probe_exact_decoupled_angle():
 def test_probe_exact_matches_dense_reference(dph, photon_dim):
     probe = ProbeSpec(0.25, 0.7, 12.0, 0.0)  # complex displacement amplitude
     rho = apply_pump_exact(build_thermal_fock(0.3, dph), 0.3 - 0.2j, 0.05j)
-    pair = probe_exact(rho, probe, photon_dim=photon_dim)
+    pair = probe_exact(rho, probe)
     mean, var = _dense_probe(rho, probe, photon_dim)
     assert pair.mean_ny == pytest.approx(mean, rel=1e-12)
     assert pair.var_ny == pytest.approx(var, rel=1e-12)
@@ -284,8 +285,9 @@ def _expm_multiply_probe(rho, probe, photon_dim):
     """Probe read-out in the displaced frame by scipy's expm_multiply.
 
     The complex-amplitude generator, applied with Al-Mohy and Higham's
-    action of the exponential (SIAM J. Sci. Comput. 33, 488, 2011); no
-    phase frame and no Chebyshev series.
+    action of the exponential (SIAM J. Sci. Comput. 33, 488, 2011), on a
+    photon register of photon_dim levels; no phase frame and no number
+    sectors.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import expm_multiply
@@ -316,12 +318,13 @@ def _expm_multiply_probe(rho, probe, photon_dim):
 
 @pytest.mark.parametrize(
     "dph, photon_dim",
-    [(88, 32), (48, 60)],  # the benchmark's largest probe; a photon retry
+    # The benchmark's largest probe; a reference with a larger photon register.
+    [(88, 32), (48, 60)],
 )
 def test_probe_exact_matches_expm_multiply_reference(dph, photon_dim):
     probe = ProbeSpec(0.3, -2.1, 50.0, 0.0)
     rho = apply_pump_exact(build_thermal_fock(0.3, dph), 0.9 - 0.4j, 0.1j)
-    pair = probe_exact(rho, probe, photon_dim=photon_dim)
+    pair = probe_exact(rho, probe)
     mean, var = _expm_multiply_probe(rho, probe, photon_dim)
     assert pair.mean_ny == pytest.approx(mean, rel=1e-12)
     assert pair.var_ny == pytest.approx(var, rel=1e-12)
@@ -337,44 +340,28 @@ def test_probe_exact_phase_enters_as_a_phonon_rotation():
     for phi in (0.7, -2.0, math.pi, 3.0):
         d = np.exp(-1j * phi * j)
         rotated = FockDensityMatrix(rho.dim, d.conj()[:, None] * rho.rho * d[None, :])
-        pair = probe_exact(rho, ProbeSpec(0.25, phi, 12.0, 0.0), photon_dim=32)
-        ref = probe_exact(rotated, aligned, photon_dim=32)
+        pair = probe_exact(rho, ProbeSpec(0.25, phi, 12.0, 0.0))
+        ref = probe_exact(rotated, aligned)
         assert pair.mean_ny == pytest.approx(ref.mean_ny, rel=1e-12)
         assert pair.var_ny == pytest.approx(ref.var_ny, rel=1e-12)
 
 
-def _chebyshev_tail_bound(radius, n_terms):
-    """2 (R/2)^K / K! / (1 - R / (2K + 2)), infinite where the sum diverges."""
-    ratio = radius / (2 * n_terms + 2)
-    if ratio >= 1.0:
-        return math.inf
-    log_term = n_terms * math.log(0.5 * radius) - math.lgamma(n_terms + 1)
-    return 2.0 * math.exp(log_term) / (1.0 - ratio)
-
-
-@pytest.mark.parametrize("radius", [1e-3, 0.7, 41.7, 70.3, 150.0])
-def test_chebyshev_coefficients_stop_at_the_tail_bound(radius):
-    coeffs = _chebyshev_coefficients(radius)
-    n = coeffs.size
-    # The first K whose discarded tail is bounded by the tolerance.
-    assert _chebyshev_tail_bound(radius, n) <= _CHEB_TOL
-    assert _chebyshev_tail_bound(radius, n - 1) > _CHEB_TOL
-    ref = 2.0 * jv(np.arange(n), radius)
-    ref[0] *= 0.5
-    np.testing.assert_allclose(coeffs, ref, rtol=0.0, atol=1e-14)
-    # The series reproduces exp(-i x) across [-R, R].
-    x = np.linspace(-radius, radius, 101)
-    k = np.arange(n)
-    cheb = np.cos(k[:, None] * np.arccos(x / radius)[None, :])
-    series = ((coeffs * (-1j) ** k)[:, None] * cheb).sum(axis=0)
-    np.testing.assert_allclose(series, np.exp(-1j * x), rtol=0.0, atol=1e-13)
-    assert _chebyshev_coefficients(0.0).tolist() == [1.0]
-
-
-def test_probe_exact_requires_minimum_photon_dim():
-    probe = ProbeSpec(0.1, 0.0, 10.0, 0.0)
-    with pytest.raises(ValueError):
-        probe_exact(build_thermal_fock(0.1, 32), probe, photon_dim=8)
+@pytest.mark.parametrize("theta", [0.3, 1.4, math.pi / 2])
+def test_probe_exact_ignores_zero_padding(theta):
+    # Nothing is truncated: levels above the state's support add nothing,
+    # at a weak, a strong and a full exchange. The state keeps 5e-9 of
+    # population on its top level, as much as the tail guard lets
+    # through, so a read-out that cut the photon's number operator at the
+    # cutoff would differ from the padded one.
+    pumped = apply_pump_exact(build_thermal_fock(0.3, 48), 0.9 - 0.4j, 0.1j)
+    top = np.zeros((48, 48))
+    top[-1, -1] = 1.0
+    rho = FockDensityMatrix(48, (1.0 - 5e-9) * pumped.rho + 5e-9 * top)
+    probe = ProbeSpec(theta, -2.1, 50.0, 0.0)
+    pair = probe_exact(rho, probe)
+    padded = probe_exact(embed(rho, rho.dim + 16), probe)
+    assert padded.mean_ny == pytest.approx(pair.mean_ny, rel=1e-14)
+    assert padded.var_ny == pytest.approx(pair.var_ny, rel=1e-14)
 
 
 def test_quadrature_variances_exact_matches_closed_form():

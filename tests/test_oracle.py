@@ -87,40 +87,46 @@ def test_cross_validate_respects_dimension_cap():
         cross_validate([hot], max_dim=24)
 
 
-def test_photon_register_retry_grows_photon_dim():
+def test_strong_exchange_reads_out_without_retry():
     # A strong exchange (angle 1.4) with a coherent phonon (|<b>| = 2)
-    # scatters more photons into the register than 30 levels hold; the
-    # retry must double the photon cutoff and keep the phonon cutoff.
+    # scatters many photons; the number-sector read-out has no photon
+    # register to outgrow, so the case passes at the pump stage's first
+    # cutoff guess, 32.
     case = CrossCheckCase(0.0, 2.0, 0.0, 1.0, 0.0, 1.4, 2.0, 0.0)
-    [res] = cross_validate([case], photon_dim=30)
+    [res] = cross_validate([case])
     assert res.passed
-    assert res.photon_dim == 60
     assert res.phonon_dim == 32
 
 
 def test_retry_ladder_grows_the_named_register_up_to_the_cap():
-    def failing(registers):
+    # One register, the phonon's: each failure asks for twice the cutoff,
+    # and the ladder grows to the cap, then lets the failure at the cap
+    # propagate.
+    def failing():
         tried = []
 
-        def stage(dim, photons):
-            tried.append((dim, photons))
-            register = registers[len(tried) - 1]
-            size = photons if register == "photon" else dim
-            raise TruncationError(register, 2 * size, register=register)
+        def stage(dim):
+            tried.append(dim)
+            raise TruncationError("phonon", 2 * dim)
 
         return stage, tried
 
-    stage, tried = failing(["photon", "phonon", "phonon"])
+    stage, tried = failing()
     with pytest.raises(TruncationError, match="phonon"):
-        _retry_truncation(stage, 40, 30, max_dim=64)
-    assert tried == [(40, 30), (40, 60), (64, 60)]
+        _retry_truncation(stage, 24, max_dim=64)
+    assert tried == [24, 48, 64]
 
-    stage, tried = failing(["phonon"])
+    stage, tried = failing()
     with pytest.raises(TruncationError, match="phonon"):
-        _retry_truncation(stage, 64, 30, max_dim=64)
-    assert tried == [(64, 30)]
+        _retry_truncation(stage, 64, max_dim=64)
+    assert tried == [64]
 
-    assert _retry_truncation(lambda dim, photons: dim + photons, 8, 2) == (10, 8, 2)
+    stage, tried = failing()
+    with pytest.raises(TruncationError, match="phonon"):
+        _retry_truncation(stage, 8)
+    assert tried == [8, 16, 32]
+
+    assert _retry_truncation(lambda dim: dim + 2, 8) == (10, 8)
 
 
 def test_default_grid_covers_validated_ranges():

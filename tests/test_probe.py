@@ -100,7 +100,7 @@ def test_matches_exact_fock_readout():
     probe = make_probe(theta=0.3, iy=8.0, dth=0.5)
     st = apply_pump(thermal_state(0.5), 0.3 - 0.1j, 0.08j)
     rho = apply_pump_exact(build_thermal_fock(0.5, 40), 0.3 - 0.1j, 0.08j)
-    pair = probe_exact(rho, probe, photon_dim=30)
+    pair = probe_exact(rho, probe)
     assert probe_mean(st, probe) == pytest.approx(pair.mean_ny, rel=1e-6)
     assert probe_variance(st, probe) == pytest.approx(pair.var_ny, rel=1e-6)
 
