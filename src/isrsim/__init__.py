@@ -50,7 +50,6 @@ from .fock import (
     default_grid,
     evolve_lindblad_exact,
     probe_exact,
-    quadrature_variances_exact,
 )
 from .probe import (
     ObservablePair,

@@ -2,16 +2,16 @@
 
 Every fast-path result has an exact counterpart here. The pump unitary is
 the exponential of the Hermitian pump generator, formed from its
-eigendecomposition. Dissipative evolution is integrated with a classical
-fourth-order Runge-Kutta scheme in the frame rotating with the mode; the
-rotation commutes with the phase-covariant dissipator, so it is applied
-exactly at the end. The probe read-out needs no photon register: the
-exchange moves the bright field's displacement out exactly and conserves
-the total number of quanta, so the detected photon's reduced state
-follows from the phonon state by the binomial amplitudes of a beam
-splitter (Campos, Saleh and Teich, Phys. Rev. A 40, 1371, 1989). Nothing
-in this module reuses the closed-form moment algebra it is meant to
-check.
+eigendecomposition. Dissipative evolution is the master equation's exact
+solution, a thermal-loss channel, applied in the number basis as a
+pure-loss channel followed by a quantum-limited amplifier, with no time
+steps; the free rotation commutes with it and is applied exactly at the
+end. The probe read-out needs no photon register: the exchange moves the
+bright field's displacement out exactly and conserves the total number of
+quanta, so the detected photon's reduced state is the pure-loss output of
+the phonon state, with the binomial amplitudes of a beam splitter
+(Campos, Saleh and Teich, Phys. Rev. A 40, 1371, 1989). Nothing in this
+module reuses the closed-form moment algebra it is meant to check.
 """
 
 from __future__ import annotations
@@ -40,14 +40,6 @@ _TAIL_TOL = 1e-8
 MOMENT_TOL = 1e-6
 PROBE_TOL = 1e-4
 
-# Absolute moment-error budget steering the default integrator step. In
-# the rotating frame the moments relax at rates of at most lambda, so
-# their global Runge-Kutta error grows like tau * lambda^5 * dt^4 / 120.
-_RK4_ERROR_BUDGET = 3e-10
-# Largest |h * eigenvalue| the default step allows: inside classical
-# RK4's real-axis stability interval [-2.785, 0], with a margin.
-_RK4_STABLE_Z = 2.5
-
 
 class TruncationError(RuntimeError):
     """Hilbert-space cutoff too small for the state it must hold."""
@@ -58,7 +50,7 @@ class TruncationError(RuntimeError):
 
 
 class StepSizeError(RuntimeError):
-    """Integrator step produced unacceptable trace drift."""
+    """Damped evolution lost more trace past the cutoff than the guard allows."""
 
 
 @dataclass(frozen=True)
@@ -200,117 +192,108 @@ def apply_pump_exact(
     return FockDensityMatrix(d, u @ state.rho @ u.conj().T)
 
 
-def _lindblad_tables(dim: int, bath: BathSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise drift and shifted-jump weights of the rotating-frame generator.
+def _binomial(dim: int, keep: float, lose: float) -> np.ndarray:
+    """Binomial table W[n, m] = C(n, m) keep^m lose^(n-m) for n, m < dim.
 
-    In the number basis the generator touches rho[j, k] only through the
-    same element and its (j+1, k+1) / (j-1, k-1) neighbours, so the
-    right-hand side is three elementwise products instead of matrix
-    multiplications. The free rotation -i omega (j - k) is left out: it
-    is constant along each of those couplings, so it commutes with the
-    dissipator and evolve_lindblad_exact applies it exactly at the end.
+    keep + lose is 1; the caller forms each without cancellation. The
+    Pascal recurrence adds positive terms only, so it neither overflows
+    nor cancels.
     """
-    j = np.arange(dim, dtype=float)
-    lam = bath.damping_rate
-    nb = bath.n_bath
-    total = j[:, None] + j[None, :]
-    drift = -0.5 * lam * (1.0 + nb) * total - 0.5 * lam * nb * (total + 2.0)
-    root = np.sqrt(j)
-    up = lam * (1.0 + nb) * np.outer(root[1:], root[1:])  # from rho[j+1, k+1]
-    down = lam * nb * np.outer(root[1:], root[1:])  # from rho[j-1, k-1]
-    return drift, up, down
+    w = np.zeros((dim, dim))
+    w[0, 0] = 1.0
+    for n in range(1, dim):
+        w[n, : n + 1] = lose * w[n - 1, : n + 1]
+        w[n, 1 : n + 1] += keep * w[n - 1, :n]
+    return w
 
 
-def _lindblad_rhs(
-    rho: np.ndarray, drift: np.ndarray, up: np.ndarray, down: np.ndarray
-) -> np.ndarray:
-    out = drift * rho
-    out[:-1, :-1] += up * rho[1:, 1:]
-    out[1:, 1:] += down * rho[:-1, :-1]
-    return out
+def _loss(rho: np.ndarray, amp: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Pure-loss channel, or its adjoint, on a Hermitian rho in the number basis.
 
-
-def _stable_step(bath: BathSpec, dim: int) -> float:
-    """Largest RK4 step that is stable for the rotating-frame generator.
-
-    Each band j - k = const of the generator is tridiagonal with
-    off-diagonal products >= 0, so its spectrum is real. In every column
-    the off-diagonal sum is at most the diagonal's magnitude, so by
-    Gershgorin's theorem on the columns the spectrum lies in
-    [-2 lambda (1 + 2 n_bath) dim, 0] at this cutoff.
+    amp is the elementwise square root of _binomial(dim, T, 1 - T) for
+    transmissivity T. The channel keeps m of n quanta with amplitude
+    amp[n, m], so out[j, k] = sum_l amp[j+l, j] amp[k+l, k] rho[j+l, k+l];
+    the adjoint reads out[j, k] = sum_l amp[j, j-l] amp[k, k-l] rho[j-l, k-l].
+    Both cost O(dim^3).
     """
-    stiffness = 2.0 * bath.damping_rate * (1.0 + 2.0 * bath.n_bath) * dim
-    return _RK4_STABLE_Z / stiffness if stiffness > 0 else math.inf
+    if adjoint:
+        # Reversing the level order turns the adjoint into the channel
+        # with the weights transposed.
+        return _loss(rho[::-1, ::-1], amp.T[::-1, ::-1])[::-1, ::-1]
+    d = len(rho)
+    # The map is real, keeps each element on its band j - k and weighs
+    # (j, k) like (k, j), so the real lower triangle and the imaginary
+    # strict upper triangle of rho go through it apart, in one real matrix.
+    pad = np.zeros((2 * d, 2 * d))
+    pad[:d, :d] = np.tril(rho.real) + np.triu(rho.imag, 1)
+    wts = np.zeros((2 * d, d))
+    wts[:d] = amp
+    # Zero-padded strided views: shifted[l, j, k] = rho[j+l, k+l] and
+    # col[l, j] = amp[j+l, j]. The ndarray constructor checks that they
+    # stay inside their buffers.
+    s0, s1 = pad.strides
+    shifted = np.ndarray((d, d, d), buffer=pad, strides=(s0 + s1, s0, s1))
+    t0, t1 = wts.strides
+    col = np.ndarray((d, d), buffer=wts, strides=(t0, t0 + t1))
+    x = np.einsum("lj,lk,ljk->jk", col, col, shifted)
+    lower = np.tril(x, -1)
+    upper = np.triu(x, 1)
+    return np.diag(np.diag(x)) + lower + lower.T + 1j * (upper - upper.T)
 
 
-def default_step(tau: float, bath: BathSpec, dim: int = DEFAULT_PHONON_DIM) -> float:
-    """Integrator step meeting the stability bound at cutoff dim and the accuracy budget."""
-    dt = _stable_step(bath, dim)
-    lam = bath.damping_rate
-    if tau > 0 and lam > 0:
-        dt = min(dt, (120.0 * _RK4_ERROR_BUDGET / (tau * lam**5)) ** 0.25)
-    return min(dt, tau) if tau > 0 else dt
+# Unused by the package; kept only for perfbench/spans.py until ROADMAP item 1.
+def default_step(tau: float, bath: BathSpec) -> float:
+    """The whole delay: evolve_lindblad_exact applies one channel per call."""
+    return tau
 
 
 def evolve_lindblad_exact(
     state: FockDensityMatrix,
     tau: float,
     bath: BathSpec,
-    dt: float | None = None,
     return_drift: bool = False,
 ):
-    """Integrate the damped-mode master equation with classical RK4.
+    """Apply the damped mode's exact channel over the delay tau.
 
-    The dissipator is integrated in the frame rotating with the mode and
-    the free rotation exp(-i omega (j - k) tau) is applied exactly at the
-    end, so the step is set by damping alone. dt defaults to a step that
-    keeps h times the generator's Gershgorin bound 2 lambda (1 + 2 n_bath)
-    dim inside RK4's stability interval and meets an accuracy budget
-    keeping the accumulated moment error near 1e-10; a given dt above the
-    stability bound raises ValueError. Trace drift beyond 1e-6 raises
-    StepSizeError; smaller drift (population leaking past the truncation
-    boundary, plus roundoff) is renormalized away and reported when
-    return_drift is set.
+    The master equation's solution is the thermal attenuator with
+    transmissivity eta = exp(-lambda tau) and environment occupation
+    n_bath. It is a pure-loss channel of transmissivity eta / G followed
+    by a quantum-limited amplifier of gain G = 1 + (1 - eta) n_bath
+    (Caruso, Giovannetti and Holevo, New J. Phys. 8, 310, 2006;
+    Garcia-Patron et al., Phys. Rev. Lett. 108, 110505, 2012), and the
+    amplifier is 1/G times the adjoint of the loss channel of
+    transmissivity 1/G. Both are exact at any cutoff: the loss moves
+    population down only, and the amplifier's output below the cutoff
+    reads only levels below it. The free rotation exp(-i omega (j - k)
+    tau) commutes with both and is applied at the end. Population the
+    amplifier pushes past the cutoff is lost trace: a drift beyond 1e-6
+    raises StepSizeError, and a smaller one is renormalized away and
+    reported when return_drift is set.
     """
     if tau < 0 or not math.isfinite(tau):
         raise ValueError(f"tau must be >= 0 and finite, got {tau}")
     if tau == 0.0:
         return (state, 0.0) if return_drift else state
-    bound = _stable_step(bath, state.dim)
-    if dt is None:
-        dt = default_step(tau, bath, state.dim)
-    elif dt <= 0 or dt > bound:
-        raise ValueError(
-            f"dt = {dt} violates the stability bound {bound:.3e}"
-        )
-    steps = max(1, int(math.ceil(tau / dt)))
-    h = tau / steps
-    drift, up, down = _lindblad_tables(state.dim, bath)
-    # The rotating-frame generator has real coefficients and keeps every
-    # element on its band j - k, so the real part of the lower triangle
-    # and the imaginary part of the strict upper triangle evolve apart;
-    # one real matrix holds both, which halves the arithmetic, and the
-    # Hermitian matrix rebuilt from it is exactly Hermitian.
-    x = np.tril(state.rho.real) + np.triu(state.rho.imag, 1)
-    for _ in range(steps):
-        k1 = _lindblad_rhs(x, drift, up, down)
-        k2 = _lindblad_rhs(x + 0.5 * h * k1, drift, up, down)
-        k3 = _lindblad_rhs(x + 0.5 * h * k2, drift, up, down)
-        k4 = _lindblad_rhs(x + h * k3, drift, up, down)
-        x += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    tr = float(np.trace(x))
-    drift_err = abs(tr - 1.0)
-    if drift_err > 1e-6:
+    d = state.dim
+    nb = bath.n_bath
+    # 1 - eta, and from it 1 - eta/G and 1 - 1/G by products only.
+    eta = math.exp(-bath.damping_rate * tau)
+    lost = -math.expm1(-bath.damping_rate * tau)
+    gain = 1.0 + lost * nb
+    attenuate = np.sqrt(_binomial(d, eta / gain, lost * (1.0 + nb) / gain))
+    amplify = np.sqrt(_binomial(d, 1.0 / gain, lost * nb / gain))
+    rho = _loss(_loss(state.rho, attenuate), amplify, adjoint=True) / gain
+    tr = float(np.trace(rho).real)
+    drift = abs(tr - 1.0)
+    if drift > 1e-6:
         raise StepSizeError(
-            f"trace drifted by {drift_err:.3e} over {steps} steps; reduce dt"
+            f"trace drifted by {drift:.3e}: the bath pushed population past "
+            f"the cutoff {d}; raise it"
         )
-    lower = np.tril(x, -1)
-    upper = np.triu(x, 1)
-    rho = (np.diag(np.diag(x)) + lower + lower.T) + 1j * (upper - upper.T)
-    j = np.arange(state.dim)
+    j = np.arange(d)
     rho *= np.exp(-1j * bath.omega_rad_ps * tau * (j[:, None] - j[None, :])) / tr
-    out = FockDensityMatrix(state.dim, rho)
-    return (out, drift_err) if return_drift else out
+    out = FockDensityMatrix(d, rho)
+    return (out, drift) if return_drift else out
 
 
 def probe_exact(rho_phonon: FockDensityMatrix, probe: ProbeSpec) -> ObservablePair:
@@ -333,21 +316,12 @@ def probe_exact(rho_phonon: FockDensityMatrix, probe: ProbeSpec) -> ObservablePa
     d = rho_phonon.dim
     s, c = math.sin(probe.coupling_norm), math.cos(probe.coupling_norm)
     # |B|^2 along each sector k = p + q is the binomial distribution
-    # C(k, p) s^2p c^2(k-p); its Pascal recurrence adds positive terms
-    # only, so it neither overflows nor cancels, at any angle.
-    weights = np.zeros((d, d))
-    weights[0, 0] = 1.0
-    for k in range(1, d):
-        weights[k, : k + 1] = c * c * weights[k - 1, : k + 1]
-        weights[k, 1 : k + 1] += s * s * weights[k - 1, :k]
-    amp = np.sqrt(weights)
-
+    # C(k, p) s^2p c^2(k-p): the photon is the pure-loss output of the
+    # phase-rotated phonon at transmissivity s^2.
     rot = np.exp(1j * probe.phase_diff * np.arange(d))
     rho = rot[:, None] * rho_phonon.rho * rot.conj()[None, :]
     rho_ph = np.zeros((d + 2, d + 2), dtype=complex)
-    for q in range(d):
-        col = np.diagonal(amp, -q)  # |B[p, q]| for p = 0 .. d-1-q
-        rho_ph[: d - q, : d - q] += rho[q:, q:] * np.outer(col, col)
+    rho_ph[:d, :d] = _loss(rho, np.sqrt(_binomial(d, s * s, c * c)))
     # The phases (-i sign(s))^p of B; the sign of c cancels between B and
     # its conjugate.
     phase = np.array([1.0, -1j, -1.0, 1j])[np.arange(d + 2) % 4]
@@ -362,14 +336,6 @@ def probe_exact(rho_phonon: FockDensityMatrix, probe: ProbeSpec) -> ObservablePa
     mean = float(np.einsum("ij,ji->", number, rho_ph).real)
     second = float(np.einsum("ij,ji->", number @ number, rho_ph).real)
     return ObservablePair(mean, second - mean * mean)
-
-
-def quadrature_variances_exact(state: FockDensityMatrix) -> tuple[float, float]:
-    """Variances of (b+b†)/sqrt(2) and (b-b†)/(i sqrt(2)) by direct trace."""
-    m, occ, anom = state.moments()
-    pos = occ + 0.5 + anom.real - 2.0 * m.real**2
-    mom = occ + 0.5 - anom.real - 2.0 * m.imag**2
-    return float(pos), float(mom)
 
 
 @dataclass(frozen=True)

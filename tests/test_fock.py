@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from scipy.linalg import eigh, expm
 
 from isrsim import BathSpec, ProbeSpec, apply_pump, evolve, thermal_state
 from isrsim.fock import (
@@ -14,11 +16,9 @@ from isrsim.fock import (
     TruncationError,
     apply_pump_exact,
     build_thermal_fock,
-    default_step,
     embed,
     evolve_lindblad_exact,
     probe_exact,
-    quadrature_variances_exact,
     suggest_dim,
     truncate,
 )
@@ -26,33 +26,41 @@ from isrsim.states import conjugate_quadrature_variance, quadrature_variance
 
 OMEGA = 2.0 * math.pi * 3.84
 
-# Left edge of classical RK4's real-axis stability interval: the negative
-# root of 1 + z + z^2/2 + z^3/6 + z^4/24 = 1.
-RK4_REAL_EDGE = -2.785293563405282
 
+def _rotating_band(dim, bath, m):
+    """Band m of the truncated rotating-frame Lindblad generator.
 
-def _rk4_gain(z):
-    return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
-
-
-def _rotating_spectrum(dim, bath):
-    """Eigenvalues of the rotating-frame Lindblad generator, band by band.
-
-    Band m holds rho[k + m, k]; the band -m is its mirror and has the
-    same spectrum.
+    Band m holds rho[k + m, k]; the band -m is its mirror.
     """
     lam, nb = bath.damping_rate, bath.n_bath
-    eigs = []
-    for m in range(dim):
-        k = np.arange(dim - m, dtype=float)
-        j = k + m
-        band = np.diag(-0.5 * lam * ((1.0 + 2.0 * nb) * (j + k) + 2.0 * nb))
-        # rho[j, k] gains from rho[j+1, k+1] (emission) and rho[j-1, k-1]
-        # (absorption).
-        band += np.diag(lam * (1.0 + nb) * np.sqrt((j[:-1] + 1.0) * (k[:-1] + 1.0)), 1)
-        band += np.diag(lam * nb * np.sqrt(j[1:] * k[1:]), -1)
-        eigs.append(np.linalg.eigvals(band))
-    return np.concatenate(eigs)
+    k = np.arange(dim - m, dtype=float)
+    j = k + m
+    band = np.diag(-0.5 * lam * ((1.0 + 2.0 * nb) * (j + k) + 2.0 * nb))
+    # rho[j, k] gains from rho[j+1, k+1] (emission) and rho[j-1, k-1]
+    # (absorption).
+    band += np.diag(lam * (1.0 + nb) * np.sqrt((j[:-1] + 1.0) * (k[:-1] + 1.0)), 1)
+    band += np.diag(lam * nb * np.sqrt(j[1:] * k[1:]), -1)
+    return band
+
+
+def _banded_expm(rho, tau, bath):
+    """Master equation by a dense expm of each band, then the free rotation."""
+    d = rho.shape[0]
+    out = np.zeros((d, d), dtype=complex)
+    for m in range(d):
+        k = np.arange(d - m)
+        out[k + m, k] = expm(tau * _rotating_band(d, bath, m)) @ np.diagonal(rho, -m)
+        out[k, k + m] = out[k + m, k].conj()
+    j = np.arange(d)
+    return out * np.exp(-1j * bath.omega_rad_ps * tau * (j[:, None] - j[None, :]))
+
+
+def _quadrature_variances(state):
+    """Variances of (b+b†)/sqrt(2) and (b-b†)/(i sqrt(2)) by direct trace."""
+    m, occ, anom = state.moments()
+    pos = occ + 0.5 + anom.real - 2.0 * m.real**2
+    mom = occ + 0.5 - anom.real - 2.0 * m.imag**2
+    return float(pos), float(mom)
 
 
 def _lab_frame_rk4(rho, tau, bath, steps):
@@ -203,27 +211,57 @@ def test_lindblad_zero_delay_is_identity():
     assert rho is rho0
 
 
-def test_lindblad_step_guards():
-    bath = BathSpec(OMEGA, 0.5, 0.2)
-    rho0 = build_thermal_fock(0.3, 32)
-    with pytest.raises(ValueError, match="stability"):
-        evolve_lindblad_exact(rho0, 1.0, bath, dt=1.0)
-    hot = BathSpec(OMEGA, 2.0, 2.0)
-    for spec in (bath, hot):
-        stiffness = 2.0 * spec.damping_rate * (1.0 + 2.0 * spec.n_bath)
-        for dim in (32, 64, 96, 152):
-            dt = default_step(1.0, spec, dim)
-            assert RK4_REAL_EDGE < -dt * stiffness * dim < 0.0
-            # The bound holds for the true spectrum, not only Gershgorin's.
-            spectrum = _rotating_spectrum(dim, spec)
-            assert np.all(spectrum.real >= -stiffness * dim)
-            assert np.max(np.abs(_rk4_gain(dt * spectrum))) <= 1.0 + 1e-12
-    # At a hot bath the stability bound sets the default step, and a step
-    # just above it is refused.
-    dt = default_step(1.0, hot, rho0.dim)
-    evolve_lindblad_exact(rho0, 0.05, hot, dt=dt)
-    with pytest.raises(ValueError, match="stability"):
-        evolve_lindblad_exact(rho0, 0.05, hot, dt=1.01 * dt)
+def test_lindblad_matches_banded_expm_reference():
+    # Pure loss (n_bath = 0); n_bath = 1e-3 with |c1| = 4, where the bands
+    # are strongly non-normal; and a hot bath at cutoff 152. Each state
+    # has negligible top-level mass, so the truncated generator's boundary
+    # does not show.
+    for nb, c1, dim in ((0.0, 0.5 + 0.3j, 48), (1e-3, 2.4 + 3.2j, 80), (2.0, 0.5, 152)):
+        bath = BathSpec(OMEGA, 1.5, nb)
+        rho0 = apply_pump_exact(build_thermal_fock(nb, dim), c1, 0.1j)
+        assert rho0.rho[-1, -1].real < 1e-15
+        got = evolve_lindblad_exact(rho0, 0.9, bath)
+        ref = _banded_expm(rho0.rho, 0.9, bath)
+        assert np.max(np.abs(got.rho - ref)) <= 1e-12
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    nb=hs.floats(0.0, 2.0),
+    lam=hs.floats(0.5, 2.0),
+    decay=hs.floats(0.0, 6.0),
+    split=hs.floats(0.0, 1.0),
+    c1=hs.complex_numbers(max_magnitude=1.0),
+    r=hs.floats(0.0, 0.5),
+    psi=hs.floats(-math.pi, math.pi),
+    phi=hs.floats(-math.pi, math.pi),
+)
+def test_lindblad_channel_properties(nb, lam, decay, split, c1, r, psi, phi):
+    # Semigroup law, phase covariance and physicality of the channel, at
+    # 1.25 times the cutoff the oracle would pick, so that the population
+    # pushed past it stays far below the tolerances.
+    bath = BathSpec(OMEGA, lam, nb)
+    c2 = 0.5 * r * cmath.exp(1j * psi)
+    fast = apply_pump(thermal_state(nb), c1, c2)
+    n_eff = fast.central_occupation + abs(fast.central_anomalous)
+    dim = 8 * math.ceil(1.25 * suggest_dim(n_eff, abs(fast.mean_b) ** 2) / 8)
+    rho0 = apply_pump_exact(build_thermal_fock(nb, dim), c1, c2)
+    tau = decay / lam
+    whole = evolve_lindblad_exact(rho0, tau, bath)
+    halves = evolve_lindblad_exact(
+        evolve_lindblad_exact(rho0, split * tau, bath), tau - split * tau, bath
+    )
+    assert np.max(np.abs(halves.rho - whole.rho)) <= 1e-12
+
+    rot = np.exp(1j * phi * np.arange(dim))
+    turned = FockDensityMatrix(dim, rot[:, None] * rho0.rho * rot.conj()[None, :])
+    expect = rot[:, None] * whole.rho * rot.conj()[None, :]
+    assert np.max(np.abs(evolve_lindblad_exact(turned, tau, bath).rho - expect)) <= 1e-12
+
+    rho = whole.rho
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14
+    assert abs(np.trace(rho).real - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-14
 
 
 def test_rotating_frame_matches_lab_frame():
@@ -366,11 +404,11 @@ def test_probe_exact_ignores_zero_padding(theta):
 
 def test_quadrature_variances_exact_matches_closed_form():
     st_fock = apply_pump_exact(build_thermal_fock(0.6, 48), 0.0, 0.15)
-    pos, mom = quadrature_variances_exact(st_fock)
+    pos, mom = _quadrature_variances(st_fock)
     st = apply_pump(thermal_state(0.6), 0.0, 0.15)
     assert pos == pytest.approx(quadrature_variance(st), rel=1e-8)
     assert mom == pytest.approx(conjugate_quadrature_variance(st), rel=1e-8)
     # Thermal state: both quadratures at n + 1/2.
-    tpos, tmom = quadrature_variances_exact(build_thermal_fock(0.9, 40))
+    tpos, tmom = _quadrature_variances(build_thermal_fock(0.9, 40))
     assert tpos == pytest.approx(1.4, abs=1e-9)
     assert tmom == pytest.approx(1.4, abs=1e-9)

@@ -40,8 +40,8 @@ CHEAP_CASES = [
 ]
 
 
-# A default-range draw whose small anomalous moment (|<b^2>| = 7.5e-3
-# after the delay) the pump-stage cutoff of 40 cannot resolve to 1e-6.
+# A default-range draw with a small anomalous moment (|<b^2>| = 7.5e-3
+# after the delay), at the pump-stage cutoff of 40 that suggest_dim picks.
 SMALL_ANOMALOUS = CrossCheckCase(
     thermal_n=1.31804,
     c1=0.063132 + 0.217340j,
@@ -146,23 +146,19 @@ def test_default_grid_is_deterministic():
     assert default_grid(seed=1) != default_grid(seed=2)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "suggest_dim picks a pump-stage cutoff of 40 for this case; its "
-        "top-decile tail mass (2.5e-9) passes the 1e-8 guard, but that guard "
-        "does not bound the relative error of a small moment, and the "
-        "truncated anomalous moment is off by 2.6e-6 after the delay"
-    ),
-)
 def test_cross_validate_resolves_small_anomalous_moment():
+    # At cutoff 40 the evolved anomalous moment is 1.7e-7 off, and the
+    # pump stage 9.1e-8: the truncated master-equation generator, with its
+    # boundary at the top level, would leave it 2.6e-6 off here.
     result = cross_validate([SMALL_ANOMALOUS])[0]
+    assert result.passed
+    assert result.phonon_dim == 40
     assert result.moment_errors["evolve_anomalous"] < 1e-6
 
 
 def test_small_anomalous_moment_resolved_at_larger_cutoff():
-    # The same stages at cutoff 64 agree with the closed form, so the
-    # error above comes from the cutoff, not from the integrator.
+    # At cutoff 64 the same stages agree with the closed form to 1e-9:
+    # what is left above is the truncation of the pump stage at 40.
     case = SMALL_ANOMALOUS
     bath = BathSpec(case.omega, case.damping_rate, case.thermal_n)
     exact = apply_pump_exact(build_thermal_fock(case.thermal_n, 64), case.c1, case.c2)
