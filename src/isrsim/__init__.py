@@ -42,7 +42,6 @@ from .fock import (
     CrossCheckCase,
     CrossCheckResult,
     FockDensityMatrix,
-    StepSizeError,
     TruncationError,
     apply_pump_exact,
     build_thermal_fock,

@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
 from pathlib import Path
@@ -45,7 +46,7 @@ from .detector import (
     scan_experiment,
     shot_noise_scan,
 )
-from .fock import StepSizeError, TruncationError, cross_validate
+from .fock import TruncationError, cross_validate
 from .probe import predict_trace
 from .states import PhysicalityError, pump_coefficients
 
@@ -314,17 +315,16 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     if "csv" in out.formats and not s["statistics_only"]:
         # Per-pulse voltage histograms at three sample delays, drawn in
         # turn from the streams of the scan row past the ones the averages
-        # consumed.
-        trace = predict_trace(pump, bath, probe, cfg.initial_occupation(), delays)
+        # consumed, with the reference arm balanced as in the scan.
         streams = row_streams(s["seed"], s["m_scans"])
         for idx in sorted({0, delays.size // 2, delays.size - 1}):
             ens = sample_pulse_ensemble(
-                trace[idx, 1],
-                trace[idx, 2],
+                res.model_trace[idx, 1],
+                res.model_trace[idx, 2],
                 det,
                 n_pulses=s["n_pulses"],
                 streams=streams,
-                baseline_mean_ny=trace[0, 1],
+                baseline_mean_ny=res.baseline_mean_ny,
             )
             counts, edges = np.histogram(ens.samples, bins=_HISTOGRAM_BINS)
             out.csv(
@@ -582,7 +582,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override scan.seed")
     common.add_argument("--out", default=None, help="override outputs.directory")
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1, help="threads per scan's rows")
+    threads.add_argument(
+        "--threads",
+        type=int,
+        default=len(os.sched_getaffinity(0)),
+        help="threads for a scan's per-pulse rows (default: the usable cores)",
+    )
 
     parser = argparse.ArgumentParser(
         prog="isrsim",
@@ -615,7 +620,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, StepSizeError, PhysicalityError, ArithmeticError) as exc:
+    except (TruncationError, PhysicalityError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except FitError as exc:

@@ -32,6 +32,9 @@ from .states import BathSpec, PumpSpec, thermal_state
 PHOTONS_PER_PULSE_PER_MW = 4.0e5
 # Photonic part of the voltage variance that calibrated_gain targets (V^2).
 PHOTONIC_VAR_V2 = 0.9
+# Pulses a per-pulse scan row draws per block of bursts: fewer, larger
+# numpy calls per delay cell, with 0.5 MB of photon buffer per row.
+_BLOCK_PULSES = 32768
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,9 @@ class ScanResult:
 
     dt_mean and dt_var are scan averages; per_scan_mean / per_scan_var
     keep the individual scans as (m_scans, n_delays) matrices.
+    model_trace holds the noiseless predict_trace rows (delay, mean_ny,
+    var_ny) the cells were drawn from, and baseline_mean_ny the unpumped
+    photon mean the reference arm was balanced against.
     """
 
     delays: np.ndarray
@@ -101,6 +107,8 @@ class ScanResult:
     dt_var: np.ndarray
     per_scan_mean: np.ndarray = field(repr=False)
     per_scan_var: np.ndarray = field(repr=False)
+    model_trace: np.ndarray = field(repr=False)
+    baseline_mean_ny: float
 
     def __post_init__(self) -> None:
         if np.any(self.dt_var < 0):
@@ -128,6 +136,69 @@ def _resolve_reference(det: DetectorSpec, baseline_mean_ny: float) -> float:
     return baseline_mean_ny
 
 
+def _check_burst(n_pulses: int, var_ny) -> None:
+    if n_pulses < 2:
+        raise ValueError("n_pulses must be at least 2")
+    if np.any(np.asarray(var_ny) < 0):
+        raise ValueError("var_ny must be >= 0")
+
+
+def _burst_buffers(
+    k: int, n_pulses: int, det: DetectorSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Photon and electronic buffers for k bursts, as _write_bursts fills them.
+
+    Each burst's electronic draws are its noise term, then its drift
+    term, each present only when det switches it on.
+    """
+    terms = (det.electronic_var > 0) + (det.drift_rms_v > 0)
+    return np.empty((k, 2, n_pulses)), np.empty((k, terms, n_pulses))
+
+
+def _write_bursts(
+    photon: np.ndarray,
+    elec: np.ndarray,
+    mean_ny: np.ndarray,
+    var_ny: np.ndarray,
+    det: DetectorSpec,
+    ref_photons: float,
+    streams: tuple[np.random.Generator, np.random.Generator],
+) -> np.ndarray:
+    """Draw consecutive bursts into the buffers; return their voltages.
+
+    Burst i has photon mean mean_ny[i] and variance var_ny[i]. The
+    buffers come from _burst_buffers and are overwritten; the (k,
+    n_pulses) voltages are photon[:, 0]. The signal arm is eta mean +
+    sd z0, the reference arm eta ref + ref_sd z1; their difference is
+    scaled by the gain, offset by the unbalance, and then gets the
+    electronic noise and the drift random walk, in that order. The draws
+    fill the buffers burst by burst, so k bursts at once take from the
+    streams, and give, exactly what k bursts one at a time would.
+    """
+    eta = det.quantum_efficiency
+    rng_photon, rng_elec = streams
+    rng_photon.standard_normal(out=photon)
+    signal, reference = photon[:, 0], photon[:, 1]
+    signal *= np.sqrt(eta * eta * var_ny + eta * (1.0 - eta) * mean_ny)[:, None]
+    signal += (eta * mean_ny)[:, None]
+    reference *= math.sqrt(eta * ref_photons)
+    reference += eta * ref_photons
+    signal -= reference
+    signal *= det.gain_v_per_photon
+    signal += det.unbalance_v
+    rng_elec.standard_normal(out=elec)
+    if det.electronic_var > 0:
+        noise = elec[:, 0]
+        noise *= math.sqrt(det.electronic_var)
+        signal += noise
+    if det.drift_rms_v > 0:
+        walk = elec[:, -1]
+        walk *= det.drift_rms_v
+        np.cumsum(walk, axis=1, out=walk)
+        signal += walk
+    return signal
+
+
 def sample_pulse_ensemble(
     mean_ny: float,
     var_ny: float,
@@ -143,29 +214,57 @@ def sample_pulse_ensemble(
     balanced-reference default; it falls back to mean_ny itself when not
     given (perfectly balanced at this point).
     """
-    if n_pulses < 2:
-        raise ValueError("n_pulses must be at least 2")
-    if var_ny < 0:
-        raise ValueError("var_ny must be >= 0")
-    eta = det.quantum_efficiency
+    _check_burst(n_pulses, var_ny)
     ref_photons = _resolve_reference(
         det, mean_ny if baseline_mean_ny is None else baseline_mean_ny
     )
-    rng_photon, rng_elec = streams
-    z = rng_photon.standard_normal((2, n_pulses))
-    sig_sd = math.sqrt(eta * eta * var_ny + eta * (1.0 - eta) * mean_ny)
-    signal = eta * mean_ny + sig_sd * z[0]
-    reference = eta * ref_photons + math.sqrt(eta * ref_photons) * z[1]
-    volts = det.gain_v_per_photon * (signal - reference) + det.unbalance_v
-    if det.electronic_var > 0:
-        volts = volts + math.sqrt(det.electronic_var) * rng_elec.standard_normal(
-            n_pulses
+    volts = _write_bursts(
+        *_burst_buffers(1, n_pulses, det),
+        np.array([mean_ny], dtype=float),
+        np.array([var_ny], dtype=float),
+        det,
+        ref_photons,
+        streams,
+    )
+    return PulseEnsemble(samples=volts[0])
+
+
+def _pulse_row(
+    means: np.ndarray,
+    variances: np.ndarray,
+    det: DetectorSpec,
+    n_pulses: int,
+    streams: tuple[np.random.Generator, np.random.Generator],
+    ref_photons: float,
+) -> np.ndarray:
+    """(mean, ddof-1 variance) of one burst per delay, drawn in delay order.
+
+    The row draws _BLOCK_PULSES pulses' worth of bursts at a time into one
+    pair of reused buffers. The statistics are computed as np.mean and
+    np.var(ddof=1) compute them: a pairwise sum divided by N, then the
+    squared deviations from that mean summed and divided by N - 1, so a
+    cell equals PulseEnsemble's bit for bit.
+    """
+    k = max(1, _BLOCK_PULSES // n_pulses)
+    photon, elec = _burst_buffers(min(k, means.size), n_pulses, det)
+    cells = np.empty((2, means.size))
+    for a in range(0, means.size, k):
+        b = min(a + k, means.size)
+        volts = _write_bursts(
+            photon[: b - a],
+            elec[: b - a],
+            means[a:b],
+            variances[a:b],
+            det,
+            ref_photons,
+            streams,
         )
-    if det.drift_rms_v > 0:
-        volts = volts + np.cumsum(
-            det.drift_rms_v * rng_elec.standard_normal(n_pulses)
-        )
-    return PulseEnsemble(samples=volts)
+        mean = np.add.reduce(volts, axis=1) / n_pulses
+        volts -= mean[:, None]
+        volts *= volts
+        cells[0, a:b] = mean
+        cells[1, a:b] = np.add.reduce(volts, axis=1) / (n_pulses - 1)
+    return cells
 
 
 def voltage_statistics(
@@ -253,8 +352,10 @@ def scan_experiment(
     draws one burst of n_pulses pulses at a time.
 
     seed may be an int or a sequence of ints (a stream prefix). threads
-    > 1 computes the rows on a thread pool; the rows are independent
-    streams, so the result is bit-identical to the serial one.
+    > 1 computes per-pulse rows on a thread pool; the rows are independent
+    streams, so the result is bit-identical to the serial one. A
+    statistics-only row takes tens of microseconds, less than handing it
+    to a thread, so those rows always run serially.
     """
     if m_scans < 1:
         raise ValueError("m_scans must be at least 1")
@@ -263,26 +364,29 @@ def scan_experiment(
     baseline = probe_mean(thermal_state(n), probe)
     taus, means, variances = trace.T
 
-    def row(s: int) -> np.ndarray:
-        streams = row_streams(seed, s)
-        if statistics_only:
-            stats_row = sample_scan_statistics(
-                means, variances, det, n_pulses, streams, baseline
+    if statistics_only:
+        rows = [
+            np.array(
+                sample_scan_statistics(
+                    means, variances, det, n_pulses, row_streams(seed, s), baseline
+                )
             )
-            return np.array(stats_row)
-        cells = np.empty((2, taus.size))
-        for d in range(taus.size):
-            ens = sample_pulse_ensemble(
-                means[d], variances[d], det, n_pulses, streams, baseline
-            )
-            cells[:, d] = ens.mean(), ens.variance()
-        return cells
-
-    if threads > 1 and m_scans > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, m_scans)) as pool:
-            rows = list(pool.map(row, range(m_scans)))
+            for s in range(m_scans)
+        ]
     else:
-        rows = [row(s) for s in range(m_scans)]
+        _check_burst(n_pulses, variances)
+        ref_photons = _resolve_reference(det, baseline)
+
+        def row(s: int) -> np.ndarray:
+            return _pulse_row(
+                means, variances, det, n_pulses, row_streams(seed, s), ref_photons
+            )
+
+        if threads > 1 and m_scans > 1:
+            with ThreadPoolExecutor(max_workers=min(threads, m_scans)) as pool:
+                rows = list(pool.map(row, range(m_scans)))
+        else:
+            rows = [row(s) for s in range(m_scans)]
     per_scan_mean, per_scan_var = np.stack(rows, axis=1)
     return ScanResult(
         delays=taus,
@@ -290,6 +394,8 @@ def scan_experiment(
         dt_var=per_scan_var.mean(axis=0),
         per_scan_mean=per_scan_mean,
         per_scan_var=per_scan_var,
+        model_trace=trace,
+        baseline_mean_ny=baseline,
     )
 
 

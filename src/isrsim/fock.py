@@ -49,10 +49,6 @@ class TruncationError(RuntimeError):
         self.suggested_dim = suggested_dim
 
 
-class StepSizeError(RuntimeError):
-    """Damped evolution lost more trace past the cutoff than the guard allows."""
-
-
 @dataclass(frozen=True)
 class FockDensityMatrix:
     """Density matrix in the truncated number basis.
@@ -267,8 +263,8 @@ def evolve_lindblad_exact(
     reads only levels below it. The free rotation exp(-i omega (j - k)
     tau) commutes with both and is applied at the end. Population the
     amplifier pushes past the cutoff is lost trace: a drift beyond 1e-6
-    raises StepSizeError, and a smaller one is renormalized away and
-    reported when return_drift is set.
+    raises TruncationError suggesting twice the cutoff, and a smaller one
+    is renormalized away and reported when return_drift is set.
     """
     if tau < 0 or not math.isfinite(tau):
         raise ValueError(f"tau must be >= 0 and finite, got {tau}")
@@ -286,9 +282,10 @@ def evolve_lindblad_exact(
     tr = float(np.trace(rho).real)
     drift = abs(tr - 1.0)
     if drift > 1e-6:
-        raise StepSizeError(
+        raise TruncationError(
             f"trace drifted by {drift:.3e}: the bath pushed population past "
-            f"the cutoff {d}; raise it"
+            f"the cutoff {d}; retry with dim >= {2 * d}",
+            suggested_dim=2 * d,
         )
     j = np.arange(d)
     rho *= np.exp(-1j * bath.omega_rad_ps * tau * (j[:, None] - j[None, :])) / tr

@@ -123,7 +123,10 @@ def test_scan_threads_match_serial(tmp_path):
         cfg = write_cfg(tmp_path, text, name=f"{name}.yaml")
         serial = tmp_path / f"{name}_serial"
         threaded = tmp_path / f"{name}_threaded"
-        assert cli.main(["scan", "--config", cfg, "--out", str(serial)]) == 0
+        assert (
+            cli.main(["scan", "--config", cfg, "--out", str(serial), "--threads", "1"])
+            == 0
+        )
         assert (
             cli.main(
                 ["scan", "--config", cfg, "--out", str(threaded), "--threads", "4"]
@@ -142,7 +145,10 @@ def test_fluence_threads_match_serial(tmp_path):
     cfg = write_cfg(tmp_path, per_pulse)
     serial = tmp_path / "serial"
     threaded = tmp_path / "threaded"
-    assert cli.main(["fluence", "--config", cfg, "--out", str(serial)]) == 0
+    assert (
+        cli.main(["fluence", "--config", cfg, "--out", str(serial), "--threads", "1"])
+        == 0
+    )
     assert (
         cli.main(["fluence", "--config", cfg, "--out", str(threaded), "--threads", "2"])
         == 0
@@ -152,6 +158,26 @@ def test_fluence_threads_match_serial(tmp_path):
     assert names == sorted(p.name for p in threaded.iterdir())
     for name in names:
         assert (serial / name).read_bytes() == (threaded / name).read_bytes()
+
+
+def test_threads_default_to_the_usable_cores():
+    for command in ("scan", "fluence"):
+        args = cli._build_parser().parse_args([command])
+        assert args.threads == len(os.sched_getaffinity(0))
+
+
+def test_statistics_only_rows_never_start_a_thread_pool(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("statistics-only rows started a thread pool")
+
+    monkeypatch.setattr(detector, "ThreadPoolExecutor", refuse)
+    cfg = write_cfg(
+        tmp_path, FAST_SCAN + "fluence_series:\n  fluences: [5.0, 11.0, 17.0]\n"
+    )
+    for command in ("scan", "fluence"):
+        for threads in ([], ["--threads", "4"]):
+            argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), *threads]
+            assert cli.main(argv) == 0
 
 
 def test_threads_flag_only_on_scan_and_fluence(tmp_path, capsys):
@@ -178,6 +204,32 @@ def test_scan_full_monte_carlo_writes_histograms(tmp_path):
     ]
     header = (out / "histogram_delay_0000.csv").read_text().splitlines()[0]
     assert header == "bin_left_v,count"
+
+
+def test_histograms_centre_on_the_scan_trace(tmp_path):
+    """Each histogram is balanced like the scan, so it sits on dt_mean.
+
+    Its count-weighted centre differs from the burst mean by at most half
+    a bin, and the burst mean from the scan average dt_mean by sampling
+    noise of sd sqrt(var (1/N + 1/(N m))).
+    """
+    n_pulses, m_scans = 500, 2
+    cfg = write_cfg(
+        tmp_path,
+        f"scan:\n  stop_ps: 0.62\n  n_pulses: {n_pulses}\n  m_scans: {m_scans}\n",
+    )
+    out = tmp_path / "out"
+    assert cli.main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    trace = np.loadtxt(out / "scan_trace.csv", delimiter=",", skiprows=1)
+    histograms = sorted(out.glob("histogram_delay_*.csv"))
+    assert len(histograms) == 3
+    for path in histograms:
+        _, dt_mean, dt_var = trace[int(path.stem.rsplit("_", 1)[1])]
+        left, counts = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        width = left[1] - left[0]
+        centre = np.average(left + 0.5 * width, weights=counts)
+        sd = np.sqrt(dt_var * (1.0 / n_pulses + 1.0 / (n_pulses * m_scans)))
+        assert abs(centre - dt_mean) < 5.0 * sd + 0.5 * width, path.name
 
 
 def test_streams_within_one_command_are_distinct(tmp_path, monkeypatch):

@@ -162,6 +162,69 @@ def test_scan_split_by_rows_is_bit_identical():
         assert np.array_equal(whole.dt_var, threaded.dt_var)
 
 
+# Detector settings that each switch on one branch of the burst formula.
+BURST_DETECTORS = {
+    "no-electronic": DetectorSpec(0.9, 2e-4, 0.0),
+    "drift": DetectorSpec(0.9, 2e-4, 0.05, drift_rms_v=2e-3),
+    "unbalance": DetectorSpec(0.9, 2e-4, 0.05, unbalance_v=0.03),
+    "pinned-reference": DetectorSpec(0.9, 2e-4, 0.05, ref_mean_photons=9.8e5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BURST_DETECTORS))
+def test_pulse_ensemble_matches_written_out_formula(name):
+    det = BURST_DETECTORS[name]
+    mean_ny, var_ny, baseline, n = 1.01e6, 1.3e6, 9.9e5, 400
+    ens = sample_pulse_ensemble(mean_ny, var_ny, det, n, streams(21), baseline)
+    photon, elec = streams(21)
+    eta, g = det.quantum_efficiency, det.gain_v_per_photon
+    ref = baseline if det.ref_mean_photons is None else det.ref_mean_photons
+    z = photon.standard_normal((2, n))
+    sig_sd = math.sqrt(eta * eta * var_ny + eta * (1.0 - eta) * mean_ny)
+    signal = eta * mean_ny + sig_sd * z[0]
+    reference = eta * ref + math.sqrt(eta * ref) * z[1]
+    volts = g * (signal - reference) + det.unbalance_v
+    if det.electronic_var > 0:
+        volts = volts + math.sqrt(det.electronic_var) * elec.standard_normal(n)
+    if det.drift_rms_v > 0:
+        volts = volts + np.cumsum(det.drift_rms_v * elec.standard_normal(n))
+    assert np.array_equal(ens.samples, volts)
+
+
+@pytest.mark.parametrize("name", sorted(BURST_DETECTORS))
+def test_per_pulse_scan_equals_ensemble_loop(name):
+    """A per-pulse scan cell is bit for bit one sample_pulse_ensemble burst.
+
+    The reference draws each row's bursts in delay order from the row's
+    streams and takes PulseEnsemble.mean() and .variance(); the scan must
+    agree exactly, serial or on threads. At 3000 pulses a row draws ten
+    bursts per block, so the 32 delays also end on a partial block.
+    """
+    det = BURST_DETECTORS[name]
+    pump, bath, probe, _, delays = scan_args()
+    n_pulses, m_scans, seed = 3000, 3, [4, 1]
+    n = bath.n_bath
+    trace = predict_trace(pump, bath, probe, n, delays)
+    baseline = probe_mean(thermal_state(n), probe)
+    expected = np.empty((2, m_scans, delays.size))
+    for s in range(m_scans):
+        row = row_streams(seed, s)
+        for d in range(delays.size):
+            ens = sample_pulse_ensemble(
+                trace[d, 1], trace[d, 2], det, n_pulses, row, baseline
+            )
+            expected[:, s, d] = ens.mean(), ens.variance()
+    for threads in (1, 2):
+        res = scan_experiment(
+            pump, bath, probe, det, delays, n_pulses=n_pulses, m_scans=m_scans,
+            seed=seed, threads=threads,
+        )
+        assert np.array_equal(res.per_scan_mean, expected[0])
+        assert np.array_equal(res.per_scan_var, expected[1])
+        assert res.baseline_mean_ny == baseline
+        assert np.array_equal(res.model_trace, trace)
+
+
 def test_statistics_only_row_stream_layout():
     """Row s is one normal and one chisquare call on SeedSequence(prefix + [s])'s photon stream."""
     pump, bath, probe, det, delays = scan_args()

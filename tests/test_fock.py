@@ -12,8 +12,8 @@ from scipy.linalg import eigh, expm
 from isrsim import BathSpec, ProbeSpec, apply_pump, evolve, thermal_state
 from isrsim.fock import (
     FockDensityMatrix,
-    StepSizeError,
     TruncationError,
+    _retry_truncation,
     apply_pump_exact,
     build_thermal_fock,
     embed,
@@ -287,11 +287,18 @@ def test_lindblad_hot_large_cutoff_is_stable():
 
 def test_trace_drift_raises_when_population_escapes():
     # A strongly heated vacuum outgrows a small cutoff; the lost trace
-    # must be reported, not silently renormalized.
+    # must be reported, not silently renormalized, as a truncation that
+    # asks for a larger cutoff, so that the oracle's retry loop recovers.
     hot = BathSpec(OMEGA, 2.0, 5.0)
     rho0 = build_thermal_fock(0.0, 12)
-    with pytest.raises(StepSizeError):
+    with pytest.raises(TruncationError) as info:
         evolve_lindblad_exact(rho0, 2.0, hot)
+    assert info.value.suggested_dim > 12
+    # At 64 levels the drift is 7e-6; the retry moves to the suggested 128.
+    rho, dim = _retry_truncation(
+        lambda d: evolve_lindblad_exact(embed(rho0, d), 2.0, hot), 64
+    )
+    assert rho.dim == dim == 128
 
 
 def test_probe_exact_decoupled_angle():

@@ -6,8 +6,10 @@ default config, plus a small per-pulse scan and one statistics-only
 fluence trial, and compares the first 16 hex digits of each data file's
 sha256 with the digests recorded when the current random-stream layout
 was fixed (the last two cases were recorded later, on code that gave
-the first three the same digests). Manifests are left out: they embed
-package versions.
+the first three the same digests). The three scan-per-pulse histogram
+digests were re-recorded when the histograms' reference arm moved to
+the scan's unpumped baseline; no other digest changed with them.
+Manifests are left out: they embed package versions.
 
 The digests were taken with numpy 2.4.6 on Python 3.11.7. Another numpy
 may change the last bits of a float, and with them a digest, without any
@@ -50,9 +52,9 @@ GOLDEN = {
         "lifetimes.json": "1f8af8b5521ac952",
     },
     "scan-per-pulse": {
-        "histogram_delay_0000.csv": "3cea112691080f42",
-        "histogram_delay_0025.csv": "0f4d661d1ccc5815",
-        "histogram_delay_0050.csv": "68805dcb22038777",
+        "histogram_delay_0000.csv": "c08b363bfa23f9ac",
+        "histogram_delay_0025.csv": "89b8b9d456dd6f0d",
+        "histogram_delay_0050.csv": "adbbd7b8d2259c1c",
         "lifetimes.json": "c08498aeaedcd3f8",
         "scan_per_scan.csv": "b97ddd22d90a5d95",
         "scan_spectrum.csv": "21915165ab0e151c",
