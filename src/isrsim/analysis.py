@@ -97,6 +97,21 @@ def detrended_trace(trace) -> np.ndarray:
     return np.column_stack([taus, _detrend(taus, values)])
 
 
+def _peak_window(freqs, size: int, nominal: float) -> tuple[float, int, int, int]:
+    """Bin width, nominal bin and search window [lo, hi) of a spectrum of size bins.
+
+    The window spans _PEAK_BINS bins on each side of the nominal bin,
+    clipped to skip the DC bin and the last bin.
+    """
+    df = freqs[1] - freqs[0]
+    center = int(round(nominal / df))
+    lo = max(1, center - _PEAK_BINS)
+    hi = min(size - 1, center + _PEAK_BINS + 1)
+    if lo >= hi:
+        raise ValueError("nominal frequency outside the spectrum")
+    return df, center, lo, hi
+
+
 def interpolate_peak(
     freqs: np.ndarray, amps: np.ndarray, nominal: float
 ) -> tuple[float, float]:
@@ -106,12 +121,7 @@ def interpolate_peak(
     with a log-domain parabola through the three surrounding bins, which
     removes most of the scalloping of off-bin tones.
     """
-    df = freqs[1] - freqs[0]
-    center = int(round(nominal / df))
-    lo = max(1, center - _PEAK_BINS)
-    hi = min(len(amps) - 1, center + _PEAK_BINS + 1)
-    if lo >= hi:
-        raise ValueError("nominal frequency outside the spectrum")
+    df, _, lo, hi = _peak_window(freqs, len(amps), nominal)
     j = lo + int(np.argmax(amps[lo:hi]))
     if 0 < j < len(amps) - 1 and amps[j - 1] > 0 and amps[j] > 0 and amps[j + 1] > 0:
         la, lb, lc = math.log(amps[j - 1]), math.log(amps[j]), math.log(amps[j + 1])
@@ -134,12 +144,7 @@ def peak_contrast(freqs: np.ndarray, power: np.ndarray, nominal: float) -> float
     """
     freqs = np.asarray(freqs, dtype=float)
     power = np.asarray(power, dtype=float)
-    df = freqs[1] - freqs[0]
-    center = int(round(nominal / df))
-    lo = max(1, center - _PEAK_BINS)
-    hi = min(power.size - 1, center + _PEAK_BINS + 1)
-    if lo >= hi:
-        raise ValueError("nominal frequency outside the spectrum")
+    _, center, lo, hi = _peak_window(freqs, power.size, nominal)
     peak = float(np.max(power[lo:hi]))
     ring = np.concatenate(
         [

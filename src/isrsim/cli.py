@@ -7,8 +7,9 @@ Fock cross-check), shot-noise (pump-off variance versus probe power).
 
 Every run writes its outputs plus a manifest (config hash, seed,
 versions, file digests) into the output directory; reruns with the same
-config and seed are byte-identical. Exit codes: 0 success, 2 config
-error, 3 numerical/truncation error, 4 fit failure.
+config and seed are byte-identical. Exit codes: 0 success, 1 oracle
+disagreement, 2 config error, 3 numerical/truncation error, 4 fit
+failure.
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         # consumed, with the reference arm balanced as in the scan.
         streams = row_streams(s["seed"], s["m_scans"])
         for idx in sorted({0, delays.size // 2, delays.size - 1}):
-            ens = sample_pulse_ensemble(
+            volts = sample_pulse_ensemble(
                 res.model_trace[idx, 1],
                 res.model_trace[idx, 2],
                 det,
@@ -326,7 +327,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
                 streams=streams,
                 baseline_mean_ny=res.baseline_mean_ny,
             )
-            counts, edges = np.histogram(ens.samples, bins=_HISTOGRAM_BINS)
+            counts, edges = np.histogram(volts, bins=_HISTOGRAM_BINS)
             out.csv(
                 f"histogram_delay_{idx:04d}.csv",
                 ["bin_left_v", "count"],

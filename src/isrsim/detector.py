@@ -79,19 +79,6 @@ def calibrated_gain(probe_photons: float, quantum_efficiency: float) -> float:
 
 
 @dataclass(frozen=True)
-class PulseEnsemble:
-    """Differential voltages of one acquisition burst."""
-
-    samples: np.ndarray = field(repr=False)
-
-    def mean(self) -> float:
-        return float(np.mean(self.samples))
-
-    def variance(self) -> float:
-        return float(np.var(self.samples, ddof=1))
-
-
-@dataclass(frozen=True)
 class ScanResult:
     """Per-delay statistics of a multi-scan experiment.
 
@@ -130,10 +117,13 @@ def row_streams(seed, row: int) -> tuple[np.random.Generator, np.random.Generato
     return np.random.default_rng(photon), np.random.default_rng(electronic)
 
 
-def _resolve_reference(det: DetectorSpec, baseline_mean_ny: float) -> float:
+def _resolve_reference(
+    det: DetectorSpec, mean_ny, baseline_mean_ny: float | None = None
+) -> float:
+    """Reference-arm photons: pinned by det, else the baseline, else mean_ny."""
     if det.ref_mean_photons is not None:
         return det.ref_mean_photons
-    return baseline_mean_ny
+    return mean_ny if baseline_mean_ny is None else baseline_mean_ny
 
 
 def _check_burst(n_pulses: int, var_ny) -> None:
@@ -206,8 +196,8 @@ def sample_pulse_ensemble(
     n_pulses: int,
     streams: tuple[np.random.Generator, np.random.Generator],
     baseline_mean_ny: float | None = None,
-) -> PulseEnsemble:
-    """Draw one burst of differential voltages.
+) -> np.ndarray:
+    """Draw one burst of n_pulses differential voltages.
 
     streams is the (photon, electronic) pair of Generators the burst
     continues, as row_streams builds it. baseline_mean_ny feeds the
@@ -215,18 +205,15 @@ def sample_pulse_ensemble(
     given (perfectly balanced at this point).
     """
     _check_burst(n_pulses, var_ny)
-    ref_photons = _resolve_reference(
-        det, mean_ny if baseline_mean_ny is None else baseline_mean_ny
-    )
     volts = _write_bursts(
         *_burst_buffers(1, n_pulses, det),
         np.array([mean_ny], dtype=float),
         np.array([var_ny], dtype=float),
         det,
-        ref_photons,
+        _resolve_reference(det, mean_ny, baseline_mean_ny),
         streams,
     )
-    return PulseEnsemble(samples=volts[0])
+    return volts[0]
 
 
 def _pulse_row(
@@ -243,7 +230,8 @@ def _pulse_row(
     pair of reused buffers. The statistics are computed as np.mean and
     np.var(ddof=1) compute them: a pairwise sum divided by N, then the
     squared deviations from that mean summed and divided by N - 1, so a
-    cell equals PulseEnsemble's bit for bit.
+    cell equals np.mean and np.var(ddof=1) of sample_pulse_ensemble's
+    burst bit for bit.
     """
     k = max(1, _BLOCK_PULSES // n_pulses)
     photon, elec = _burst_buffers(min(k, means.size), n_pulses, det)
@@ -278,9 +266,7 @@ def voltage_statistics(
     mean_ny and var_ny may be arrays; the result takes their shape.
     """
     eta = det.quantum_efficiency
-    ref_photons = _resolve_reference(
-        det, mean_ny if baseline_mean_ny is None else baseline_mean_ny
-    )
+    ref_photons = _resolve_reference(det, mean_ny, baseline_mean_ny)
     g = det.gain_v_per_photon
     mu = g * eta * (mean_ny - ref_photons) + det.unbalance_v
     var = (
@@ -416,8 +402,8 @@ def shot_noise_scan(
     out = np.empty((powers.size, 2))
     for i, p in enumerate(powers):
         photons = p * PHOTONS_PER_PULSE_PER_MW
-        ens = sample_pulse_ensemble(
+        volts = sample_pulse_ensemble(
             photons, photons, det, n_pulses, row_streams(seed, i)
         )
-        out[i] = (p, ens.variance())
+        out[i] = (p, float(np.var(volts, ddof=1)))
     return out

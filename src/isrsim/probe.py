@@ -195,65 +195,6 @@ def amplitude_prefactor(
     )
 
 
-def amplitude_2omega(
-    tau: float, pump: PumpSpec, bath: BathSpec, probe: ProbeSpec
-) -> float:
-    """Second-harmonic amplitude of the variance trace at delay tau.
-
-    The variance oscillates as 2|A| cos(2 Omega tau + phase); this
-    returns |A|. It is nonzero only under squeezing (r > 0) and decays
-    at the full damping rate, twice the rate of the fundamental.
-    """
-    _, c2 = pump_coefficients(pump)
-    r = 2.0 * abs(c2)
-    return amplitude_prefactor(bath, probe, tau) * math.sinh(2.0 * r)
-
-
-def amplitude_omega(
-    tau: float,
-    z: complex,
-    pump: PumpSpec,
-    bath: BathSpec,
-    probe: ProbeSpec,
-    n: float,
-) -> float:
-    """Fundamental-frequency amplitude of the variance trace at delay tau.
-
-    z is the coherent phonon amplitude <b> immediately after the pump
-    and n the pre-pump thermal occupation. The variance trace carries
-    2|A| cos(Omega tau + phase); this returns |A|, assembled from the
-    evolved first moment beating against the field (leading term) and
-    against the relaxing occupation and anomalous moment (cubic terms).
-    """
-    z = complex(z)
-    _, c2 = pump_coefficients(pump)
-    r = 2.0 * abs(c2)
-    s, c = math.sin(probe.coupling_norm), math.cos(probe.coupling_norm)
-    iy = probe.intensity_y
-    lam = bath.damping_rate
-    if r > 0.0:
-        phi = cmath.phase(c2)
-        sig0 = math.cosh(r) * (-1j * cmath.exp(1j * phi) * math.sinh(r)) * (
-            2.0 * n + 1.0
-        )
-    else:
-        sig0 = 0.0j
-    nu0 = n * math.cosh(r) ** 2 + (n + 1.0) * math.sinh(r) ** 2
-    occ_relaxed = bath.n_bath + (nu0 - bath.n_bath) * math.exp(-lam * tau)
-    beat = 2.0 * math.sqrt(iy) * s * c ** 3 * z * math.exp(-lam * tau / 2.0)
-    cubic = (
-        4.0
-        * math.sqrt(iy)
-        * s ** 3
-        * c
-        * (
-            np.conj(z) * sig0 * math.exp(-1.5 * lam * tau)
-            + z * math.exp(-lam * tau / 2.0) * (occ_relaxed + 0.5)
-        )
-    )
-    return abs(beat + cubic) / 2.0
-
-
 def predict_trace(
     pump: PumpSpec,
     bath: BathSpec,

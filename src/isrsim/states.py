@@ -11,7 +11,6 @@ squeeze) and linear damping toward a thermal bath.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -197,12 +196,6 @@ def pump_coefficients(pump: PumpSpec) -> tuple[complex, complex]:
     return complex(pump.mu_displace * weight), complex(pump.mu_squeeze * weight)
 
 
-def squeeze_parameters(c2: complex) -> tuple[float, float]:
-    """Squeeze magnitude r = 2|c2| and quadrature angle psi = arg(c2) + pi/2."""
-    c2 = complex(c2)
-    return 2.0 * abs(c2), cmath.phase(c2) + math.pi / 2.0
-
-
 def apply_pump(
     state: GaussianPhononState, c1: complex, c2: complex
 ) -> GaussianPhononState:
@@ -276,16 +269,6 @@ def evolve(
 ) -> GaussianPhononState:
     """Relax the state for a delay tau under rotation and thermal damping."""
     return GaussianPhononState(*evolved_moments(state, tau, bath))
-
-
-def quadrature_variance(state: GaussianPhononState) -> float:
-    """Variance of the position-like quadrature (b + b†)/sqrt(2)."""
-    return state.central_occupation + 0.5 + state.central_anomalous.real
-
-
-def conjugate_quadrature_variance(state: GaussianPhononState) -> float:
-    """Variance of the momentum-like quadrature (b - b†)/(i sqrt(2))."""
-    return state.central_occupation + 0.5 - state.central_anomalous.real
 
 
 def squeezed_thermal_quadrature_variance(

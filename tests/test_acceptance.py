@@ -15,27 +15,26 @@ import numpy as np
 import pytest
 
 import isrsim.cli as cli
-from isrsim import (
-    BathSpec,
-    ProbeSpec,
-    PumpSpec,
+from closed_forms import (
     amplitude_2omega,
     amplitude_omega,
-    apply_pump,
     conjugate_quadrature_variance,
-    extract_lifetimes,
-    fit_line,
-    load_config,
-    predict_trace,
-    pump_coefficients,
     quadrature_variance,
-    shot_noise_scan,
     squeeze_parameters,
+)
+from isrsim.analysis import detrended_trace, extract_lifetimes, fit_line
+from isrsim.config import load_config
+from isrsim.detector import shot_noise_scan
+from isrsim.fock import apply_pump_exact, build_thermal_fock, cross_validate
+from isrsim.probe import ProbeSpec, predict_trace
+from isrsim.states import (
+    BathSpec,
+    PumpSpec,
+    apply_pump,
+    pump_coefficients,
     squeezed_thermal_quadrature_variance,
     thermal_state,
 )
-from isrsim.analysis import detrended_trace
-from isrsim.fock import apply_pump_exact, build_thermal_fock, cross_validate
 
 F0 = 3.84
 OMEGA = 2.0 * math.pi * F0

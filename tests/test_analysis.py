@@ -5,11 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from isrsim import (
-    BathSpec,
+from isrsim.analysis import (
     FitError,
-    ProbeSpec,
-    amplitude_prefactor,
+    FluenceFitResult,
     detrend_and_fft,
     detrended_trace,
     extract_lifetimes,
@@ -20,7 +18,8 @@ from isrsim import (
     morlet_power,
     peak_contrast,
 )
-from isrsim.analysis import FluenceFitResult
+from isrsim.probe import ProbeSpec, amplitude_prefactor
+from isrsim.states import BathSpec
 
 OMEGA = 2.0 * math.pi * 3.84
 F0 = 3.84

@@ -11,7 +11,8 @@ import pytest
 
 import isrsim.cli as cli
 import isrsim.detector as detector
-from isrsim import load_config, row_streams
+from isrsim.config import load_config
+from isrsim.detector import row_streams
 from isrsim.fock import CrossCheckCase, CrossCheckResult
 
 FAST_SCAN = """\
@@ -25,12 +26,17 @@ scan:
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Run in a fresh interpreter: fails if importing the package, running
-# predict or a statistics-only scan, or cross-validating an oracle case
-# loads any scipy module.
+# Run in a fresh interpreter: fails if a bare `import isrsim` loads any
+# submodule, or if importing the package, running predict or a
+# statistics-only scan, or cross-validating an oracle case loads any
+# scipy module.
 NO_SCIPY = """
 import sys
-import isrsim, isrsim.cli
+import isrsim
+
+submodules = sorted(m for m in sys.modules if m.startswith("isrsim."))
+assert submodules == [], submodules
+import isrsim.cli
 from isrsim.fock import CrossCheckCase, cross_validate
 
 def scipy_modules():

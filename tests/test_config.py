@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from isrsim import ConfigError, load_config
-from isrsim.config import _SCHEMA, RunConfig, default_mapping, validate_mapping
+from isrsim.config import (
+    _SCHEMA,
+    ConfigError,
+    RunConfig,
+    default_mapping,
+    load_config,
+    validate_mapping,
+)
 from isrsim.detector import calibrated_gain
 
 N_300K = 1.178733690798772

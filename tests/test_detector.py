@@ -6,24 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from isrsim import (
-    BathSpec,
+from isrsim.analysis import fit_line
+from isrsim.config import load_config
+from isrsim.detector import (
     DetectorSpec,
-    ProbeSpec,
-    PumpSpec,
     calibrated_gain,
-    fit_line,
-    load_config,
-    predict_trace,
-    probe_mean,
     row_streams,
     sample_pulse_ensemble,
     sample_scan_statistics,
     scan_experiment,
     shot_noise_scan,
-    thermal_state,
     voltage_statistics,
 )
+from isrsim.probe import ProbeSpec, predict_trace, probe_mean
+from isrsim.states import BathSpec, PumpSpec, thermal_state
 
 OMEGA = 2.0 * math.pi * 3.84
 
@@ -72,17 +68,19 @@ def test_pulse_ensemble_deterministic():
     a = sample_pulse_ensemble(1e6, 1.2e6, det, n_pulses=500, streams=streams(7))
     b = sample_pulse_ensemble(1e6, 1.2e6, det, n_pulses=500, streams=streams(7))
     c = sample_pulse_ensemble(1e6, 1.2e6, det, n_pulses=500, streams=streams(8))
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_pulse_ensemble_unbiased():
     det = quiet_detector(0.04)
     mu, var = voltage_statistics(1e6, 1.3e6, det)
-    ens = sample_pulse_ensemble(1e6, 1.3e6, det, n_pulses=200_000, streams=streams(11))
+    volts = sample_pulse_ensemble(
+        1e6, 1.3e6, det, n_pulses=200_000, streams=streams(11)
+    )
     # Expected spread of the estimates themselves.
-    assert ens.mean() == pytest.approx(mu, abs=5 * math.sqrt(var / 2e5))
-    assert ens.variance() == pytest.approx(var, rel=0.02)
+    assert np.mean(volts) == pytest.approx(mu, abs=5 * math.sqrt(var / 2e5))
+    assert np.var(volts, ddof=1) == pytest.approx(var, rel=0.02)
 
 
 def test_electronic_noise_is_additive_and_stream_isolated():
@@ -91,12 +89,12 @@ def test_electronic_noise_is_additive_and_stream_isolated():
     noisy = quiet_detector(0.05)
     a = sample_pulse_ensemble(1e6, 1e6, base, n_pulses=50_000, streams=streams(3))
     b = sample_pulse_ensemble(1e6, 1e6, noisy, n_pulses=50_000, streams=streams(3))
-    added = b.samples - a.samples
+    added = b - a
     # The residual is exactly the electronic stream: zero-mean, variance
     # 0.05, and uncorrelated with the photon part.
     assert np.mean(added) == pytest.approx(0.0, abs=5 * math.sqrt(0.05 / 5e4))
     assert np.var(added, ddof=1) == pytest.approx(0.05, rel=0.05)
-    corr = np.corrcoef(added, a.samples)[0, 1]
+    corr = np.corrcoef(added, a)[0, 1]
     assert abs(corr) < 0.02
     assert dataclasses.replace(noisy, electronic_var=0.0) == base
 
@@ -175,7 +173,7 @@ BURST_DETECTORS = {
 def test_pulse_ensemble_matches_written_out_formula(name):
     det = BURST_DETECTORS[name]
     mean_ny, var_ny, baseline, n = 1.01e6, 1.3e6, 9.9e5, 400
-    ens = sample_pulse_ensemble(mean_ny, var_ny, det, n, streams(21), baseline)
+    burst = sample_pulse_ensemble(mean_ny, var_ny, det, n, streams(21), baseline)
     photon, elec = streams(21)
     eta, g = det.quantum_efficiency, det.gain_v_per_photon
     ref = baseline if det.ref_mean_photons is None else det.ref_mean_photons
@@ -188,7 +186,7 @@ def test_pulse_ensemble_matches_written_out_formula(name):
         volts = volts + math.sqrt(det.electronic_var) * elec.standard_normal(n)
     if det.drift_rms_v > 0:
         volts = volts + np.cumsum(det.drift_rms_v * elec.standard_normal(n))
-    assert np.array_equal(ens.samples, volts)
+    assert np.array_equal(burst, volts)
 
 
 @pytest.mark.parametrize("name", sorted(BURST_DETECTORS))
@@ -196,7 +194,7 @@ def test_per_pulse_scan_equals_ensemble_loop(name):
     """A per-pulse scan cell is bit for bit one sample_pulse_ensemble burst.
 
     The reference draws each row's bursts in delay order from the row's
-    streams and takes PulseEnsemble.mean() and .variance(); the scan must
+    streams and takes np.mean and np.var(ddof=1) of each; the scan must
     agree exactly, serial or on threads. At 3000 pulses a row draws ten
     bursts per block, so the 32 delays also end on a partial block.
     """
@@ -210,10 +208,10 @@ def test_per_pulse_scan_equals_ensemble_loop(name):
     for s in range(m_scans):
         row = row_streams(seed, s)
         for d in range(delays.size):
-            ens = sample_pulse_ensemble(
+            volts = sample_pulse_ensemble(
                 trace[d, 1], trace[d, 2], det, n_pulses, row, baseline
             )
-            expected[:, s, d] = ens.mean(), ens.variance()
+            expected[:, s, d] = np.mean(volts), np.var(volts, ddof=1)
     for threads in (1, 2):
         res = scan_experiment(
             pump, bath, probe, det, delays, n_pulses=n_pulses, m_scans=m_scans,

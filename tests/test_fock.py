@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.linalg import eigh, expm
 
-from isrsim import BathSpec, ProbeSpec, apply_pump, evolve, thermal_state
+from closed_forms import conjugate_quadrature_variance, quadrature_variance
 from isrsim.fock import (
     FockDensityMatrix,
     TruncationError,
@@ -22,7 +22,8 @@ from isrsim.fock import (
     suggest_dim,
     truncate,
 )
-from isrsim.states import conjugate_quadrature_variance, quadrature_variance
+from isrsim.probe import ProbeSpec
+from isrsim.states import BathSpec, apply_pump, evolve, thermal_state
 
 OMEGA = 2.0 * math.pi * 3.84
 

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from isrsim import BathSpec, apply_pump, evolve, thermal_state
 from isrsim.fock import (
     CrossCheckCase,
     TruncationError,
@@ -15,6 +14,7 @@ from isrsim.fock import (
     default_grid,
     evolve_lindblad_exact,
 )
+from isrsim.states import BathSpec, apply_pump, evolve, thermal_state
 
 CHEAP_CASES = [
     CrossCheckCase(

@@ -6,26 +6,28 @@ import math
 import numpy as np
 import pytest
 
-from isrsim import (
-    BathSpec,
+from closed_forms import amplitude_2omega, amplitude_omega
+from isrsim.analysis import detrend_and_fft
+from isrsim.config import load_config
+from isrsim.fock import apply_pump_exact, build_thermal_fock, probe_exact
+from isrsim.probe import (
     ObservablePair,
     ProbeSpec,
-    PumpSpec,
-    amplitude_2omega,
-    amplitude_omega,
-    apply_pump,
-    detrend_and_fft,
-    evolve,
-    load_config,
+    _require_real,
     predict_trace,
     probe_mean,
     probe_variance,
+)
+from isrsim.states import (
+    BathSpec,
+    GaussianPhononState,
+    PhysicalityError,
+    PumpSpec,
+    apply_pump,
+    evolve,
     pump_coefficients,
     thermal_state,
 )
-from isrsim.fock import apply_pump_exact, build_thermal_fock, probe_exact
-from isrsim.probe import _require_real
-from isrsim.states import GaussianPhononState, PhysicalityError
 
 OMEGA = 2.0 * math.pi * 3.84
 

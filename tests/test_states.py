@@ -6,23 +6,26 @@ import math
 import pytest
 from scipy import constants
 
-from isrsim import (
+from closed_forms import (
+    conjugate_quadrature_variance,
+    quadrature_variance,
+    squeeze_parameters,
+)
+from isrsim.states import (
+    BOLTZMANN_J_PER_K,
+    PLANCK_J_S,
     BathSpec,
     GaussianPhononState,
     PhysicalityError,
     PumpSpec,
     apply_pump,
     beta_omega_from_temperature,
-    conjugate_quadrature_variance,
     evolve,
     pump_coefficients,
-    quadrature_variance,
-    squeeze_parameters,
     squeezed_thermal_quadrature_variance,
     thermal_occupation,
     thermal_state,
 )
-from isrsim.states import BOLTZMANN_J_PER_K, PLANCK_J_S
 
 OMEGA = 2.0 * math.pi * 3.84
 
