@@ -619,13 +619,13 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"{args.command}: config error: {exc}", file=sys.stderr)
         return 2
     except (TruncationError, PhysicalityError, ArithmeticError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+        print(f"{args.command}: numerical error: {exc}", file=sys.stderr)
         return 3
     except FitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
+        print(f"{args.command}: fit error: {exc}", file=sys.stderr)
         return 4
 
 

@@ -8,11 +8,13 @@ Bernoulli-thinned variance eta^2 var + eta (1-eta) mean, the reference
 arm from Poisson-equivalent statistics, and electronic noise is additive.
 
 Reproducibility is anchored in seed derivation, not execution order:
-every scan row owns two child streams (photon and electronic) spawned
-from SeedSequence(seed prefix + [scan index]), and the row's delay cells
-draw from them in delay order. Runs are bit-identical for a fixed seed
-whichever order or thread computes the rows, and the electronic
-contribution can be toggled without touching the photon draws.
+every scan row keys two child streams (photon and electronic) of
+SeedSequence(seed prefix + [scan index]), and the row's delay cells draw
+from them in delay order. A per-pulse row draws from both; a
+statistics-only row draws only its photon stream and never builds the
+electronic one. Runs are bit-identical for a fixed seed whichever order
+or thread computes the rows, and the electronic contribution can be
+toggled without touching the photon draws.
 """
 
 from __future__ import annotations
@@ -102,19 +104,31 @@ class ScanResult:
             raise ValueError("dt_var must be non-negative")
 
 
+def row_generator(seed, row: int, child: int) -> np.random.Generator:
+    """Generator of child stream `child` of scan row `row` under seed.
+
+    Child 0 is the row's photon stream and child 1 its electronic stream.
+    seed may be an int or a sequence of ints (a stream prefix); the child
+    is SeedSequence(prefix + [row], spawn_key=(child,)), the same stream
+    as SeedSequence(prefix + [row]).spawn(2)[child], built without the
+    parent. SeedSequence ignores trailing zero words, so prefix + [0]
+    keys the same streams as prefix alone: [s, 0] equals [s], and
+    [s, i, 0] equals [s, i]. Distinct keys of one length never collide,
+    so every command keys all of its rows under prefixes of one length.
+    """
+    prefix = [int(v) for v in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
+    return np.random.default_rng(
+        np.random.SeedSequence(prefix + [row], spawn_key=(child,))
+    )
+
+
 def row_streams(seed, row: int) -> tuple[np.random.Generator, np.random.Generator]:
     """Photon and electronic generators of scan row `row` under seed.
 
-    seed may be an int or a sequence of ints (a stream prefix); the row's
-    streams are spawned from SeedSequence(prefix + [row]). SeedSequence
-    ignores trailing zero words, so prefix + [0] seeds the same streams
-    as prefix alone: [s, 0] equals [s], and [s, i, 0] equals [s, i].
-    Distinct keys of one length never collide, so every command keys all
-    of its rows under prefixes of one length.
+    The two streams a per-pulse row or burst draws from, as row_generator
+    keys them.
     """
-    prefix = [int(v) for v in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
-    photon, electronic = np.random.SeedSequence(prefix + [row]).spawn(2)
-    return np.random.default_rng(photon), np.random.default_rng(electronic)
+    return row_generator(seed, row, 0), row_generator(seed, row, 1)
 
 
 def _resolve_reference(
@@ -282,7 +296,7 @@ def sample_scan_statistics(
     var_ny,
     det: DetectorSpec,
     n_pulses: int,
-    streams: tuple[np.random.Generator, np.random.Generator],
+    photon_rngs: Sequence[np.random.Generator],
     baseline_mean_ny: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (sample mean, sample variance) of bursts without the samples.
@@ -291,14 +305,16 @@ def sample_scan_statistics(
     Normal(mu, var/N) and var * chi2(N-1)/(N-1), independent of each
     other, so drawing them directly is statistically identical to
     aggregating sample_pulse_ensemble and much faster for trial loops.
-    mean_ny and var_ny may be arrays, one burst per element (a scan row):
-    all means come from one normal call on the photon stream, then all
-    variances from one chisquare call. streams is as for
-    sample_pulse_ensemble. Requires the drift term to be off (samples
-    would be correlated).
+    mean_ny and var_ny may be arrays, one burst per element (the delays
+    of a scan). photon_rngs holds one photon Generator per scan row; the
+    result is a pair of (len(photon_rngs),) + shape(mean_ny) arrays.
+    The voltage statistics are computed once for all rows. Each row, in
+    row order, draws all its means as mu + sd * standard_normal, the
+    same draws and bits as Generator.normal(mu, sd), then all its
+    variances from one chisquare call. Requires the drift term to be off
+    (samples would be correlated).
     """
-    if n_pulses < 2:
-        raise ValueError("n_pulses must be at least 2")
+    _check_burst(n_pulses, var_ny)
     if det.drift_rms_v > 0:
         raise ValueError("statistics-level sampling requires drift_rms_v = 0")
     mu, var = voltage_statistics(
@@ -307,10 +323,14 @@ def sample_scan_statistics(
         det,
         baseline_mean_ny,
     )
-    rng_photon, _ = streams
-    mean_hat = rng_photon.normal(mu, np.sqrt(var / n_pulses))
-    chi2 = rng_photon.chisquare(n_pulses - 1, size=np.shape(var))
-    var_hat = var * chi2 / (n_pulses - 1)
+    z = np.empty((len(photon_rngs), mu.size))
+    chi2 = np.empty_like(z)
+    for row, rng in enumerate(photon_rngs):
+        rng.standard_normal(out=z[row])
+        chi2[row] = rng.chisquare(n_pulses - 1, size=mu.size)
+    shape = (len(photon_rngs),) + mu.shape
+    mean_hat = mu + np.sqrt(var / n_pulses) * z.reshape(shape)
+    var_hat = var * chi2.reshape(shape) / (n_pulses - 1)
     return mean_hat, var_hat
 
 
@@ -330,12 +350,14 @@ def scan_experiment(
     """Simulate the full delay-scan acquisition.
 
     The model observables are computed once for all delays; each scan
-    row then draws its cells, in delay order, from the row's own pair of
-    streams (row_streams(seed, s)). The reference arm is balanced
-    against the unpumped baseline unless the detector pins
-    ref_mean_photons. statistics_only skips the per-pulse samples and
-    draws the whole row's statistics in one call; otherwise each cell
-    draws one burst of n_pulses pulses at a time.
+    row then draws its cells, in delay order, from its own streams. The
+    reference arm is balanced against the unpumped baseline unless the
+    detector pins ref_mean_photons. statistics_only skips the per-pulse
+    samples: one sample_scan_statistics call draws every row's
+    statistics, each row from its photon stream alone
+    (row_generator(seed, s, 0)). Otherwise each cell draws one burst of
+    n_pulses pulses at a time from the row's photon and electronic pair
+    (row_streams(seed, s)).
 
     seed may be an int or a sequence of ints (a stream prefix). threads
     > 1 computes per-pulse rows on a thread pool; the rows are independent
@@ -351,14 +373,14 @@ def scan_experiment(
     taus, means, variances = trace.T
 
     if statistics_only:
-        rows = [
-            np.array(
-                sample_scan_statistics(
-                    means, variances, det, n_pulses, row_streams(seed, s), baseline
-                )
-            )
-            for s in range(m_scans)
-        ]
+        per_scan_mean, per_scan_var = sample_scan_statistics(
+            means,
+            variances,
+            det,
+            n_pulses,
+            [row_generator(seed, s, 0) for s in range(m_scans)],
+            baseline,
+        )
     else:
         _check_burst(n_pulses, variances)
         ref_photons = _resolve_reference(det, baseline)
@@ -373,7 +395,7 @@ def scan_experiment(
                 rows = list(pool.map(row, range(m_scans)))
         else:
             rows = [row(s) for s in range(m_scans)]
-    per_scan_mean, per_scan_var = np.stack(rows, axis=1)
+        per_scan_mean, per_scan_var = np.stack(rows, axis=1)
     return ScanResult(
         delays=taus,
         dt_mean=per_scan_mean.mean(axis=0),

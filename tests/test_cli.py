@@ -12,7 +12,7 @@ import pytest
 import isrsim.cli as cli
 import isrsim.detector as detector
 from isrsim.config import load_config
-from isrsim.detector import row_streams
+from isrsim.detector import row_generator
 from isrsim.fock import CrossCheckCase, CrossCheckResult
 
 FAST_SCAN = """\
@@ -244,29 +244,31 @@ def test_streams_within_one_command_are_distinct(tmp_path, monkeypatch):
     numpy's SeedSequence ignores trailing zero words, so [s, 0] seeds the
     same streams as [s]; a layout that mixed prefix lengths could hand
     two rows one stream. The default scan draws rows 0..m_scans-1 plus
-    the histogram row m_scans under prefix [seed]; fluence point i draws
-    rows 0..m_scans-1 under [seed, i], per-pulse or statistics-only alike.
+    the histogram row m_scans under prefix [seed], each from its photon
+    and electronic streams; a statistics-only fluence point i draws rows
+    0..m_scans-1 under [seed, i], each from its photon stream alone.
+    Every stream is built by row_generator, so recording there sees them
+    all.
     """
     states = []
 
-    def recording(seed, row):
-        pair = row_streams(seed, row)
-        states.extend(tuple(g.bit_generator.seed_seq.generate_state(4)) for g in pair)
-        return pair
+    def recording(seed, row, child):
+        rng = row_generator(seed, row, child)
+        states.append(tuple(rng.bit_generator.seed_seq.generate_state(4)))
+        return rng
 
-    monkeypatch.setattr(cli, "row_streams", recording)
-    monkeypatch.setattr(detector, "row_streams", recording)
+    monkeypatch.setattr(detector, "row_generator", recording)
     cfg = load_config()
     m_scans = cfg.section("scan")["m_scans"]
     n_fluences = len(cfg.section("fluence_series")["fluences"])
     statistics_only = write_cfg(tmp_path, "scan:\n  statistics_only: true\n")
-    for argv, n_rows in (
-        (["scan"], m_scans + 1),
+    for argv, n_streams in (
+        (["scan"], 2 * (m_scans + 1)),
         (["fluence", "--config", statistics_only], n_fluences * m_scans),
     ):
         states.clear()
         assert cli.main(argv + ["--out", str(tmp_path / argv[0])]) == 0
-        assert len(states) == 2 * n_rows
+        assert len(states) == n_streams
         assert len(set(states)) == len(states)
 
 
@@ -324,17 +326,19 @@ def test_fluence_detects_squeezing_quickly(tmp_path):
         assert low * high >= 0.25 - 1e-9
 
 
-def test_fluence_needs_three_points(tmp_path):
+def test_fluence_needs_three_points(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         FAST_SCAN + "fluence_series:\n  fluences: [5.0, 17.0]\n",
     )
     assert cli.main(["fluence", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.startswith("fluence: fit error: ")
 
 
-def test_config_error_exit_codes(tmp_path):
+def test_config_error_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path, "pump:\n  mu_squeeze: -0.1\n")
     assert cli.main(["scan", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("scan: config error: pump.mu_squeeze")
     missing = str(tmp_path / "nope.yaml")
     assert cli.main(["predict", "--config", missing]) == 2
     assert cli.main(["scan", "--threads", "0", "--out", str(tmp_path / "o")]) == 2
@@ -356,9 +360,10 @@ def test_import_and_light_commands_load_no_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def test_oracle_truncation_cap_exit_code(tmp_path):
+def test_oracle_truncation_cap_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "oracle:\n  max_phonon_dim: 24\n")
     assert cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("oracle: numerical error: ")
 
 
 def test_oracle_exit_and_report_via_stub(tmp_path, monkeypatch, capsys):

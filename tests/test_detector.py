@@ -11,6 +11,7 @@ from isrsim.config import load_config
 from isrsim.detector import (
     DetectorSpec,
     calibrated_gain,
+    row_generator,
     row_streams,
     sample_pulse_ensemble,
     sample_scan_statistics,
@@ -103,11 +104,8 @@ def test_statistics_only_matches_full_sampling_distribution():
     det = quiet_detector(0.02)
     mu, var = voltage_statistics(5e5, 6e5, det)
     n = 2000
-    means, variances = [], []
-    for i in range(300):
-        mh, vh = sample_scan_statistics(5e5, 6e5, det, n, streams(1000 + i))
-        means.append(mh)
-        variances.append(vh)
+    rngs = [row_generator(1000 + i, 0, 0) for i in range(300)]
+    means, variances = sample_scan_statistics(5e5, 6e5, det, n, rngs)
     assert np.mean(means) == pytest.approx(mu, abs=5 * math.sqrt(var / n / 300))
     assert np.std(means, ddof=1) == pytest.approx(
         math.sqrt(var / n), rel=0.15
@@ -128,9 +126,16 @@ def test_guards():
         sample_pulse_ensemble(1e6, 1e6, quiet_detector(), 1, streams(0))
     with pytest.raises(ValueError):
         sample_pulse_ensemble(1e6, -1.0, quiet_detector(), 100, streams(0))
+    photon = [row_generator(0, 0, 0)]
+    with pytest.raises(ValueError, match="n_pulses"):
+        sample_scan_statistics(1e6, 1e6, quiet_detector(), 1, photon)
+    with pytest.raises(ValueError, match="var_ny"):
+        sample_scan_statistics(1e6, -1e12, quiet_detector(), 100, photon)
+    with pytest.raises(ValueError, match="var_ny"):
+        sample_scan_statistics([1e6, 1e6], [1e6, -1.0], quiet_detector(), 100, photon)
     drifty = DetectorSpec(0.9, 1e-4, 0.0, drift_rms_v=1e-4)
     with pytest.raises(ValueError):
-        sample_scan_statistics(1e6, 1e6, drifty, 100, streams(0))
+        sample_scan_statistics(1e6, 1e6, drifty, 100, photon)
 
 
 def scan_args():
@@ -243,6 +248,39 @@ def test_statistics_only_row_stream_layout():
         )
         assert np.array_equal(res.per_scan_mean[s], expected_mean)
         assert np.array_equal(res.per_scan_var[s], expected_var)
+
+
+def test_statistics_rows_drawn_together_equal_rows_drawn_alone():
+    """One multi-row call gives each row exactly what a one-row call gives it."""
+    det = DetectorSpec(0.9, 2e-4, 0.05, unbalance_v=0.03)
+    means = np.linspace(0.98e6, 1.02e6, 40)
+    variances = np.linspace(1.0e6, 1.4e6, 40)
+    seed, n_pulses = [3, 1], 700
+    together = sample_scan_statistics(
+        means, variances, det, n_pulses,
+        [row_generator(seed, s, 0) for s in range(4)], 9.9e5,
+    )
+    assert together[0].shape == together[1].shape == (4, 40)
+    for s in range(4):
+        alone = sample_scan_statistics(
+            means, variances, det, n_pulses, [row_generator(seed, s, 0)], 9.9e5
+        )
+        assert np.array_equal(together[0][s], alone[0][0])
+        assert np.array_equal(together[1][s], alone[1][0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2026])
+def test_written_out_normal_equals_generator_normal(seed):
+    """mu + sd * standard_normal is Generator.normal(mu, sd) bit for bit.
+
+    sample_scan_statistics draws its means this way; a numpy build that
+    fused the multiply-add inside Generator.normal would change the
+    statistics-only outputs, and fails here first.
+    """
+    mu = np.linspace(-0.3, 0.7, 256)
+    sd = np.sqrt(np.linspace(0.5, 1.5, 256) / 4000)
+    written = mu + sd * np.random.default_rng(seed).standard_normal(256)
+    assert np.array_equal(written, np.random.default_rng(seed).normal(mu, sd))
 
 
 def test_scan_seed_prefix_isolates_runs():
