@@ -577,7 +577,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as is."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="YAML config overriding defaults")
     common.add_argument("--seed", type=int, default=None, help="override scan.seed")

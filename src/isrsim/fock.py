@@ -10,7 +10,9 @@ end. The probe read-out needs no photon register: the exchange moves the
 bright field's displacement out exactly and conserves the total number of
 quanta, so the detected photon's reduced state is the pure-loss output of
 the phonon state, with the binomial amplitudes of a beam splitter
-(Campos, Saleh and Teich, Phys. Rev. A 40, 1371, 1989). Nothing in this
+(Campos, Saleh and Teich, Phys. Rev. A 40, 1371, 1989), which factorise
+(Ivan, Sabapathy and Simon, Phys. Rev. A 84, 042311, 2011) so that all
+bands of the state go through one real matrix product. Nothing in this
 module reuses the closed-form moment algebra it is meant to check.
 """
 
@@ -69,15 +71,22 @@ class FockDensityMatrix:
             )
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
+        if not np.isfinite(rho).all():
+            raise ValueError("rho has non-finite entries")
         herm = np.max(np.abs(rho - rho.conj().T))
         if herm > _HERM_TOL:
             raise ValueError(f"rho not Hermitian: max asymmetry {herm:.3e}")
         tr = np.trace(rho).real
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace(rho) = {tr!r}, must be 1")
-        eigs = np.linalg.eigvalsh(rho)
-        if eigs[0] < -_EIG_TOL:
-            raise ValueError(f"rho has negative eigenvalue {eigs[0]:.3e}")
+        # The shifted matrix is positive definite exactly when no
+        # eigenvalue lies below -_EIG_TOL, up to rounding of order dim*eps.
+        try:
+            np.linalg.cholesky(rho + _EIG_TOL * np.eye(self.dim))
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(rho)[0]
+            if low < -_EIG_TOL:
+                raise ValueError(f"rho has negative eigenvalue {low:.3e}") from None
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
         tail = self.tail_mass()
@@ -104,10 +113,6 @@ class FockDensityMatrix:
         sub2 = np.diagonal(self.rho, offset=-2)
         anom = complex(np.dot(np.sqrt((k[:-2] + 1.0) * (k[:-2] + 2.0)), sub2))
         return mean_b, occ, anom
-
-
-def _destroy(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
 
 
 def suggest_dim(n_eff: float, disp_sq: float = 0.0, floor: int = 32) -> int:
@@ -176,65 +181,60 @@ def apply_pump_exact(
 ) -> FockDensityMatrix:
     """Conjugate by the exponential of the truncated pump generator.
 
-    The generator is Hermitian, so exp(-i G) = V diag(exp(-i w)) V^dagger
-    from its eigendecomposition G = V diag(w) V^dagger.
+    The generator G = c1 b^dagger + c2 b^dagger^2 + h.c. is Hermitian, so
+    exp(-i G) = V diag(exp(-i w)) V^dagger from its eigendecomposition. eigh
+    reads only the two sub-diagonals c1 sqrt(k) and c2 sqrt(k (k+1)).
     """
     d = state.dim
-    b = _destroy(d)
-    bd = b.conj().T
-    gen = c1 * bd + np.conj(c1) * b + c2 * (bd @ bd) + np.conj(c2) * (b @ b)
-    w, v = np.linalg.eigh(gen)
+    k = np.arange(1.0, d)
+    gen = np.zeros((d, d), dtype=complex)
+    flat = gen.reshape(-1)
+    flat[d :: d + 1] = c1 * np.sqrt(k)
+    flat[2 * d :: d + 1] = c2 * np.sqrt(k[:-1] * k[1:])
+    w, v = np.linalg.eigh(gen, UPLO="L")
     u = (v * np.exp(-1j * w)) @ v.conj().T
     return FockDensityMatrix(d, u @ state.rho @ u.conj().T)
 
 
-def _binomial(dim: int, keep: float, lose: float) -> np.ndarray:
-    """Binomial table W[n, m] = C(n, m) keep^m lose^(n-m) for n, m < dim.
-
-    keep + lose is 1; the caller forms each without cancellation. The
-    Pascal recurrence adds positive terms only, so it neither overflows
-    nor cancels.
-    """
-    w = np.zeros((dim, dim))
-    w[0, 0] = 1.0
-    for n in range(1, dim):
-        w[n, : n + 1] = lose * w[n - 1, : n + 1]
-        w[n, 1 : n + 1] += keep * w[n - 1, :n]
-    return w
-
-
-def _loss(rho: np.ndarray, amp: np.ndarray, adjoint: bool = False) -> np.ndarray:
+def _loss(rho: np.ndarray, keep: float, lose: float, adjoint: bool = False) -> np.ndarray:
     """Pure-loss channel, or its adjoint, on a Hermitian rho in the number basis.
 
-    amp is the elementwise square root of _binomial(dim, T, 1 - T) for
-    transmissivity T. The channel keeps m of n quanta with amplitude
-    amp[n, m], so out[j, k] = sum_l amp[j+l, j] amp[k+l, k] rho[j+l, k+l];
-    the adjoint reads out[j, k] = sum_l amp[j, j-l] amp[k, k-l] rho[j-l, k-l].
-    Both cost O(dim^3).
+    keep + lose = 1; the caller forms each without cancellation. Keeping m
+    of n quanta has amplitude sqrt(C(n, m) keep^m lose^(n-m)) =
+    u(n) v(m) w(n-m), with u(n)^2 = n! sigma^2n, v(m)^2 = keep^m / (m! sigma^2m)
+    and w(l)^2 = lose^l / (l! sigma^2l). So out[j, k] is
+    v(j) v(k) sum_l w(l)^2 R[j+l, k+l] with R = (u x u) rho, and the
+    adjoint's is u(j) u(k) sum_l w(l)^2 R'[j-l, k-l] with R' = (v x v) rho:
+    along each band j - k, a correlation with the one kernel w^2.
+    sigma^2 = e / dim keeps every factor within about exp(+-dim / e), which
+    is finite up to dim ~ 1900.
     """
-    if adjoint:
-        # Reversing the level order turns the adjoint into the channel
-        # with the weights transposed.
-        return _loss(rho[::-1, ::-1], amp.T[::-1, ::-1])[::-1, ::-1]
     d = len(rho)
-    # The map is real, keeps each element on its band j - k and weighs
-    # (j, k) like (k, j), so the real lower triangle and the imaginary
-    # strict upper triangle of rho go through it apart, in one real matrix.
-    pad = np.zeros((2 * d, 2 * d))
-    pad[:d, :d] = np.tril(rho.real) + np.triu(rho.imag, 1)
-    wts = np.zeros((2 * d, d))
-    wts[:d] = amp
-    # Zero-padded strided views: shifted[l, j, k] = rho[j+l, k+l] and
-    # col[l, j] = amp[j+l, j]. The ndarray constructor checks that they
-    # stay inside their buffers.
+    level = np.arange(1.0, d) * (math.e / d)
+    # u^2, v^2 and w^2 by cumulative products from column d - 1 on; w^2 is
+    # zero-padded in front, so kern[k, i] = w(i - k)^2, zero for i < k, and
+    # the adjoint's kernel is its transpose.
+    sq = np.zeros((3, 2 * d - 1))
+    sq[:, d - 1] = 1.0
+    np.cumprod([level, keep / level, lose / level], axis=1, out=sq[:, d:])
+    u, v = np.sqrt(sq[:2, d - 1 :])
+    inner, outer = (v, u) if adjoint else (u, v)
+    step = sq.itemsize * (1 if adjoint else -1)
+    kern = np.ndarray((d, d), float, sq[2], (d - 1) * sq.itemsize, (step, -step))
+    # The real and imaginary parts of each lower band go through kern as two
+    # real columns; the upper bands are their conjugates. Views of a zero-
+    # padded buffer: band[i, m] = pad[i+m, i], and row[i, m] runs on from
+    # pad[i, i] into row i+1, where the lower bands, written last, overwrite it.
+    pad = np.zeros((2 * d, d), dtype=complex)
+    np.multiply(rho, np.outer(inner, inner), out=pad[:d])
     s0, s1 = pad.strides
-    shifted = np.ndarray((d, d, d), buffer=pad, strides=(s0 + s1, s0, s1))
-    t0, t1 = wts.strides
-    col = np.ndarray((d, d), buffer=wts, strides=(t0, t0 + t1))
-    x = np.einsum("lj,lk,ljk->jk", col, col, shifted)
-    lower = np.tril(x, -1)
-    upper = np.triu(x, 1)
-    return np.diag(np.diag(x)) + lower + lower.T + 1j * (upper - upper.T)
+    band = np.ndarray((d, d), complex, pad, strides=(s0 + s1, s0))
+    row = np.ndarray((d, d), complex, pad, strides=(s0 + s1, s1))
+    x = np.ascontiguousarray(kern) @ np.ascontiguousarray(band).view(float)
+    x = x.view(complex)
+    np.conjugate(x, out=row)
+    band[...] = x
+    return pad[:d] * np.outer(outer, outer)
 
 
 # Unused by the package; kept only for perfbench/spans.py until ROADMAP item 1.
@@ -262,9 +262,10 @@ def evolve_lindblad_exact(
     population down only, and the amplifier's output below the cutoff
     reads only levels below it. The free rotation exp(-i omega (j - k)
     tau) commutes with both and is applied at the end. Population the
-    amplifier pushes past the cutoff is lost trace: a drift beyond 1e-6
-    raises TruncationError suggesting twice the cutoff, and a smaller one
-    is renormalized away and reported when return_drift is set.
+    amplifier pushes past the cutoff is lost trace: a drift beyond 1e-6,
+    or a non-finite one, raises TruncationError suggesting twice the
+    cutoff, and a smaller one is renormalized away and reported when
+    return_drift is set.
     """
     if tau < 0 or not math.isfinite(tau):
         raise ValueError(f"tau must be >= 0 and finite, got {tau}")
@@ -276,12 +277,11 @@ def evolve_lindblad_exact(
     eta = math.exp(-bath.damping_rate * tau)
     lost = -math.expm1(-bath.damping_rate * tau)
     gain = 1.0 + lost * nb
-    attenuate = np.sqrt(_binomial(d, eta / gain, lost * (1.0 + nb) / gain))
-    amplify = np.sqrt(_binomial(d, 1.0 / gain, lost * nb / gain))
-    rho = _loss(_loss(state.rho, attenuate), amplify, adjoint=True) / gain
+    rho = _loss(state.rho, eta / gain, lost * (1.0 + nb) / gain)
+    rho = _loss(rho, 1.0 / gain, lost * nb / gain, adjoint=True) / gain
     tr = float(np.trace(rho).real)
     drift = abs(tr - 1.0)
-    if drift > 1e-6:
+    if not drift <= 1e-6:
         raise TruncationError(
             f"trace drifted by {drift:.3e}: the bath pushed population past "
             f"the cutoff {d}; retry with dim >= {2 * d}",
@@ -318,7 +318,7 @@ def probe_exact(rho_phonon: FockDensityMatrix, probe: ProbeSpec) -> ObservablePa
     rot = np.exp(1j * probe.phase_diff * np.arange(d))
     rho = rot[:, None] * rho_phonon.rho * rot.conj()[None, :]
     rho_ph = np.zeros((d + 2, d + 2), dtype=complex)
-    rho_ph[:d, :d] = _loss(rho, np.sqrt(_binomial(d, s * s, c * c)))
+    rho_ph[:d, :d] = _loss(rho, s * s, c * c)
     # The phases (-i sign(s))^p of B; the sign of c cancels between B and
     # its conjugate.
     phase = np.array([1.0, -1j, -1.0, 1j])[np.arange(d + 2) % 4]

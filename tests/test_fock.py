@@ -10,9 +10,11 @@ from hypothesis import strategies as hs
 from scipy.linalg import eigh, expm
 
 from closed_forms import conjugate_quadrature_variance, quadrature_variance
+from isrsim import fock
 from isrsim.fock import (
     FockDensityMatrix,
     TruncationError,
+    _loss,
     _retry_truncation,
     apply_pump_exact,
     build_thermal_fock,
@@ -54,6 +56,44 @@ def _banded_expm(rho, tau, bath):
         out[k, k + m] = out[k + m, k].conj()
     j = np.arange(d)
     return out * np.exp(-1j * bath.omega_rad_ps * tau * (j[:, None] - j[None, :]))
+
+
+def _pascal_loss(rho, keep, lose, adjoint=False, levels=None):
+    """Pure-loss channel, or its adjoint, from the Pascal table and a band sum.
+
+    W[n, m] = C(n, m) keep^m lose^(n-m) comes from the Pascal recurrence,
+    which adds positive terms only, and with amp = sqrt(W) the channel is
+    out[j, k] = sum_l amp[j+l, j] amp[k+l, k] rho[j+l, k+l], a three-operand
+    einsum over zero-padded strided views. Reversing the level order turns
+    the adjoint into the channel with the table transposed. Given levels,
+    only the levels x levels block of the output is formed.
+    """
+    d = len(rho)
+    w = np.zeros((d, d))
+    w[0, 0] = 1.0
+    for n in range(1, d):
+        w[n, : n + 1] = lose * w[n - 1, : n + 1]
+        w[n, 1 : n + 1] += keep * w[n - 1, :n]
+    amp = np.sqrt(w)
+    at = np.arange(d) if levels is None else np.asarray(levels)
+    if adjoint:
+        rho, amp, at = rho[::-1, ::-1], amp.T[::-1, ::-1], d - 1 - at
+    # The map is real and weighs (j, k) like (k, j), so the real lower and
+    # the imaginary strict upper triangle go through it in one real matrix.
+    pad = np.zeros((2 * d, 2 * d))
+    pad[:d, :d] = np.tril(rho.real) + np.triu(rho.imag, 1)
+    wts = np.zeros((2 * d, d))
+    wts[:d] = amp
+    s0, s1 = pad.strides
+    shifted = np.ndarray((d, d, d), buffer=pad, strides=(s0 + s1, s0, s1))
+    t0, t1 = wts.strides
+    col = np.ndarray((d, d), buffer=wts, strides=(t0, t0 + t1))
+    if levels is None:
+        x = np.einsum("lj,lk,ljk->jk", col, col, shifted)[np.ix_(at, at)]
+    else:
+        x = np.einsum("lj,lk,ljk->jk", col[:, at], col[:, at], shifted[:, at[:, None], at])
+    upper = at[:, None] < at
+    return np.where(upper, x.T, x) + 1j * (np.where(upper, x, 0.0) - np.where(upper.T, x.T, 0.0))
 
 
 def _quadrature_variances(state):
@@ -150,6 +190,13 @@ def test_density_matrix_guards():
     with pytest.raises(ValueError, match="trace"):
         FockDensityMatrix(dim, 0.9 * good)
 
+    # NaN compares false with every tolerance, so it is refused outright.
+    for where, value in (((1, 1), np.nan), ((0, 1), np.nan), ((2, 2), np.inf)):
+        broken = good.copy()
+        broken[where] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            FockDensityMatrix(dim, broken)
+
     mixed = good.copy()
     mixed[0, 0] = 1.2
     mixed[1, 1] = -0.2
@@ -162,6 +209,20 @@ def test_density_matrix_guards():
     with pytest.raises(TruncationError) as info:
         FockDensityMatrix(10, heavy)
     assert info.value.suggested_dim == 20
+
+
+@pytest.mark.parametrize("low, refused", [(-5e-11, False), (-2e-10, True)])
+def test_positivity_boundary(low, refused):
+    # The test is lambda_min >= -1e-10; the message names the eigenvalue.
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    rho = (q * [low, 0.3, 0.7 - low, 0.0, 0.0, 0.0, 0.0, 0.0]) @ q.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    if refused:
+        with pytest.raises(ValueError, match=r"negative eigenvalue -2\.000e-10"):
+            FockDensityMatrix(8, rho)
+    else:
+        FockDensityMatrix(8, rho)
 
 
 def test_truncate_and_embed():
@@ -185,6 +246,25 @@ def test_suggest_dim_monotone():
     assert suggest_dim(0.0) >= 32
 
 
+def test_pump_generator_is_the_dense_one(monkeypatch):
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(gen, UPLO="L"):
+        seen.append((np.array(gen), UPLO))
+        return eigh(gen, UPLO=UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    d, c1, c2 = 24, 0.3 - 0.2j, 0.1 + 0.05j
+    apply_pump_exact(build_thermal_fock(0.2, d), c1, c2)
+    [(gen, uplo)] = seen
+    b = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
+    bd = b.conj().T
+    dense = c1 * bd + np.conj(c1) * b + c2 * (bd @ bd) + np.conj(c2) * (b @ b)
+    assert uplo == "L"
+    assert np.max(np.abs(np.tril(gen) - np.tril(dense))) <= 1e-14
+
+
 def test_pump_exact_matches_gaussian_moments():
     c1, c2 = 0.3 - 0.2j, 0.1j
     rho = apply_pump_exact(build_thermal_fock(0.5, 48), c1, c2)
@@ -204,6 +284,31 @@ def test_lindblad_matches_closed_form():
     assert abs(m - st.mean_b) < 1e-7
     assert abs(occ - st.occupation) < 1e-7
     assert abs(anom - st.anomalous) < 1e-7
+
+
+@pytest.mark.parametrize("dim", [8, 32, 88, 272, 1024])
+def test_loss_kernel_matches_pascal_reference(dim):
+    # A random rank-8 density matrix; at cutoff 1024 the O(dim^3) reference
+    # is formed on 36 levels spread over the whole range.
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, 8)) + 1j * rng.normal(size=(dim, 8))
+    rho = a @ a.conj().T / np.sum(np.abs(a) ** 2)
+    levels = None
+    if dim > 272:
+        levels = np.unique(np.r_[0:4, np.linspace(0, dim - 1, 28).astype(int), dim - 4 : dim])
+    block = np.s_[:, :] if levels is None else np.ix_(levels, levels)
+    for keep in (0.0, 0.0025, 0.5, 0.9975, 1.0):
+        for adjoint in (False, True):
+            got = _loss(rho, keep, 1.0 - keep, adjoint)
+            assert np.isfinite(got).all()
+            ref = _pascal_loss(rho, keep, 1.0 - keep, adjoint, levels)
+            assert np.max(np.abs(got[block] - ref)) <= 1e-14
+
+
+def test_non_finite_trace_is_a_drift(monkeypatch):
+    monkeypatch.setattr(fock, "_loss", lambda rho, *args, **kw: np.full_like(rho, np.nan))
+    with pytest.raises(TruncationError, match="drifted by nan"):
+        evolve_lindblad_exact(build_thermal_fock(0.2, 16), 1.0, BathSpec(OMEGA, 1.0, 0.1))
 
 
 def test_lindblad_zero_delay_is_identity():
