@@ -15,7 +15,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
 import functools
 import hashlib
@@ -49,7 +48,7 @@ from .detector import (
 )
 from .fock import TruncationError, cross_validate
 from .probe import predict_trace
-from .states import PhysicalityError, pump_coefficients
+from .states import PhysicalityError
 
 # A second-harmonic line counts as present in a noiseless spectrum when
 # its peak exceeds this fraction of the fundamental's AND stands out of
@@ -387,13 +386,6 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _two_omega_phase(pump, probe) -> float:
-    """Phase of the second-harmonic cosine in the variance trace."""
-    _, c2 = pump_coefficients(pump)
-    phi = cmath.phase(c2) if abs(c2) > 0 else 0.0
-    return 1.5 * math.pi - phi - 2.0 * probe.phase_diff
-
-
 def cmd_fluence(cfg: RunConfig, args) -> int:
     s = cfg.section("scan")
     fser = cfg.section("fluence_series")
@@ -425,9 +417,9 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
     # Calibration: the same extraction applied to a unit-amplitude damped
     # second-harmonic cosine converts FFT peak height back to the
     # zero-delay amplitude; the spectrum peak carries twice the analytic
-    # amplitude, hence the factor 2.
-    pump_top = cfg.fluence_pump_spec(max(fluences))
-    phi2 = _two_omega_phase(pump_top, probe)
+    # amplitude, hence the factor 2. The pump drives through its intensity,
+    # so c2 is real and >= 0 and the probe phase alone sets the cosine's.
+    phi2 = 1.5 * math.pi - 2.0 * probe.phase_diff
     synth = np.exp(-bath.damping_rate * delays) * np.cos(
         2.0 * math.pi * 2.0 * f0 * delays + phi2
     )
@@ -491,10 +483,7 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, args) -> int:
-    results = cross_validate(
-        fault_scale=args.inject_fault,
-        max_dim=cfg.section("oracle")["max_phonon_dim"],
-    )
+    results = cross_validate(fault_scale=args.inject_fault)
     # The wall time goes to stderr, not into the report, so that the
     # report and the manifest that hashes it are the same on every rerun.
     total_s = sum(r.elapsed_s for r in results)

@@ -11,7 +11,6 @@ rule table _SCHEMA.
 
 from __future__ import annotations
 
-import cmath
 import copy
 import hashlib
 import json
@@ -65,11 +64,7 @@ def _number(
     return out
 
 
-def _integer(
-    value, path: str, minimum: int | None = None, allow_none: bool = False
-) -> int | None:
-    if value is None and allow_none:
-        return None
+def _integer(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -134,7 +129,6 @@ _SCHEMA = {
         "mu_squeeze": _nonnegative,
         "k_modes": partial(_integer, minimum=1),
         "nu_amp": _nonnegative,
-        "nu_phase": _number,
     },
     "bath": {
         "frequency_thz": _positive,
@@ -176,9 +170,6 @@ _SCHEMA = {
         "n_pulses": partial(_integer, minimum=2),
     },
     "outputs": {"directory": _directory, "formats": _formats},
-    "oracle": {
-        "max_phonon_dim": partial(_integer, minimum=2, allow_none=True),
-    },
 }
 
 
@@ -294,7 +285,7 @@ class RunConfig:
             mu_displace=p["mu_displace"],
             mu_squeeze=p["mu_squeeze"],
             k_modes=p["k_modes"],
-            nu_amplitude=amp * cmath.exp(1j * p["nu_phase"]),
+            nu_amplitude=amp,
         )
 
     def initial_occupation(self) -> float:

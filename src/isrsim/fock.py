@@ -29,7 +29,6 @@ import numpy as np
 from .probe import ObservablePair, ProbeSpec, probe_mean, probe_variance
 from .states import BathSpec, apply_pump, evolve, thermal_state
 
-DEFAULT_PHONON_DIM = 60
 # Unused by the package; kept only for perfbench/spans.py until ROADMAP item 1.
 DEFAULT_PHOTON_DIM = 40
 
@@ -132,7 +131,7 @@ def suggest_dim(n_eff: float, disp_sq: float = 0.0, floor: int = 32) -> int:
     return max(floor, int(math.ceil(level / 8.0)) * 8)
 
 
-def build_thermal_fock(n_mean: float, dim: int = DEFAULT_PHONON_DIM) -> FockDensityMatrix:
+def build_thermal_fock(n_mean: float, dim: int) -> FockDensityMatrix:
     """Thermal state: diagonal geometric populations, renormalized."""
     if n_mean < 0 or not math.isfinite(n_mean):
         raise ValueError(f"n_mean must be >= 0, got {n_mean}")
@@ -397,15 +396,12 @@ def _rel_err(fast, oracle) -> float:
 def cross_validate(
     cases: Sequence[CrossCheckCase] | None = None,
     fault_scale: float = 0.0,
-    max_dim: int | None = None,
 ) -> list[CrossCheckResult]:
     """Run the fast path and the oracle side by side over a grid.
 
     fault_scale perturbs the fast-path variance by the given relative
     amount before comparison; it exists so the harness can prove the
-    check actually fails when a formula is wrong. max_dim caps the
-    phonon cutoff; states that genuinely need more levels then raise
-    TruncationError instead of retrying upward. The probe truncates
+    check actually fails when a formula is wrong. The probe truncates
     nothing, so it reads out the evolved state at that state's cutoff.
     """
     if cases is None:
@@ -426,15 +422,11 @@ def cross_validate(
             fast.central_occupation + abs(fast.central_anomalous),
             abs(fast.mean_b) ** 2,
         )
-        if max_dim is not None:
-            core_dim = min(core_dim, max_dim)
-
         exact, _ = _retry_truncation(
             lambda dim: apply_pump_exact(
                 build_thermal_fock(case.thermal_n, dim), case.c1, case.c2
             ),
             core_dim,
-            max_dim,
         )
         errs = {}
         em, eo, ea = exact.moments()
@@ -446,7 +438,6 @@ def cross_validate(
         exact, _ = _retry_truncation(
             lambda dim: evolve_lindblad_exact(embed(exact, dim), case.delay, bath),
             exact.dim,
-            max_dim,
         )
         em, eo, ea = exact.moments()
         errs["evolve_mean_b"] = _rel_err(fast.mean_b, em)
@@ -478,12 +469,11 @@ def cross_validate(
     return results
 
 
-def _retry_truncation(stage, dim: int, max_dim: int | None = None):
+def _retry_truncation(stage, dim: int):
     """Run stage(dim), growing the phonon cutoff a truncation asks for.
 
-    dim grows to at most max_dim, and a TruncationError propagates once
-    dim is already there. Returns (result, dim) of the first attempt that
-    passes; the third failure propagates.
+    Returns (result, dim) of the first attempt that passes; the third
+    failure propagates.
     """
     for attempt in range(3):
         try:
@@ -491,9 +481,4 @@ def _retry_truncation(stage, dim: int, max_dim: int | None = None):
         except TruncationError as exc:
             if attempt == 2:
                 raise
-            bigger = exc.suggested_dim or 2 * dim
-            if max_dim is not None and bigger > max_dim:
-                if dim >= max_dim:
-                    raise
-                bigger = max_dim
-            dim = bigger
+            dim = exc.suggested_dim or 2 * dim

@@ -119,17 +119,21 @@ class PumpSpec:
 
     mu_displace and mu_squeeze are the linear and quadratic coupling
     strengths per mode pair, k_modes the number of contributing pump mode
-    pairs and nu_amplitude the common coherent amplitude of each pump mode.
+    pairs and nu_amplitude the magnitude |nu| of the common coherent
+    amplitude of each pump mode. The drive goes as the intensity |nu|^2,
+    so the field's phase cancels and is not a parameter.
     """
 
     mu_displace: float
     mu_squeeze: float
     k_modes: int
-    nu_amplitude: complex
+    nu_amplitude: float
 
     def __post_init__(self) -> None:
         if self.k_modes < 1:
             raise ValueError(f"k_modes must be a positive integer, got {self.k_modes}")
+        if not (self.nu_amplitude >= 0 and math.isfinite(self.nu_amplitude)):
+            raise ValueError(f"nu_amplitude must be >= 0, got {self.nu_amplitude}")
 
 
 @dataclass(frozen=True)
@@ -192,7 +196,7 @@ def pump_coefficients(pump: PumpSpec) -> tuple[complex, complex]:
         c1 = mu_displace * k_modes * |nu|^2
         c2 = mu_squeeze  * k_modes * |nu|^2.
     """
-    weight = pump.k_modes * abs(complex(pump.nu_amplitude)) ** 2
+    weight = pump.k_modes * pump.nu_amplitude ** 2
     return complex(pump.mu_displace * weight), complex(pump.mu_squeeze * weight)
 
 

@@ -13,7 +13,7 @@ import isrsim.cli as cli
 import isrsim.detector as detector
 from isrsim.config import load_config
 from isrsim.detector import row_generator
-from isrsim.fock import CrossCheckCase, CrossCheckResult
+from isrsim.fock import CrossCheckCase, CrossCheckResult, TruncationError
 
 FAST_SCAN = """\
 scan:
@@ -360,10 +360,16 @@ def test_import_and_light_commands_load_no_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def test_oracle_truncation_cap_exit_code(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "oracle:\n  max_phonon_dim: 24\n")
-    assert cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err.startswith("oracle: numerical error: ")
+def test_oracle_numerical_error_exit_code(tmp_path, monkeypatch, capsys):
+    def fake_cross_validate(fault_scale):
+        raise TruncationError("phonon cutoff 32 too small", 64)
+
+    monkeypatch.setattr(cli, "cross_validate", fake_cross_validate)
+    assert cli.main(["oracle", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "oracle: numerical error: phonon cutoff 32 too small\n"
+    )
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_oracle_exit_and_report_via_stub(tmp_path, monkeypatch, capsys):
@@ -371,7 +377,7 @@ def test_oracle_exit_and_report_via_stub(tmp_path, monkeypatch, capsys):
     case = CrossCheckCase(0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 5.0, 0.0)
     seen = {"elapsed_s": 0.01}
 
-    def fake_cross_validate(fault_scale, max_dim):
+    def fake_cross_validate(fault_scale):
         seen["fault_scale"] = fault_scale
         failed = fault_scale > 0
         return [

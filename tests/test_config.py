@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import isrsim.cli as cli
 from isrsim.config import (
     _SCHEMA,
     ConfigError,
@@ -185,8 +186,8 @@ def test_rule_table_and_defaults_declare_the_same_keys():
 
 def test_missing_section_rejected():
     mapping = default_mapping()
-    del mapping["oracle"]
-    with pytest.raises(ConfigError, match="oracle"):
+    del mapping["shot_noise"]
+    with pytest.raises(ConfigError, match="^shot_noise: section is missing"):
         validate_mapping(mapping)
 
 
@@ -195,13 +196,20 @@ def test_seed_flag_validation():
         load_config(seed=-1)
 
 
-def test_oracle_section(tmp_path):
-    cfg = load_config(write(tmp_path, "oracle:\n  max_phonon_dim: 24\n"))
-    assert cfg.section("oracle")["max_phonon_dim"] == 24
-    assert load_config().section("oracle")["max_phonon_dim"] is None
-    # The probe read-out has no photon register, so no photon cutoff.
-    with pytest.raises(ConfigError, match="oracle: unknown key.*photon_dim"):
-        load_config(write(tmp_path, "oracle:\n  photon_dim: 32\n"))
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # The pump drives through its intensity |nu|^2, so it has no phase.
+        ("pump:\n  nu_phase: 0.3\n", "pump: unknown key(s): nu_phase"),
+        # The oracle runs a fixed grid and grows its cutoffs itself.
+        ("oracle:\n  max_phonon_dim: 24\n", "config: unknown key(s): oracle"),
+    ],
+    ids=["nu_phase", "oracle"],
+)
+def test_removed_keys_exit_with_a_config_error(tmp_path, capsys, text, message):
+    path = write(tmp_path, text)
+    assert cli.main(["predict", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"predict: config error: {message}\n"
 
 
 def test_validated_tree_round_trips_through_builders():

@@ -171,7 +171,7 @@ def test_thermal_fock_occupation():
 
 def test_thermal_fock_validation():
     with pytest.raises(ValueError):
-        build_thermal_fock(-0.5)
+        build_thermal_fock(-0.5, 32)
     with pytest.raises(ValueError):
         build_thermal_fock(1.0, dim=1)
 

@@ -69,24 +69,6 @@ def test_cross_validate_catches_injected_fault():
     assert results[0].var_error >= 4e-4
 
 
-def test_cross_validate_respects_dimension_cap():
-    # The first case relaxes from a hot squeezed state; 24 levels cannot
-    # hold it, and with the cap in place the retry ladder must raise
-    # instead of silently comparing a clipped state.
-    hot = CrossCheckCase(
-        thermal_n=2.0,
-        c1=0.9 - 0.4j,
-        c2=0.25j,
-        damping_rate=1.0,
-        delay=3.0,
-        coupling_norm=0.3,
-        intensity_y=50.0,
-        phase_diff=0.7,
-    )
-    with pytest.raises(TruncationError):
-        cross_validate([hot], max_dim=24)
-
-
 def test_strong_exchange_reads_out_without_retry():
     # A strong exchange (angle 1.4) with a coherent phonon (|<b>| = 2)
     # scatters many photons; the number-sector read-out has no photon
@@ -100,28 +82,13 @@ def test_strong_exchange_reads_out_without_retry():
 
 def test_retry_ladder_grows_the_named_register_up_to_the_cap():
     # One register, the phonon's: each failure asks for twice the cutoff,
-    # and the ladder grows to the cap, then lets the failure at the cap
-    # propagate.
-    def failing():
-        tried = []
+    # and the failure of the third and last attempt propagates.
+    tried = []
 
-        def stage(dim):
-            tried.append(dim)
-            raise TruncationError("phonon", 2 * dim)
+    def stage(dim):
+        tried.append(dim)
+        raise TruncationError("phonon", 2 * dim)
 
-        return stage, tried
-
-    stage, tried = failing()
-    with pytest.raises(TruncationError, match="phonon"):
-        _retry_truncation(stage, 24, max_dim=64)
-    assert tried == [24, 48, 64]
-
-    stage, tried = failing()
-    with pytest.raises(TruncationError, match="phonon"):
-        _retry_truncation(stage, 64, max_dim=64)
-    assert tried == [64]
-
-    stage, tried = failing()
     with pytest.raises(TruncationError, match="phonon"):
         _retry_truncation(stage, 8)
     assert tried == [8, 16, 32]

@@ -79,13 +79,15 @@ def test_thermal_state_moments():
         thermal_state(-0.1)
 
 
-def test_pump_coefficients_phase_cancels():
-    """Mode pairs contribute |nu|^2 each, so the common phase drops out."""
-    for phase in (0.0, 0.9, -2.2):
-        pump = PumpSpec(0.5, 0.002, 100, cmath.rect(math.sqrt(2.0), phase))
-        c1, c2 = pump_coefficients(pump)
-        assert c1 == pytest.approx(0.5 * 100 * 2.0, rel=1e-12)
-        assert c2 == pytest.approx(0.002 * 100 * 2.0, rel=1e-12)
+def test_pump_amplitude_is_a_magnitude():
+    """The drive goes as k |nu|^2; a negative or NaN |nu| is refused."""
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nu_amplitude"):
+            PumpSpec(0.5, 0.002, 100, bad)
+    for amp in (0.0, 0.7, math.sqrt(2.0)):
+        c1, c2 = pump_coefficients(PumpSpec(0.5, 0.002, 100, amp))
+        assert c1 == pytest.approx(0.5 * 100 * amp ** 2, rel=1e-15)
+        assert c2 == pytest.approx(0.002 * 100 * amp ** 2, rel=1e-15)
 
 
 def test_pure_displacement_sign_convention():
