@@ -249,7 +249,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     probe = cfg.probe_spec()
     n0 = cfg.initial_occupation()
     f0 = cfg.section("bath")["frequency_thz"]
-    pump = cfg.scan_pump_spec()
+    pump = cfg.pump_spec()
 
     out = _Outputs(cfg, "predict")
     variants = [
@@ -289,7 +289,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     bath = cfg.bath_spec()
     probe = cfg.probe_spec()
     det = cfg.detector_spec()
-    pump = cfg.scan_pump_spec()
+    pump = cfg.pump_spec()
     f0 = cfg.section("bath")["frequency_thz"]
 
     res = _run_scan(cfg, pump, bath, probe, det, delays, s["seed"], args.threads)

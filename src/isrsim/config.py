@@ -15,7 +15,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from importlib import resources
 from typing import Any, Mapping
@@ -138,9 +138,8 @@ _SCHEMA = {
     },
     "probe": {
         "coupling_norm": _nonnegative,
-        "theta_prime": _number,
+        "phase_diff": _number,
         "intensity_y": _nonnegative,
-        "theta_y": _number,
     },
     "detector": {
         "quantum_efficiency": partial(_number, minimum=0.0, exclusive=True, maximum=1),
@@ -158,7 +157,6 @@ _SCHEMA = {
         "m_scans": partial(_integer, minimum=1),
         "seed": partial(_integer, minimum=0),
         "statistics_only": _boolean,
-        "fluence": partial(_number, minimum=0.0, exclusive=True, allow_none=True),
     },
     "fluence_series": {
         "fluences": _number_list,
@@ -278,14 +276,13 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
     # -- typed builders ---------------------------------------------------
-    def pump_spec(self, nu_amp: float | None = None) -> PumpSpec:
+    def pump_spec(self) -> PumpSpec:
         p = self.data["pump"]
-        amp = p["nu_amp"] if nu_amp is None else nu_amp
         return PumpSpec(
             mu_displace=p["mu_displace"],
             mu_squeeze=p["mu_squeeze"],
             k_modes=p["k_modes"],
-            nu_amplitude=amp,
+            nu_amplitude=p["nu_amp"],
         )
 
     def initial_occupation(self) -> float:
@@ -303,13 +300,12 @@ class RunConfig:
             n_bath=n,
         )
 
-    def probe_spec(self, coupling_norm: float | None = None) -> ProbeSpec:
+    def probe_spec(self) -> ProbeSpec:
         p = self.data["probe"]
         return ProbeSpec(
-            coupling_norm=p["coupling_norm"] if coupling_norm is None else coupling_norm,
-            theta_prime=p["theta_prime"],
+            coupling_norm=p["coupling_norm"],
+            phase_diff=p["phase_diff"],
             intensity_y=p["intensity_y"],
-            theta_y=p["theta_y"],
         )
 
     def detector_spec(self) -> DetectorSpec:
@@ -333,17 +329,13 @@ class RunConfig:
         s = self.data["scan"]
         return s["start_ps"] + s["step_ps"] * np.arange(_delay_count(s))
 
-    def scan_pump_spec(self) -> PumpSpec:
-        """Pump for the scan command, honoring the fluence preset."""
-        fluence = self.data["scan"]["fluence"]
-        if fluence is None:
-            return self.pump_spec()
-        return self.fluence_pump_spec(fluence)
-
     def fluence_pump_spec(self, fluence: float) -> PumpSpec:
+        """The pump at one fluence: |nu|^2 = conversion * fluence."""
         conv = self.data["fluence_series"]["conversion"]
-        return self.pump_spec(nu_amp=math.sqrt(conv * fluence))
+        return replace(self.pump_spec(), nu_amplitude=math.sqrt(conv * fluence))
 
     def fluence_probe_spec(self) -> ProbeSpec:
+        """The probe of the fluence study; a null coupling_norm keeps probe's."""
+        probe = self.probe_spec()
         coupling = self.data["fluence_series"]["coupling_norm"]
-        return self.probe_spec(coupling_norm=coupling)
+        return probe if coupling is None else replace(probe, coupling_norm=coupling)

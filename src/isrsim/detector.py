@@ -61,14 +61,17 @@ class DetectorSpec:
             raise ValueError(
                 f"quantum_efficiency must be in (0, 1], got {self.quantum_efficiency}"
             )
-        if self.gain_v_per_photon <= 0:
-            raise ValueError("gain_v_per_photon must be > 0")
-        if self.electronic_var < 0:
-            raise ValueError("electronic_var must be >= 0")
-        if self.ref_mean_photons is not None and self.ref_mean_photons < 0:
-            raise ValueError("ref_mean_photons must be >= 0")
-        if self.drift_rms_v < 0:
-            raise ValueError("drift_rms_v must be >= 0")
+        if not (self.gain_v_per_photon > 0 and math.isfinite(self.gain_v_per_photon)):
+            raise ValueError(f"gain_v_per_photon must be > 0, got {self.gain_v_per_photon}")
+        if not (self.electronic_var >= 0 and math.isfinite(self.electronic_var)):
+            raise ValueError(f"electronic_var must be >= 0, got {self.electronic_var}")
+        ref = self.ref_mean_photons
+        if ref is not None and not (ref >= 0 and math.isfinite(ref)):
+            raise ValueError(f"ref_mean_photons must be >= 0, got {ref}")
+        if not math.isfinite(self.unbalance_v):
+            raise ValueError(f"unbalance_v must be finite, got {self.unbalance_v}")
+        if not (self.drift_rms_v >= 0 and math.isfinite(self.drift_rms_v)):
+            raise ValueError(f"drift_rms_v must be >= 0, got {self.drift_rms_v}")
 
 
 def calibrated_gain(probe_photons: float, quantum_efficiency: float) -> float:

@@ -410,9 +410,7 @@ def cross_validate(
     for case in cases:
         t0 = time.perf_counter()
         bath = BathSpec(case.omega, case.damping_rate, case.thermal_n)
-        probe = ProbeSpec(
-            case.coupling_norm, case.phase_diff, case.intensity_y, 0.0
-        )
+        probe = ProbeSpec(case.coupling_norm, case.phase_diff, case.intensity_y)
 
         # Cutoff guesses come from the fast-path moments; an undersized
         # guess only triggers a retry because construction re-checks the

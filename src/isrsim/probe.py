@@ -38,15 +38,15 @@ class ProbeSpec:
     """Probe-stage parameters.
 
     coupling_norm is the beamsplitter rotation angle (radians) of the
-    photon-phonon exchange, theta_prime its phase, intensity_y the mean
-    photon number per pulse in the detected polarization and theta_y the
-    phase of that field.
+    photon-phonon exchange, phase_diff the analyzed-quadrature angle minus
+    the probe field's phase (radians), the one phase the read-out depends
+    on, and intensity_y the mean photon number per pulse in the detected
+    polarization.
     """
 
     coupling_norm: float
-    theta_prime: float
+    phase_diff: float
     intensity_y: float
-    theta_y: float
 
     def __post_init__(self) -> None:
         if self.coupling_norm < 0 or not math.isfinite(self.coupling_norm):
@@ -58,13 +58,10 @@ class ProbeSpec:
                 "coupling_norm exceeds pi/2; outside the weak-probe regime",
                 stacklevel=2,
             )
+        if not math.isfinite(self.phase_diff):
+            raise ValueError(f"phase_diff must be finite, got {self.phase_diff}")
         if self.intensity_y < 0 or not math.isfinite(self.intensity_y):
             raise ValueError(f"intensity_y must be >= 0, got {self.intensity_y}")
-
-    @property
-    def phase_diff(self) -> float:
-        """Relative phase theta_prime - theta_y entering the read-out."""
-        return self.theta_prime - self.theta_y
 
 
 @dataclass(frozen=True)

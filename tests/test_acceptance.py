@@ -73,7 +73,7 @@ def test_variance_second_harmonic_requires_squeezing():
     # single FFT bin, so "no component" is testable at round-off level.
     n = 1.2
     bath = BathSpec(OMEGA, 0.0, n)
-    probe = ProbeSpec(0.12, 0.0, 1.0e6, 0.0)
+    probe = ProbeSpec(0.12, 0.0, 1.0e6)
     per, cycles = 16, 16
     delays = np.arange(per * cycles) / (F0 * per)
     b1, b2 = cycles, 2 * cycles
@@ -110,7 +110,7 @@ def test_trace_tone_amplitudes_match_closed_forms():
     # damping * record length at or below 0.3 holds the residual
     # envelope/leakage bias under one percent.
     pump = PumpSpec(0.5, 0.002, 100.0, math.sqrt(2.0))
-    probe = ProbeSpec(0.05, 0.0, 1.0e6, 0.0)
+    probe = ProbeSpec(0.05, 0.0, 1.0e6)
     n = N_300K
     per, cycles = 16, 8
     npts = per * cycles
@@ -145,7 +145,7 @@ def test_trace_tone_amplitudes_match_closed_forms():
 def _small_squeeze_lifetimes():
     bath = BathSpec(OMEGA, 2.0 / 7.0, N_300K)
     pump = PumpSpec(0.5, 2.0e-4, 100.0, math.sqrt(2.0))
-    probe = ProbeSpec(0.05, 0.0, 1.0e6, 0.0)
+    probe = ProbeSpec(0.05, 0.0, 1.0e6)
     delays = np.arange(512) * 0.02
     trace = predict_trace(pump, bath, probe, N_300K, delays)
     return extract_lifetimes(trace[:, [0, 2]], omega_thz=F0, noise_sd=0.0)

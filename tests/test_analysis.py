@@ -211,7 +211,7 @@ def test_fit_line_slope_stderr():
 
 def test_amplitude_prefactor_consistency():
     bath = BathSpec(OMEGA, 0.3, 1.2)
-    probe = ProbeSpec(0.12, 0.0, 1.0e4, 0.0)
+    probe = ProbeSpec(0.12, 0.0, 1.0e4)
     pref = amplitude_prefactor(bath, probe, 0.8)
     # Frozen product: pref * sinh(2 * 0.32) matches the second-harmonic
     # amplitude of the matching pump (r = 0.32).
@@ -220,7 +220,7 @@ def test_amplitude_prefactor_consistency():
 
 def fluence_setup():
     bath = BathSpec(OMEGA, 2.0 / 7.0, 1.1787)
-    probe = ProbeSpec(0.05, 0.0, 1.0e6, 0.0)
+    probe = ProbeSpec(0.05, 0.0, 1.0e6)
     k_modes, conversion = 100, 0.15
     return bath, probe, k_modes, conversion
 

@@ -341,6 +341,17 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("scan: config error: pump.mu_squeeze")
     missing = str(tmp_path / "nope.yaml")
     assert cli.main(["predict", "--config", missing]) == 2
+    assert capsys.readouterr().err.startswith("predict: config error: config: cannot read")
+    # The probe has one phase key, phase_diff = theta_prime - theta_y.
+    two_phases = write_cfg(tmp_path, "probe:\n  theta_prime: 0.2\n  theta_y: 0.1\n")
+    assert cli.main(["predict", "--config", two_phases, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "predict: config error: probe: unknown key(s): theta_prime, theta_y\n"
+    )
+    # |nu|^2 is set by pump.nu_amp alone: nu_amp = sqrt(conversion * fluence).
+    preset = write_cfg(tmp_path, "scan:\n  fluence: 2.0\n")
+    assert cli.main(["scan", "--config", preset, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "scan: config error: scan: unknown key(s): fluence\n"
     assert cli.main(["scan", "--threads", "0", "--out", str(tmp_path / "o")]) == 2
 
 

@@ -1,6 +1,7 @@
 """Layered YAML configuration: validation, overrides, typed builders."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,10 +66,22 @@ def test_fluence_builders():
     assert abs(pump.nu_amplitude) == pytest.approx(
         math.sqrt(0.15 * 8.0), rel=1e-12
     )
+    # Only |nu| moves with the fluence; every other pump field is the config's.
+    assert pump == replace(cfg.pump_spec(), nu_amplitude=math.sqrt(0.15 * 8.0))
     probe = cfg.fluence_probe_spec()
     assert probe.coupling_norm == 0.3
-    # scan.fluence null: the scan pump is the plain pump.
-    assert cfg.scan_pump_spec() == cfg.pump_spec()
+    assert probe == replace(cfg.probe_spec(), coupling_norm=0.3)
+
+
+def test_fluence_probe_spec_null_coupling_keeps_the_probe(tmp_path):
+    cfg = load_config(write(tmp_path, "fluence_series:\n  coupling_norm: null\n"))
+    assert cfg.fluence_probe_spec() == cfg.probe_spec()
+
+
+def test_probe_phase_diff_reaches_the_probe_spec(tmp_path):
+    cfg = load_config(write(tmp_path, "probe:\n  phase_diff: 0.7\n"))
+    assert cfg.probe_spec().phase_diff == 0.7
+    assert cfg.fluence_probe_spec().phase_diff == 0.7
 
 
 def test_file_overrides_and_flag_precedence(tmp_path):

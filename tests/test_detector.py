@@ -138,10 +138,46 @@ def test_guards():
         sample_scan_statistics(1e6, 1e6, drifty, 100, photon)
 
 
+FINITE_FIELDS = {
+    DetectorSpec: dict(
+        quantum_efficiency=0.94,
+        gain_v_per_photon=1e-3,
+        electronic_var=0.1,
+        ref_mean_photons=1e6,
+        unbalance_v=0.0,
+        drift_rms_v=0.0,
+    ),
+    ProbeSpec: dict(coupling_norm=0.05, phase_diff=0.0, intensity_y=1e6),
+}
+
+
+@pytest.mark.parametrize(
+    "spec,field,value",
+    [
+        (DetectorSpec, "quantum_efficiency", math.nan),
+        (DetectorSpec, "gain_v_per_photon", math.inf),
+        (DetectorSpec, "electronic_var", math.nan),
+        (DetectorSpec, "ref_mean_photons", math.nan),
+        (DetectorSpec, "unbalance_v", math.nan),
+        (DetectorSpec, "drift_rms_v", math.nan),
+        (ProbeSpec, "coupling_norm", math.inf),
+        (ProbeSpec, "phase_diff", math.nan),
+        (ProbeSpec, "intensity_y", math.nan),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_specs_reject_non_finite_fields(spec, field, value):
+    """A NaN or inf field would otherwise reach the outputs as NaN, silently."""
+    fields = FINITE_FIELDS[spec]
+    spec(**fields)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        spec(**{**fields, field: value})
+
+
 def scan_args():
     pump = PumpSpec(0.5, 0.002, 100, math.sqrt(2.0))
     bath = BathSpec(OMEGA, 2.0 / 7.0, 1.1787)
-    probe = ProbeSpec(0.05, 0.0, 1.0e6, 0.0)
+    probe = ProbeSpec(0.05, 0.0, 1.0e6)
     det = config_detector()
     delays = np.arange(32) * 0.02
     return pump, bath, probe, det, delays

@@ -415,7 +415,7 @@ def test_probe_exact_decoupled_angle():
         apply_pump_exact(build_thermal_fock(0.3, 48), 0.3 - 0.2j, 0.05j),
     ):
         for phi in (0.0, 0.7, -2.0):
-            probe = ProbeSpec(0.0, phi, 12.0, 0.3)
+            probe = ProbeSpec(0.0, phi - 0.3, 12.0)
             pair = probe_exact(rho, probe)
             assert pair.mean_ny == pytest.approx(12.0, rel=1e-14)
             assert pair.var_ny == pytest.approx(12.0, rel=1e-14)
@@ -424,7 +424,7 @@ def test_probe_exact_decoupled_angle():
 @pytest.mark.parametrize("dph", [32, 48])
 @pytest.mark.parametrize("photon_dim", [30, 32])
 def test_probe_exact_matches_dense_reference(dph, photon_dim):
-    probe = ProbeSpec(0.25, 0.7, 12.0, 0.0)  # complex displacement amplitude
+    probe = ProbeSpec(0.25, 0.7, 12.0)  # complex displacement amplitude
     rho = apply_pump_exact(build_thermal_fock(0.3, dph), 0.3 - 0.2j, 0.05j)
     pair = probe_exact(rho, probe)
     mean, var = _dense_probe(rho, probe, photon_dim)
@@ -473,7 +473,7 @@ def _expm_multiply_probe(rho, probe, photon_dim):
     [(88, 32), (48, 60)],
 )
 def test_probe_exact_matches_expm_multiply_reference(dph, photon_dim):
-    probe = ProbeSpec(0.3, -2.1, 50.0, 0.0)
+    probe = ProbeSpec(0.3, -2.1, 50.0)
     rho = apply_pump_exact(build_thermal_fock(0.3, dph), 0.9 - 0.4j, 0.1j)
     pair = probe_exact(rho, probe)
     mean, var = _expm_multiply_probe(rho, probe, photon_dim)
@@ -487,11 +487,11 @@ def test_probe_exact_phase_enters_as_a_phonon_rotation():
     # real: the probe phase acts on the state as rho -> D^dagger rho D.
     rho = apply_pump_exact(build_thermal_fock(0.3, 48), 0.3 - 0.2j, 0.05j)
     j = np.arange(rho.dim)
-    aligned = ProbeSpec(0.25, 0.0, 12.0, 0.0)
+    aligned = ProbeSpec(0.25, 0.0, 12.0)
     for phi in (0.7, -2.0, math.pi, 3.0):
         d = np.exp(-1j * phi * j)
         rotated = FockDensityMatrix(rho.dim, d.conj()[:, None] * rho.rho * d[None, :])
-        pair = probe_exact(rho, ProbeSpec(0.25, phi, 12.0, 0.0))
+        pair = probe_exact(rho, ProbeSpec(0.25, phi, 12.0))
         ref = probe_exact(rotated, aligned)
         assert pair.mean_ny == pytest.approx(ref.mean_ny, rel=1e-12)
         assert pair.var_ny == pytest.approx(ref.var_ny, rel=1e-12)
@@ -508,7 +508,7 @@ def test_probe_exact_ignores_zero_padding(theta):
     top = np.zeros((48, 48))
     top[-1, -1] = 1.0
     rho = FockDensityMatrix(48, (1.0 - 5e-9) * pumped.rho + 5e-9 * top)
-    probe = ProbeSpec(theta, -2.1, 50.0, 0.0)
+    probe = ProbeSpec(theta, -2.1, 50.0)
     pair = probe_exact(rho, probe)
     padded = probe_exact(embed(rho, rho.dim + 16), probe)
     assert padded.mean_ny == pytest.approx(pair.mean_ny, rel=1e-14)

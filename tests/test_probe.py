@@ -33,7 +33,7 @@ OMEGA = 2.0 * math.pi * 3.84
 
 
 def make_probe(theta=0.2, iy=50.0, dth=0.0):
-    return ProbeSpec(theta, dth, iy, 0.0)
+    return ProbeSpec(theta, dth, iy)
 
 
 def test_vacuum_phonon_keeps_poisson_statistics():
@@ -78,7 +78,7 @@ def test_mean_beat_phase():
 
 def test_full_swap_returns_phonon_number_variance():
     # theta = pi/2 routes the phonon mode straight to the detector.
-    probe = ProbeSpec(math.pi / 2, 0.0, 25.0, 0.0)
+    probe = ProbeSpec(math.pi / 2, 0.0, 25.0)
     m = 120.0 * cmath.exp(0.3j)
     st = GaussianPhononState(m, abs(m) ** 2, m * m)
     assert probe_mean(st, probe) == pytest.approx(abs(m) ** 2, rel=1e-12)
@@ -127,17 +127,17 @@ def test_require_real_guard():
 
 def test_probe_spec_validation():
     with pytest.raises(ValueError):
-        ProbeSpec(-0.1, 0.0, 10.0, 0.0)
+        ProbeSpec(-0.1, 0.0, 10.0)
     with pytest.raises(ValueError):
-        ProbeSpec(0.1, 0.0, -10.0, 0.0)
+        ProbeSpec(0.1, 0.0, -10.0)
     with pytest.warns(UserWarning):
-        ProbeSpec(1.8, 0.0, 10.0, 0.0)
+        ProbeSpec(1.8, 0.0, 10.0)
 
 
 def test_amplitude_2omega_frozen_and_squeeze_gate():
     pump = PumpSpec(0.4, 0.001, 80, math.sqrt(2.0))
     bath = BathSpec(OMEGA, 0.3, 1.2)
-    probe = ProbeSpec(0.12, 0.0, 1.0e4, 0.0)
+    probe = ProbeSpec(0.12, 0.0, 1.0e4)
     assert amplitude_2omega(0.8, pump, bath, probe) == pytest.approx(
         129.318139579332, rel=1e-12
     )
@@ -148,7 +148,7 @@ def test_amplitude_2omega_frozen_and_squeeze_gate():
 def test_amplitude_2omega_decay_rate():
     pump = PumpSpec(0.5, 0.002, 100, math.sqrt(2.0))
     bath = BathSpec(OMEGA, 0.4, 1.0)
-    probe = ProbeSpec(0.05, 0.0, 1.0e6, 0.0)
+    probe = ProbeSpec(0.05, 0.0, 1.0e6)
     a0 = amplitude_2omega(0.0, pump, bath, probe)
     a1 = amplitude_2omega(1.5, pump, bath, probe)
     assert a1 / a0 == pytest.approx(math.exp(-0.4 * 1.5), rel=1e-12)
@@ -159,7 +159,7 @@ def test_amplitude_formulas_match_spectrum_on_exact_grid():
     n = 1.1787
     pump = PumpSpec(0.5, 0.002, 100, math.sqrt(2.0))
     bath = BathSpec(OMEGA, 0.0, n)
-    probe = ProbeSpec(0.05, 0.0, 1.0e6, 0.0)
+    probe = ProbeSpec(0.05, 0.0, 1.0e6)
     dt = 1.0 / (3.84 * 16.0)
     delays = np.arange(256) * dt
     trace = predict_trace(pump, bath, probe, n, delays)
@@ -188,7 +188,7 @@ def test_mean_trace_has_no_second_harmonic():
     n = 0.9
     pump = PumpSpec(0.5, 0.002, 100, math.sqrt(2.0))
     bath = BathSpec(OMEGA, 0.0, n)
-    probe = ProbeSpec(0.05, 0.0, 1.0e6, 0.0)
+    probe = ProbeSpec(0.05, 0.0, 1.0e6)
     dt = 1.0 / (3.84 * 16.0)
     delays = np.arange(256) * dt
     trace = predict_trace(pump, bath, probe, n, delays)
@@ -216,7 +216,7 @@ def test_predict_trace_matches_scalar_chain():
     bath, n, delays = cfg.bath_spec(), cfg.initial_occupation(), cfg.scan_delays()
     top = max(cfg.section("fluence_series")["fluences"])
     for pump, probe in (
-        (cfg.scan_pump_spec(), cfg.probe_spec()),
+        (cfg.pump_spec(), cfg.probe_spec()),
         (cfg.fluence_pump_spec(top), cfg.fluence_probe_spec()),
     ):
         trace = predict_trace(pump, bath, probe, n, delays)
