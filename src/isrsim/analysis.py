@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .probe import ProbeSpec, amplitude_prefactor
-from .states import BathSpec, squeezed_thermal_quadrature_variance
+from .states import squeezed_thermal_quadrature_variance
 
 # Morlet width: sigma_t = DEFAULT_WAVELET_WIDTH / (2 pi f) at row frequency f.
 DEFAULT_WAVELET_WIDTH = 8.0
@@ -389,12 +389,11 @@ class FluenceFitResult:
 
 def fit_fluence_series(
     points,
-    bath: BathSpec,
     probe: ProbeSpec,
     k_modes: int,
     conversion: float,
-    amplitude_scale: float = 1.0,
-    thermal_n: float | None = None,
+    amplitude_scale: float,
+    thermal_n: float,
 ) -> FluenceFitResult:
     """Weighted fit of the squeezing coupling to measured amplitudes.
 
@@ -404,7 +403,7 @@ def fit_fluence_series(
     conversion maps fluence to the squared pump-mode amplitude. The
     single parameter mu_s is bounded below by zero; the gradient is
     supplied in closed form. thermal_n is the occupation of the pre-pump
-    state (defaults to the bath occupation).
+    state.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -420,13 +419,12 @@ def fit_fluence_series(
     if k_modes < 1 or conversion <= 0:
         raise ValueError("k_modes must be >= 1 and conversion positive")
 
-    n0 = bath.n_bath if thermal_n is None else thermal_n
-    pref = amplitude_scale * amplitude_prefactor(bath, probe, 0.0, n0)
+    pref = amplitude_scale * amplitude_prefactor(probe, thermal_n)
     slope = 2.0 * k_modes * conversion  # r = slope * mu_s * F
 
     def finish(mu: float, residual: float) -> FluenceFitResult:
         r = slope * mu * fluence
-        n = n0
+        n = thermal_n
         quad = np.column_stack(
             [
                 fluence,

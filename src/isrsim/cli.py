@@ -46,7 +46,7 @@ from .detector import (
     scan_experiment,
     shot_noise_scan,
 )
-from .fock import TruncationError, cross_validate
+from .fock import TruncationError, cross_validate, default_grid
 from .probe import predict_trace
 from .states import PhysicalityError
 
@@ -200,8 +200,8 @@ def _lifetime_block(result) -> dict:
 # -- scan helpers ------------------------------------------------------------
 
 
-def _run_scan(cfg: RunConfig, pump, bath, probe, det, delays, seed, threads) -> ScanResult:
-    """scan_experiment with the configured scan settings."""
+def _run_scan(cfg: RunConfig, pump, bath, probe, det, delays, seed) -> ScanResult:
+    """scan_experiment with the configured scan settings, on the usable cores."""
     s = cfg.section("scan")
     return scan_experiment(
         pump,
@@ -214,7 +214,7 @@ def _run_scan(cfg: RunConfig, pump, bath, probe, det, delays, seed, threads) -> 
         seed=seed,
         thermal_n=cfg.initial_occupation(),
         statistics_only=s["statistics_only"],
-        threads=threads,
+        threads=len(os.sched_getaffinity(0)),
     )
 
 
@@ -292,7 +292,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     pump = cfg.pump_spec()
     f0 = cfg.section("bath")["frequency_thz"]
 
-    res = _run_scan(cfg, pump, bath, probe, det, delays, s["seed"], args.threads)
+    res = _run_scan(cfg, pump, bath, probe, det, delays, s["seed"])
 
     out = _Outputs(cfg, "scan")
     out.csv(
@@ -324,7 +324,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
                 det,
                 n_pulses=s["n_pulses"],
                 streams=streams,
-                baseline_mean_ny=res.baseline_mean_ny,
+                ref_photons=res.ref_photons,
             )
             counts, edges = np.histogram(volts, bins=_HISTOGRAM_BINS)
             out.csv(
@@ -397,13 +397,12 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
     f0 = cfg.section("bath")["frequency_thz"]
     fluences = fser["fluences"]
 
-    # Fluence i scans on the streams of the seed prefix (seed, i); its
-    # rows run on args.threads threads.
+    # Fluence i scans on the streams of the seed prefix (seed, i).
     amps = np.empty(len(fluences))
     sigmas = np.empty(len(fluences))
     for i, fluence in enumerate(fluences):
         pump = cfg.fluence_pump_spec(fluence)
-        res = _run_scan(cfg, pump, bath, probe, det, delays, (s["seed"], i), args.threads)
+        res = _run_scan(cfg, pump, bath, probe, det, delays, (s["seed"], i))
         spec = detrend_and_fft(
             np.column_stack([res.delays, res.dt_var]), fundamental_thz=f0
         )
@@ -431,7 +430,6 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
 
     fit = fit_fluence_series(
         np.column_stack([fluences, amps, sigmas]),
-        bath,
         probe,
         k_modes=cfg.section("pump")["k_modes"],
         conversion=fser["conversion"],
@@ -483,7 +481,9 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, args) -> int:
-    results = cross_validate(fault_scale=args.inject_fault)
+    results = cross_validate(
+        default_grid(cfg.section("scan")["seed"]), fault_scale=args.inject_fault
+    )
     # The wall time goes to stderr, not into the report, so that the
     # report and the manifest that hashes it are the same on every rerun.
     total_s = sum(r.elapsed_s for r in results)
@@ -573,13 +573,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="YAML config overriding defaults")
     common.add_argument("--seed", type=int, default=None, help="override scan.seed")
     common.add_argument("--out", default=None, help="override outputs.directory")
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument(
-        "--threads",
-        type=int,
-        default=len(os.sched_getaffinity(0)),
-        help="threads for a scan's per-pulse rows (default: the usable cores)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="isrsim",
@@ -587,10 +580,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("predict", parents=[common], help="noiseless traces and spectra")
-    sub.add_parser("scan", parents=[common, threads], help="full acquisition Monte Carlo")
-    sub.add_parser(
-        "fluence", parents=[common, threads], help="fluence series and coupling fit"
-    )
+    sub.add_parser("scan", parents=[common], help="full acquisition Monte Carlo")
+    sub.add_parser("fluence", parents=[common], help="fluence series and coupling fit")
     oracle = sub.add_parser("oracle", parents=[common], help="exact cross-validation")
     oracle.add_argument(
         "--inject-fault",
@@ -605,8 +596,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

@@ -43,10 +43,10 @@ _BLOCK_PULSES = 32768
 class DetectorSpec:
     """Parameters of the differential detection chain.
 
-    ref_mean_photons None means the reference arm is balanced against
-    the unpumped signal baseline by the caller. drift_rms_v adds an
-    optional per-pulse random-walk voltage (slow classical drift),
-    default off.
+    ref_mean_photons None balances the reference arm against the signal:
+    a scan's unpumped baseline, a shot-noise power's own photons.
+    drift_rms_v adds an optional per-pulse random-walk voltage (slow
+    classical drift), default off.
     """
 
     quantum_efficiency: float
@@ -90,8 +90,8 @@ class ScanResult:
     dt_mean and dt_var are scan averages; per_scan_mean / per_scan_var
     keep the individual scans as (m_scans, n_delays) matrices.
     model_trace holds the noiseless predict_trace rows (delay, mean_ny,
-    var_ny) the cells were drawn from, and baseline_mean_ny the unpumped
-    photon mean the reference arm was balanced against.
+    var_ny) the cells were drawn from, and ref_photons the reference
+    arm's mean photon number.
     """
 
     delays: np.ndarray
@@ -100,7 +100,7 @@ class ScanResult:
     per_scan_mean: np.ndarray = field(repr=False)
     per_scan_var: np.ndarray = field(repr=False)
     model_trace: np.ndarray = field(repr=False)
-    baseline_mean_ny: float
+    ref_photons: float
 
     def __post_init__(self) -> None:
         if np.any(self.dt_var < 0):
@@ -134,13 +134,9 @@ def row_streams(seed, row: int) -> tuple[np.random.Generator, np.random.Generato
     return row_generator(seed, row, 0), row_generator(seed, row, 1)
 
 
-def _resolve_reference(
-    det: DetectorSpec, mean_ny, baseline_mean_ny: float | None = None
-) -> float:
-    """Reference-arm photons: pinned by det, else the baseline, else mean_ny."""
-    if det.ref_mean_photons is not None:
-        return det.ref_mean_photons
-    return mean_ny if baseline_mean_ny is None else baseline_mean_ny
+def _reference_photons(det: DetectorSpec, balanced: float) -> float:
+    """Reference-arm photons: pinned by det, else balanced, the signal's count."""
+    return balanced if det.ref_mean_photons is None else det.ref_mean_photons
 
 
 def _check_burst(n_pulses: int, var_ny) -> None:
@@ -212,14 +208,13 @@ def sample_pulse_ensemble(
     det: DetectorSpec,
     n_pulses: int,
     streams: tuple[np.random.Generator, np.random.Generator],
-    baseline_mean_ny: float | None = None,
+    ref_photons: float,
 ) -> np.ndarray:
     """Draw one burst of n_pulses differential voltages.
 
     streams is the (photon, electronic) pair of Generators the burst
-    continues, as row_streams builds it. baseline_mean_ny feeds the
-    balanced-reference default; it falls back to mean_ny itself when not
-    given (perfectly balanced at this point).
+    continues, as row_streams builds it; ref_photons is the reference
+    arm's mean photon number.
     """
     _check_burst(n_pulses, var_ny)
     volts = _write_bursts(
@@ -227,7 +222,7 @@ def sample_pulse_ensemble(
         np.array([mean_ny], dtype=float),
         np.array([var_ny], dtype=float),
         det,
-        _resolve_reference(det, mean_ny, baseline_mean_ny),
+        ref_photons,
         streams,
     )
     return volts[0]
@@ -276,14 +271,13 @@ def voltage_statistics(
     mean_ny: float,
     var_ny: float,
     det: DetectorSpec,
-    baseline_mean_ny: float | None = None,
+    ref_photons: float,
 ) -> tuple[float, float]:
     """Exact mean and variance of a single differential voltage.
 
     mean_ny and var_ny may be arrays; the result takes their shape.
     """
     eta = det.quantum_efficiency
-    ref_photons = _resolve_reference(det, mean_ny, baseline_mean_ny)
     g = det.gain_v_per_photon
     mu = g * eta * (mean_ny - ref_photons) + det.unbalance_v
     var = (
@@ -300,7 +294,7 @@ def sample_scan_statistics(
     det: DetectorSpec,
     n_pulses: int,
     photon_rngs: Sequence[np.random.Generator],
-    baseline_mean_ny: float | None = None,
+    ref_photons: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (sample mean, sample variance) of bursts without the samples.
 
@@ -324,7 +318,7 @@ def sample_scan_statistics(
         np.asarray(mean_ny, dtype=float),
         np.asarray(var_ny, dtype=float),
         det,
-        baseline_mean_ny,
+        ref_photons,
     )
     z = np.empty((len(photon_rngs), mu.size))
     chi2 = np.empty_like(z)
@@ -346,7 +340,7 @@ def scan_experiment(
     n_pulses: int,
     m_scans: int,
     seed,
-    thermal_n: float | None = None,
+    thermal_n: float,
     statistics_only: bool = False,
     threads: int = 1,
 ) -> ScanResult:
@@ -362,17 +356,16 @@ def scan_experiment(
     n_pulses pulses at a time from the row's photon and electronic pair
     (row_streams(seed, s)).
 
-    seed may be an int or a sequence of ints (a stream prefix). threads
-    > 1 computes per-pulse rows on a thread pool; the rows are independent
-    streams, so the result is bit-identical to the serial one. A
-    statistics-only row takes tens of microseconds, less than handing it
-    to a thread, so those rows always run serially.
+    seed may be an int or a sequence of ints (a stream prefix). Per-pulse
+    rows run on a pool of min(threads, m_scans) threads; the rows are
+    independent streams, so the result is bit-identical for any thread
+    count. A statistics-only row takes tens of microseconds, less than
+    handing it to a thread, so those rows start no pool.
     """
     if m_scans < 1:
         raise ValueError("m_scans must be at least 1")
-    n = bath.n_bath if thermal_n is None else thermal_n
-    trace = predict_trace(pump, bath, probe, n, delays)
-    baseline = probe_mean(thermal_state(n), probe)
+    trace = predict_trace(pump, bath, probe, thermal_n, delays)
+    ref_photons = _reference_photons(det, probe_mean(thermal_state(thermal_n), probe))
     taus, means, variances = trace.T
 
     if statistics_only:
@@ -382,22 +375,18 @@ def scan_experiment(
             det,
             n_pulses,
             [row_generator(seed, s, 0) for s in range(m_scans)],
-            baseline,
+            ref_photons,
         )
     else:
         _check_burst(n_pulses, variances)
-        ref_photons = _resolve_reference(det, baseline)
 
         def row(s: int) -> np.ndarray:
             return _pulse_row(
                 means, variances, det, n_pulses, row_streams(seed, s), ref_photons
             )
 
-        if threads > 1 and m_scans > 1:
-            with ThreadPoolExecutor(max_workers=min(threads, m_scans)) as pool:
-                rows = list(pool.map(row, range(m_scans)))
-        else:
-            rows = [row(s) for s in range(m_scans)]
+        with ThreadPoolExecutor(max_workers=min(threads, m_scans)) as pool:
+            rows = list(pool.map(row, range(m_scans)))
         per_scan_mean, per_scan_var = np.stack(rows, axis=1)
     return ScanResult(
         delays=taus,
@@ -406,7 +395,7 @@ def scan_experiment(
         per_scan_mean=per_scan_mean,
         per_scan_var=per_scan_var,
         model_trace=trace,
-        baseline_mean_ny=baseline,
+        ref_photons=ref_photons,
     )
 
 
@@ -419,7 +408,8 @@ def shot_noise_scan(
     """Variance of the differential voltage versus probe power, pump off.
 
     Returns an array of rows (power_mw, variance_v2). Pure coherent
-    statistics: photon-number variance equals the mean at every power.
+    statistics: photon-number variance equals the mean at every power,
+    and the reference arm is balanced against it unless det pins it.
     """
     powers = np.asarray(powers_mw, dtype=float)
     if powers.ndim != 1 or powers.size == 0 or np.any(powers <= 0):
@@ -428,7 +418,8 @@ def shot_noise_scan(
     for i, p in enumerate(powers):
         photons = p * PHOTONS_PER_PULSE_PER_MW
         volts = sample_pulse_ensemble(
-            photons, photons, det, n_pulses, row_streams(seed, i)
+            photons, photons, det, n_pulses, row_streams(seed, i),
+            _reference_photons(det, photons),
         )
         out[i] = (p, float(np.var(volts, ddof=1)))
     return out

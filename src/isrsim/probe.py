@@ -171,23 +171,15 @@ def probe_variance(state: GaussianPhononState, probe: ProbeSpec) -> float:
     return float(_var_ny(state.mean_b, state.occupation, state.anomalous, probe))
 
 
-def amplitude_prefactor(
-    bath: BathSpec,
-    probe: ProbeSpec,
-    tau_ref: float,
-    thermal_n: float | None = None,
-) -> float:
-    """Second-harmonic amplitude per sinh(2r), at the reference delay.
+def amplitude_prefactor(probe: ProbeSpec, thermal_n: float) -> float:
+    """Second-harmonic amplitude per sinh(2r), at zero delay.
 
-    thermal_n is the occupation of the state the pump acts on; it
-    defaults to the bath occupation (no pump heating).
+    thermal_n is the occupation of the state the pump acts on.
     """
-    n = bath.n_bath if thermal_n is None else thermal_n
     return (
         probe.intensity_y
-        * (1.0 + 2.0 * n)
+        * (1.0 + 2.0 * thermal_n)
         / 8.0
-        * math.exp(-bath.damping_rate * tau_ref)
         * math.sin(2.0 * probe.coupling_norm) ** 2
     )
 

@@ -130,6 +130,9 @@ class PumpSpec:
     nu_amplitude: float
 
     def __post_init__(self) -> None:
+        for name in ("mu_displace", "mu_squeeze"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k_modes < 1:
             raise ValueError(f"k_modes must be a positive integer, got {self.k_modes}")
         if not (self.nu_amplitude >= 0 and math.isfinite(self.nu_amplitude)):

@@ -41,11 +41,13 @@ def amplitude_2omega(
 
     The variance oscillates as 2|A| cos(2 Omega tau + phase); this
     returns |A|. It is nonzero only under squeezing (r > 0) and decays
-    at the full damping rate, twice the rate of the fundamental.
+    at the full damping rate, twice the rate of the fundamental. The
+    pump acts on a thermal state at the bath occupation.
     """
     _, c2 = pump_coefficients(pump)
     r = 2.0 * abs(c2)
-    return amplitude_prefactor(bath, probe, tau) * math.sinh(2.0 * r)
+    decay = math.exp(-bath.damping_rate * tau)
+    return amplitude_prefactor(probe, bath.n_bath) * decay * math.sinh(2.0 * r)
 
 
 def amplitude_omega(

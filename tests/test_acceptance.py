@@ -25,7 +25,12 @@ from closed_forms import (
 from isrsim.analysis import detrended_trace, extract_lifetimes, fit_line
 from isrsim.config import load_config
 from isrsim.detector import shot_noise_scan
-from isrsim.fock import apply_pump_exact, build_thermal_fock, cross_validate
+from isrsim.fock import (
+    apply_pump_exact,
+    build_thermal_fock,
+    cross_validate,
+    default_grid,
+)
 from isrsim.probe import ProbeSpec, predict_trace
 from isrsim.states import (
     BathSpec,
@@ -50,7 +55,7 @@ def _report(label: str, detail: str) -> None:
 
 def test_oracle_agreement_over_random_grid():
     t0 = time.perf_counter()
-    results = cross_validate()
+    results = cross_validate(default_grid(load_config().section("scan")["seed"]))
     elapsed = time.perf_counter() - t0
     worst_moment = max(max(r.moment_errors.values()) for r in results)
     worst_probe = max(max(r.mean_error, r.var_error) for r in results)

@@ -19,9 +19,7 @@ from isrsim.analysis import (
     peak_contrast,
 )
 from isrsim.probe import ProbeSpec, amplitude_prefactor
-from isrsim.states import BathSpec
 
-OMEGA = 2.0 * math.pi * 3.84
 F0 = 3.84
 
 
@@ -210,30 +208,29 @@ def test_fit_line_slope_stderr():
 
 
 def test_amplitude_prefactor_consistency():
-    bath = BathSpec(OMEGA, 0.3, 1.2)
     probe = ProbeSpec(0.12, 0.0, 1.0e4)
-    pref = amplitude_prefactor(bath, probe, 0.8)
+    # Thermal occupation 1.2, damping rate 0.3, delay 0.8.
+    pref = amplitude_prefactor(probe, 1.2) * math.exp(-0.3 * 0.8)
     # Frozen product: pref * sinh(2 * 0.32) matches the second-harmonic
-    # amplitude of the matching pump (r = 0.32).
+    # amplitude of the matching pump (r = 0.32) at delay 0.8.
     assert pref * math.sinh(0.64) == pytest.approx(129.318139579332, rel=1e-12)
 
 
 def fluence_setup():
-    bath = BathSpec(OMEGA, 2.0 / 7.0, 1.1787)
     probe = ProbeSpec(0.05, 0.0, 1.0e6)
     k_modes, conversion = 100, 0.15
-    return bath, probe, k_modes, conversion
+    return probe, k_modes, conversion
 
 
 def test_fluence_fit_recovers_exact_coupling():
-    bath, probe, k_modes, conversion = fluence_setup()
+    probe, k_modes, conversion = fluence_setup()
     mu_s = 2.4e-3
     slope = 2.0 * k_modes * conversion
     fluences = np.linspace(2.0, 12.0, 6)
-    pref = amplitude_prefactor(bath, probe, 0.0)
+    pref = amplitude_prefactor(probe, 1.1787)
     amps = pref * np.sinh(2.0 * slope * mu_s * fluences)
     pts = np.column_stack([fluences, amps, np.full(6, 1e-3)])
-    fit = fit_fluence_series(pts, bath, probe, k_modes, conversion)
+    fit = fit_fluence_series(pts, probe, k_modes, conversion, 1.0, 1.1787)
     assert fit.mu_s_hat == pytest.approx(mu_s, rel=1e-9)
     assert fit.fit_residual < 1e-12
     assert fit.r_per_fluence[-1, 1] == pytest.approx(
@@ -245,10 +242,10 @@ def test_fluence_fit_recovers_exact_coupling():
 
 
 def test_fluence_fit_zero_amplitudes():
-    bath, probe, k_modes, conversion = fluence_setup()
+    probe, k_modes, conversion = fluence_setup()
     fluences = np.array([2.0, 5.0, 8.0])
     pts = np.column_stack([fluences, np.zeros(3), np.full(3, 1e-3)])
-    fit = fit_fluence_series(pts, bath, probe, k_modes, conversion)
+    fit = fit_fluence_series(pts, probe, k_modes, conversion, 1.0, 1.1787)
     assert fit.mu_s_hat == 0.0
     assert np.all(fit.r_per_fluence[:, 1] == 0.0)
     # All quadrature variances collapse to the thermal value.
@@ -256,21 +253,21 @@ def test_fluence_fit_zero_amplitudes():
 
 
 def test_fluence_fit_validation():
-    bath, probe, k_modes, conversion = fluence_setup()
+    probe, k_modes, conversion = fluence_setup()
     with pytest.raises(FitError, match="3 fluence"):
         fit_fluence_series(
             np.array([[1.0, 0.1, 1e-3], [2.0, 0.2, 1e-3]]),
-            bath, probe, k_modes, conversion,
+            probe, k_modes, conversion, 1.0, 1.1787,
         )
     with pytest.raises(ValueError):
         fit_fluence_series(
             np.array([[1.0, 0.1], [2.0, 0.2], [3.0, 0.3]]),
-            bath, probe, k_modes, conversion,
+            probe, k_modes, conversion, 1.0, 1.1787,
         )
     with pytest.raises(ValueError, match="sigma"):
         fit_fluence_series(
             np.array([[1.0, 0.1, 0.0], [2.0, 0.2, 1e-3], [3.0, 0.3, 1e-3]]),
-            bath, probe, k_modes, conversion,
+            probe, k_modes, conversion, 1.0, 1.1787,
         )
 
 

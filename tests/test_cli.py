@@ -13,7 +13,7 @@ import isrsim.cli as cli
 import isrsim.detector as detector
 from isrsim.config import load_config
 from isrsim.detector import row_generator
-from isrsim.fock import CrossCheckCase, CrossCheckResult, TruncationError
+from isrsim.fock import CrossCheckCase, CrossCheckResult, TruncationError, default_grid
 
 FAST_SCAN = """\
 scan:
@@ -123,22 +123,21 @@ def test_scan_rerun_is_byte_identical(tmp_path):
     assert read_json(out_a / "manifest.json") == read_json(out_b / "manifest.json")
 
 
-def test_scan_threads_match_serial(tmp_path):
+def usable_cores(monkeypatch, n):
+    """Make the process's CPU set, as cli reads it, n cores wide."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_scan_threads_match_serial(tmp_path, monkeypatch):
     per_pulse = "scan:\n  stop_ps: 0.62\n  n_pulses: 60\n  m_scans: 3\n"
     for name, text in (("stats", FAST_SCAN), ("pulses", per_pulse)):
         cfg = write_cfg(tmp_path, text, name=f"{name}.yaml")
         serial = tmp_path / f"{name}_serial"
         threaded = tmp_path / f"{name}_threaded"
-        assert (
-            cli.main(["scan", "--config", cfg, "--out", str(serial), "--threads", "1"])
-            == 0
-        )
-        assert (
-            cli.main(
-                ["scan", "--config", cfg, "--out", str(threaded), "--threads", "4"]
-            )
-            == 0
-        )
+        usable_cores(monkeypatch, 1)
+        assert cli.main(["scan", "--config", cfg, "--out", str(serial)]) == 0
+        usable_cores(monkeypatch, 4)
+        assert cli.main(["scan", "--config", cfg, "--out", str(threaded)]) == 0
         csvs = sorted(p.name for p in serial.glob("*.csv"))
         assert "scan_per_scan.csv" in csvs
         assert csvs == sorted(p.name for p in threaded.glob("*.csv"))
@@ -146,19 +145,15 @@ def test_scan_threads_match_serial(tmp_path):
             assert (serial / csv).read_bytes() == (threaded / csv).read_bytes()
 
 
-def test_fluence_threads_match_serial(tmp_path):
+def test_fluence_threads_match_serial(tmp_path, monkeypatch):
     per_pulse = "scan:\n  stop_ps: 0.62\n  n_pulses: 60\n  m_scans: 3\n"
     cfg = write_cfg(tmp_path, per_pulse)
     serial = tmp_path / "serial"
     threaded = tmp_path / "threaded"
-    assert (
-        cli.main(["fluence", "--config", cfg, "--out", str(serial), "--threads", "1"])
-        == 0
-    )
-    assert (
-        cli.main(["fluence", "--config", cfg, "--out", str(threaded), "--threads", "2"])
-        == 0
-    )
+    usable_cores(monkeypatch, 1)
+    assert cli.main(["fluence", "--config", cfg, "--out", str(serial)]) == 0
+    usable_cores(monkeypatch, 4)
+    assert cli.main(["fluence", "--config", cfg, "--out", str(threaded)]) == 0
     names = sorted(p.name for p in serial.iterdir())
     assert names == ["fluence_fit.json", "fluence_series.csv", "manifest.json"]
     assert names == sorted(p.name for p in threaded.iterdir())
@@ -166,10 +161,21 @@ def test_fluence_threads_match_serial(tmp_path):
         assert (serial / name).read_bytes() == (threaded / name).read_bytes()
 
 
-def test_threads_default_to_the_usable_cores():
-    for command in ("scan", "fluence"):
-        args = cli._build_parser().parse_args([command])
-        assert args.threads == len(os.sched_getaffinity(0))
+def test_threads_default_to_the_usable_cores(tmp_path, monkeypatch):
+    pools = []
+    real_pool = detector.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(detector, "ThreadPoolExecutor", recording_pool)
+    cfg = write_cfg(tmp_path, "scan:\n  stop_ps: 0.62\n  n_pulses: 60\n  m_scans: 3\n")
+    for cores, workers in ((2, 2), (8, 3)):
+        usable_cores(monkeypatch, cores)
+        assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert pools.pop() == workers
+    assert pools == []
 
 
 def test_statistics_only_rows_never_start_a_thread_pool(tmp_path, monkeypatch):
@@ -177,17 +183,18 @@ def test_statistics_only_rows_never_start_a_thread_pool(tmp_path, monkeypatch):
         raise AssertionError("statistics-only rows started a thread pool")
 
     monkeypatch.setattr(detector, "ThreadPoolExecutor", refuse)
+    usable_cores(monkeypatch, 4)
     cfg = write_cfg(
         tmp_path, FAST_SCAN + "fluence_series:\n  fluences: [5.0, 11.0, 17.0]\n"
     )
     for command in ("scan", "fluence"):
-        for threads in ([], ["--threads", "4"]):
-            argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), *threads]
-            assert cli.main(argv) == 0
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
 
 
-def test_threads_flag_only_on_scan_and_fluence(tmp_path, capsys):
-    for command in ("predict", "oracle", "shot-noise"):
+def test_every_command_refuses_threads(tmp_path, capsys):
+    """The CPU set the process may use decides the threads, not a flag."""
+    for command in ("predict", "scan", "fluence", "oracle", "shot-noise"):
         with pytest.raises(SystemExit) as info:
             cli.main([command, "--threads", "2", "--out", str(tmp_path / "o")])
         assert info.value.code == 2
@@ -352,7 +359,6 @@ def test_config_error_exit_codes(tmp_path, capsys):
     preset = write_cfg(tmp_path, "scan:\n  fluence: 2.0\n")
     assert cli.main(["scan", "--config", preset, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "scan: config error: scan: unknown key(s): fluence\n"
-    assert cli.main(["scan", "--threads", "0", "--out", str(tmp_path / "o")]) == 2
 
 
 def test_import_and_light_commands_load_no_scipy(tmp_path):
@@ -372,8 +378,8 @@ def test_import_and_light_commands_load_no_scipy(tmp_path):
 
 
 def test_oracle_numerical_error_exit_code(tmp_path, monkeypatch, capsys):
-    def fake_cross_validate(fault_scale):
-        raise TruncationError("phonon cutoff 32 too small", 64)
+    def fake_cross_validate(cases, fault_scale):
+        raise TruncationError("phonon cutoff 32 too small")
 
     monkeypatch.setattr(cli, "cross_validate", fake_cross_validate)
     assert cli.main(["oracle", "--out", str(tmp_path / "o")]) == 3
@@ -388,7 +394,7 @@ def test_oracle_exit_and_report_via_stub(tmp_path, monkeypatch, capsys):
     case = CrossCheckCase(0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 5.0, 0.0)
     seen = {"elapsed_s": 0.01}
 
-    def fake_cross_validate(fault_scale):
+    def fake_cross_validate(cases, fault_scale):
         seen["fault_scale"] = fault_scale
         failed = fault_scale > 0
         return [
@@ -429,6 +435,33 @@ def test_oracle_exit_and_report_via_stub(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "oracle: 1 cases in 2.50 s\n"
     for name in ("oracle_report.json", "manifest.json"):
         assert (out3 / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_oracle_seed_picks_the_grid(tmp_path, monkeypatch):
+    """oracle cross-validates default_grid(scan.seed), so --seed N runs N's grid."""
+    grids = []
+
+    def fake_cross_validate(cases, fault_scale):
+        grids.append(cases)
+        return [
+            CrossCheckResult(cases[0], {"pump_mean_b": 0.0}, 0.0, 0.0, 32, 0.0, True)
+        ]
+
+    monkeypatch.setattr(cli, "cross_validate", fake_cross_validate)
+    assert cli.main(["oracle", "--seed", "7", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["oracle", "--out", str(tmp_path / "b")]) == 0
+    default_seed = load_config().section("scan")["seed"]
+    assert grids == [default_grid(7), default_grid(default_seed)]
+
+
+def test_oracle_seed_changes_the_report(tmp_path):
+    default, seeded = tmp_path / "default", tmp_path / "seeded"
+    assert cli.main(["oracle", "--out", str(default)]) == 0
+    assert cli.main(["oracle", "--seed", "1", "--out", str(seeded)]) == 0
+    report = read_json(seeded / "oracle_report.json")
+    assert report["all_passed"] is True
+    assert report != read_json(default / "oracle_report.json")
+    assert manifest_checks(seeded, "oracle")["seed"] == 1
 
 
 def test_shot_noise_outputs(tmp_path):

@@ -46,14 +46,14 @@ def test_calibrated_gain_value():
     assert g == pytest.approx(math.sqrt(0.9 / (2 * 0.94 * 1.0e6)), rel=1e-12)
     det = config_detector()
     # 2.5 mW -> 1e6 photons -> 0.9 photonic + 0.1 electronic = 1 V^2.
-    _, var = voltage_statistics(1.0e6, 1.0e6, det)
+    _, var = voltage_statistics(1.0e6, 1.0e6, det, 1.0e6)
     assert var == pytest.approx(1.0, rel=1e-12)
 
 
 def test_voltage_statistics_closed_form():
     det = DetectorSpec(0.8, 3e-4, 0.05, ref_mean_photons=9e5, unbalance_v=0.02)
     mean_ny, var_ny = 1.0e6, 1.4e6
-    mu, var = voltage_statistics(mean_ny, var_ny, det)
+    mu, var = voltage_statistics(mean_ny, var_ny, det, 9e5)
     g, eta = 3e-4, 0.8
     assert mu == pytest.approx(g * eta * (mean_ny - 9e5) + 0.02, rel=1e-12)
     expected = (
@@ -66,18 +66,18 @@ def test_voltage_statistics_closed_form():
 
 def test_pulse_ensemble_deterministic():
     det = quiet_detector(0.03)
-    a = sample_pulse_ensemble(1e6, 1.2e6, det, n_pulses=500, streams=streams(7))
-    b = sample_pulse_ensemble(1e6, 1.2e6, det, n_pulses=500, streams=streams(7))
-    c = sample_pulse_ensemble(1e6, 1.2e6, det, n_pulses=500, streams=streams(8))
+    a = sample_pulse_ensemble(1e6, 1.2e6, det, 500, streams(7), ref_photons=1e6)
+    b = sample_pulse_ensemble(1e6, 1.2e6, det, 500, streams(7), ref_photons=1e6)
+    c = sample_pulse_ensemble(1e6, 1.2e6, det, 500, streams(8), ref_photons=1e6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_pulse_ensemble_unbiased():
     det = quiet_detector(0.04)
-    mu, var = voltage_statistics(1e6, 1.3e6, det)
+    mu, var = voltage_statistics(1e6, 1.3e6, det, 1e6)
     volts = sample_pulse_ensemble(
-        1e6, 1.3e6, det, n_pulses=200_000, streams=streams(11)
+        1e6, 1.3e6, det, n_pulses=200_000, streams=streams(11), ref_photons=1e6
     )
     # Expected spread of the estimates themselves.
     assert np.mean(volts) == pytest.approx(mu, abs=5 * math.sqrt(var / 2e5))
@@ -88,8 +88,8 @@ def test_electronic_noise_is_additive_and_stream_isolated():
     """Toggling the electronic term must not touch the photon draws."""
     base = quiet_detector(0.0)
     noisy = quiet_detector(0.05)
-    a = sample_pulse_ensemble(1e6, 1e6, base, n_pulses=50_000, streams=streams(3))
-    b = sample_pulse_ensemble(1e6, 1e6, noisy, n_pulses=50_000, streams=streams(3))
+    a = sample_pulse_ensemble(1e6, 1e6, base, 50_000, streams(3), ref_photons=1e6)
+    b = sample_pulse_ensemble(1e6, 1e6, noisy, 50_000, streams(3), ref_photons=1e6)
     added = b - a
     # The residual is exactly the electronic stream: zero-mean, variance
     # 0.05, and uncorrelated with the photon part.
@@ -102,10 +102,10 @@ def test_electronic_noise_is_additive_and_stream_isolated():
 
 def test_statistics_only_matches_full_sampling_distribution():
     det = quiet_detector(0.02)
-    mu, var = voltage_statistics(5e5, 6e5, det)
+    mu, var = voltage_statistics(5e5, 6e5, det, 5e5)
     n = 2000
     rngs = [row_generator(1000 + i, 0, 0) for i in range(300)]
-    means, variances = sample_scan_statistics(5e5, 6e5, det, n, rngs)
+    means, variances = sample_scan_statistics(5e5, 6e5, det, n, rngs, 5e5)
     assert np.mean(means) == pytest.approx(mu, abs=5 * math.sqrt(var / n / 300))
     assert np.std(means, ddof=1) == pytest.approx(
         math.sqrt(var / n), rel=0.15
@@ -123,19 +123,21 @@ def test_guards():
     with pytest.raises(ValueError):
         DetectorSpec(1.2, 1e-4, 0.1)
     with pytest.raises(ValueError):
-        sample_pulse_ensemble(1e6, 1e6, quiet_detector(), 1, streams(0))
+        sample_pulse_ensemble(1e6, 1e6, quiet_detector(), 1, streams(0), 1e6)
     with pytest.raises(ValueError):
-        sample_pulse_ensemble(1e6, -1.0, quiet_detector(), 100, streams(0))
+        sample_pulse_ensemble(1e6, -1.0, quiet_detector(), 100, streams(0), 1e6)
     photon = [row_generator(0, 0, 0)]
     with pytest.raises(ValueError, match="n_pulses"):
-        sample_scan_statistics(1e6, 1e6, quiet_detector(), 1, photon)
+        sample_scan_statistics(1e6, 1e6, quiet_detector(), 1, photon, 1e6)
     with pytest.raises(ValueError, match="var_ny"):
-        sample_scan_statistics(1e6, -1e12, quiet_detector(), 100, photon)
+        sample_scan_statistics(1e6, -1e12, quiet_detector(), 100, photon, 1e6)
     with pytest.raises(ValueError, match="var_ny"):
-        sample_scan_statistics([1e6, 1e6], [1e6, -1.0], quiet_detector(), 100, photon)
+        sample_scan_statistics(
+            [1e6, 1e6], [1e6, -1.0], quiet_detector(), 100, photon, 1e6
+        )
     drifty = DetectorSpec(0.9, 1e-4, 0.0, drift_rms_v=1e-4)
     with pytest.raises(ValueError):
-        sample_scan_statistics(1e6, 1e6, drifty, 100, photon)
+        sample_scan_statistics(1e6, 1e6, drifty, 100, photon, 1e6)
 
 
 FINITE_FIELDS = {
@@ -148,6 +150,7 @@ FINITE_FIELDS = {
         drift_rms_v=0.0,
     ),
     ProbeSpec: dict(coupling_norm=0.05, phase_diff=0.0, intensity_y=1e6),
+    PumpSpec: dict(mu_displace=0.5, mu_squeeze=0.002, k_modes=100, nu_amplitude=1.4),
 }
 
 
@@ -163,6 +166,8 @@ FINITE_FIELDS = {
         (ProbeSpec, "coupling_norm", math.inf),
         (ProbeSpec, "phase_diff", math.nan),
         (ProbeSpec, "intensity_y", math.nan),
+        (PumpSpec, "mu_displace", math.inf),
+        (PumpSpec, "mu_squeeze", math.nan),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
 )
@@ -187,7 +192,9 @@ def test_scan_split_by_rows_is_bit_identical():
     """Rows are independent streams: fewer rows, or rows on threads, change no row."""
     pump, bath, probe, det, delays = scan_args()
     for statistics_only in (False, True):
-        kwargs = dict(n_pulses=50, seed=5, statistics_only=statistics_only)
+        kwargs = dict(
+            n_pulses=50, seed=5, thermal_n=bath.n_bath, statistics_only=statistics_only
+        )
         whole = scan_experiment(pump, bath, probe, det, delays, m_scans=4, **kwargs)
         head = scan_experiment(pump, bath, probe, det, delays, m_scans=2, **kwargs)
         assert np.array_equal(whole.per_scan_mean[:2], head.per_scan_mean)
@@ -213,11 +220,11 @@ BURST_DETECTORS = {
 @pytest.mark.parametrize("name", sorted(BURST_DETECTORS))
 def test_pulse_ensemble_matches_written_out_formula(name):
     det = BURST_DETECTORS[name]
-    mean_ny, var_ny, baseline, n = 1.01e6, 1.3e6, 9.9e5, 400
-    burst = sample_pulse_ensemble(mean_ny, var_ny, det, n, streams(21), baseline)
+    mean_ny, var_ny, n = 1.01e6, 1.3e6, 400
+    ref = 9.9e5
+    burst = sample_pulse_ensemble(mean_ny, var_ny, det, n, streams(21), ref)
     photon, elec = streams(21)
     eta, g = det.quantum_efficiency, det.gain_v_per_photon
-    ref = baseline if det.ref_mean_photons is None else det.ref_mean_photons
     z = photon.standard_normal((2, n))
     sig_sd = math.sqrt(eta * eta * var_ny + eta * (1.0 - eta) * mean_ny)
     signal = eta * mean_ny + sig_sd * z[0]
@@ -236,46 +243,56 @@ def test_per_pulse_scan_equals_ensemble_loop(name):
 
     The reference draws each row's bursts in delay order from the row's
     streams and takes np.mean and np.var(ddof=1) of each; the scan must
-    agree exactly, serial or on threads. At 3000 pulses a row draws ten
-    bursts per block, so the 32 delays also end on a partial block.
+    agree exactly, on one thread or two. At 3000 pulses a row draws ten
+    bursts per block, so the 32 delays also end on a partial block. The
+    reference arm holds the detector's pinned photons, else the unpumped
+    baseline's.
     """
     det = BURST_DETECTORS[name]
     pump, bath, probe, _, delays = scan_args()
     n_pulses, m_scans, seed = 3000, 3, [4, 1]
     n = bath.n_bath
     trace = predict_trace(pump, bath, probe, n, delays)
-    baseline = probe_mean(thermal_state(n), probe)
+    ref = det.ref_mean_photons
+    if ref is None:
+        ref = probe_mean(thermal_state(n), probe)
     expected = np.empty((2, m_scans, delays.size))
     for s in range(m_scans):
         row = row_streams(seed, s)
         for d in range(delays.size):
             volts = sample_pulse_ensemble(
-                trace[d, 1], trace[d, 2], det, n_pulses, row, baseline
+                trace[d, 1], trace[d, 2], det, n_pulses, row, ref
             )
             expected[:, s, d] = np.mean(volts), np.var(volts, ddof=1)
     for threads in (1, 2):
         res = scan_experiment(
             pump, bath, probe, det, delays, n_pulses=n_pulses, m_scans=m_scans,
-            seed=seed, threads=threads,
+            seed=seed, thermal_n=n, threads=threads,
         )
         assert np.array_equal(res.per_scan_mean, expected[0])
         assert np.array_equal(res.per_scan_var, expected[1])
-        assert res.baseline_mean_ny == baseline
+        assert res.ref_photons == ref
         assert np.array_equal(res.model_trace, trace)
 
 
-def test_statistics_only_row_stream_layout():
+@pytest.mark.parametrize(
+    "name", sorted(k for k, d in BURST_DETECTORS.items() if d.drift_rms_v == 0)
+)
+def test_statistics_only_row_stream_layout(name):
     """Row s is one normal and one chisquare call on SeedSequence(prefix + [s])'s photon stream."""
-    pump, bath, probe, det, delays = scan_args()
+    det = BURST_DETECTORS[name]
+    pump, bath, probe, _, delays = scan_args()
     n, n_pulses = bath.n_bath, 300
     res = scan_experiment(
         pump, bath, probe, det, delays, n_pulses=n_pulses, m_scans=3,
-        seed=[9, 2], statistics_only=True,
+        seed=[9, 2], thermal_n=n, statistics_only=True,
     )
     trace = predict_trace(pump, bath, probe, n, delays)
-    mu, var = voltage_statistics(
-        trace[:, 1], trace[:, 2], det, probe_mean(thermal_state(n), probe)
-    )
+    ref = det.ref_mean_photons
+    if ref is None:
+        ref = probe_mean(thermal_state(n), probe)
+    assert res.ref_photons == ref
+    mu, var = voltage_statistics(trace[:, 1], trace[:, 2], det, ref)
     for s in range(3):
         photon = np.random.default_rng(np.random.SeedSequence([9, 2, s]).spawn(2)[0])
         expected_mean = photon.normal(mu, np.sqrt(var / n_pulses))
@@ -322,14 +339,17 @@ def test_written_out_normal_equals_generator_normal(seed):
 def test_scan_seed_prefix_isolates_runs():
     pump, bath, probe, det, delays = scan_args()
     a = scan_experiment(
-        pump, bath, probe, det, delays, n_pulses=50, m_scans=1, seed=[9, 0]
+        pump, bath, probe, det, delays, n_pulses=50, m_scans=1, seed=[9, 0],
+        thermal_n=bath.n_bath,
     )
     b = scan_experiment(
-        pump, bath, probe, det, delays, n_pulses=50, m_scans=1, seed=[9, 1]
+        pump, bath, probe, det, delays, n_pulses=50, m_scans=1, seed=[9, 1],
+        thermal_n=bath.n_bath,
     )
     assert not np.array_equal(a.dt_mean, b.dt_mean)
     again = scan_experiment(
-        pump, bath, probe, det, delays, n_pulses=50, m_scans=1, seed=[9, 0]
+        pump, bath, probe, det, delays, n_pulses=50, m_scans=1, seed=[9, 0],
+        thermal_n=bath.n_bath,
     )
     assert np.array_equal(a.dt_mean, again.dt_mean)
     assert np.array_equal(a.per_scan_var, again.per_scan_var)
@@ -346,10 +366,12 @@ def test_scan_statistics_only_agrees_with_full_monte_carlo():
         n_pulses=3000,
         m_scans=8,
         seed=2,
+        thermal_n=bath.n_bath,
         statistics_only=True,
     )
     slow = scan_experiment(
-        pump, bath, probe, det, delays, n_pulses=3000, m_scans=8, seed=2
+        pump, bath, probe, det, delays, n_pulses=3000, m_scans=8, seed=2,
+        thermal_n=bath.n_bath,
     )
     # Different draws, same distribution: compare scan-averaged moments
     # against each other within the combined error of two independent
@@ -369,6 +391,17 @@ def test_shot_noise_power_scan_is_linear():
     assert fit.intercept == pytest.approx(det.electronic_var, abs=0.05)
     # Variance at full power lands near the calibration target.
     assert rows[-1, 1] == pytest.approx(1.0, rel=0.1)
+    # A pinned reference arm keeps its photons at every power: its shot
+    # noise moves into the intercept, and the slope halves.
+    pinned = dataclasses.replace(det, ref_mean_photons=1.0e6)
+    rows = shot_noise_scan(powers, pinned, n_pulses=4000, seed=1)
+    pinned_fit = fit_line(rows[:, 0], rows[:, 1])
+    shot_v2 = det.gain_v_per_photon ** 2 * det.quantum_efficiency
+    assert pinned_fit.r_squared > 0.99
+    assert pinned_fit.slope == pytest.approx(0.5 * fit.slope, rel=0.1)
+    assert pinned_fit.intercept == pytest.approx(
+        det.electronic_var + shot_v2 * 1.0e6, abs=0.05
+    )
 
 
 def test_fit_line_exact_on_noiseless_points():

@@ -180,35 +180,36 @@ def test_density_matrix_guards():
     dim = 8
     good = np.zeros((dim, dim), dtype=complex)
     good[0, 0] = 1.0
-    FockDensityMatrix(dim, good)
+    assert FockDensityMatrix(good).dim == dim
+    with pytest.raises(ValueError, match="square"):
+        FockDensityMatrix(good[:, :-1])
 
     bad = good.copy()
     bad[0, 1] = 0.3
     with pytest.raises(ValueError, match="Hermitian"):
-        FockDensityMatrix(dim, bad)
+        FockDensityMatrix(bad)
 
     with pytest.raises(ValueError, match="trace"):
-        FockDensityMatrix(dim, 0.9 * good)
+        FockDensityMatrix(0.9 * good)
 
     # NaN compares false with every tolerance, so it is refused outright.
     for where, value in (((1, 1), np.nan), ((0, 1), np.nan), ((2, 2), np.inf)):
         broken = good.copy()
         broken[where] = value
         with pytest.raises(ValueError, match="non-finite"):
-            FockDensityMatrix(dim, broken)
+            FockDensityMatrix(broken)
 
     mixed = good.copy()
     mixed[0, 0] = 1.2
     mixed[1, 1] = -0.2
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        FockDensityMatrix(dim, mixed)
+        FockDensityMatrix(mixed)
 
     heavy = np.zeros((10, 10), dtype=complex)
     heavy[0, 0] = 0.9
     heavy[9, 9] = 0.1
-    with pytest.raises(TruncationError) as info:
-        FockDensityMatrix(10, heavy)
-    assert info.value.suggested_dim == 20
+    with pytest.raises(TruncationError, match="retry with dim >= 20"):
+        FockDensityMatrix(heavy)
 
 
 @pytest.mark.parametrize("low, refused", [(-5e-11, False), (-2e-10, True)])
@@ -220,9 +221,9 @@ def test_positivity_boundary(low, refused):
     rho = 0.5 * (rho + rho.conj().T)
     if refused:
         with pytest.raises(ValueError, match=r"negative eigenvalue -2\.000e-10"):
-            FockDensityMatrix(8, rho)
+            FockDensityMatrix(rho)
     else:
-        FockDensityMatrix(8, rho)
+        FockDensityMatrix(rho)
 
 
 def test_truncate_and_embed():
@@ -360,7 +361,7 @@ def test_lindblad_channel_properties(nb, lam, decay, split, c1, r, psi, phi):
     assert np.max(np.abs(halves.rho - whole.rho)) <= 1e-12
 
     rot = np.exp(1j * phi * np.arange(dim))
-    turned = FockDensityMatrix(dim, rot[:, None] * rho0.rho * rot.conj()[None, :])
+    turned = FockDensityMatrix(rot[:, None] * rho0.rho * rot.conj()[None, :])
     expect = rot[:, None] * whole.rho * rot.conj()[None, :]
     assert np.max(np.abs(evolve_lindblad_exact(turned, tau, bath).rho - expect)) <= 1e-12
 
@@ -397,10 +398,9 @@ def test_trace_drift_raises_when_population_escapes():
     # asks for a larger cutoff, so that the oracle's retry loop recovers.
     hot = BathSpec(OMEGA, 2.0, 5.0)
     rho0 = build_thermal_fock(0.0, 12)
-    with pytest.raises(TruncationError) as info:
+    with pytest.raises(TruncationError, match="retry with dim >= 24"):
         evolve_lindblad_exact(rho0, 2.0, hot)
-    assert info.value.suggested_dim > 12
-    # At 64 levels the drift is 7e-6; the retry moves to the suggested 128.
+    # At 64 levels the drift is 7e-6; the retry doubles the cutoff to 128.
     rho, dim = _retry_truncation(
         lambda d: evolve_lindblad_exact(embed(rho0, d), 2.0, hot), 64
     )
@@ -490,7 +490,7 @@ def test_probe_exact_phase_enters_as_a_phonon_rotation():
     aligned = ProbeSpec(0.25, 0.0, 12.0)
     for phi in (0.7, -2.0, math.pi, 3.0):
         d = np.exp(-1j * phi * j)
-        rotated = FockDensityMatrix(rho.dim, d.conj()[:, None] * rho.rho * d[None, :])
+        rotated = FockDensityMatrix(d.conj()[:, None] * rho.rho * d[None, :])
         pair = probe_exact(rho, ProbeSpec(0.25, phi, 12.0))
         ref = probe_exact(rotated, aligned)
         assert pair.mean_ny == pytest.approx(ref.mean_ny, rel=1e-12)
@@ -507,7 +507,7 @@ def test_probe_exact_ignores_zero_padding(theta):
     pumped = apply_pump_exact(build_thermal_fock(0.3, 48), 0.9 - 0.4j, 0.1j)
     top = np.zeros((48, 48))
     top[-1, -1] = 1.0
-    rho = FockDensityMatrix(48, (1.0 - 5e-9) * pumped.rho + 5e-9 * top)
+    rho = FockDensityMatrix((1.0 - 5e-9) * pumped.rho + 5e-9 * top)
     probe = ProbeSpec(theta, -2.1, 50.0)
     pair = probe_exact(rho, probe)
     padded = probe_exact(embed(rho, rho.dim + 16), probe)
