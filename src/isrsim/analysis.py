@@ -390,7 +390,6 @@ class FluenceFitResult:
 def fit_fluence_series(
     points,
     probe: ProbeSpec,
-    k_modes: int,
     conversion: float,
     amplitude_scale: float,
     thermal_n: float,
@@ -399,8 +398,8 @@ def fit_fluence_series(
 
     points rows are (fluence, a2omega, sigma). The model is
     amplitude_scale * prefactor * sinh(2 r(F)), the prefactor taken at
-    zero delay, with r(F) = 2 k_modes mu_s conversion F, where
-    conversion maps fluence to the squared pump-mode amplitude. The
+    zero delay, with r(F) = 2 mu_s conversion F, where
+    conversion maps fluence to the pump intensity |nu|^2. The
     single parameter mu_s is bounded below by zero; the gradient is
     supplied in closed form. thermal_n is the occupation of the pre-pump
     state.
@@ -416,11 +415,11 @@ def fit_fluence_series(
         raise ValueError("fluences must be >= 0")
     if np.any(sigma <= 0):
         raise ValueError("sigmas must be positive")
-    if k_modes < 1 or conversion <= 0:
-        raise ValueError("k_modes must be >= 1 and conversion positive")
+    if conversion <= 0:
+        raise ValueError("conversion must be positive")
 
     pref = amplitude_scale * amplitude_prefactor(probe, thermal_n)
-    slope = 2.0 * k_modes * conversion  # r = slope * mu_s * F
+    slope = 2.0 * conversion  # r = slope * mu_s * F
 
     def finish(mu: float, residual: float) -> FluenceFitResult:
         r = slope * mu * fluence

@@ -431,7 +431,6 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
     fit = fit_fluence_series(
         np.column_stack([fluences, amps, sigmas]),
         probe,
-        k_modes=cfg.section("pump")["k_modes"],
         conversion=fser["conversion"],
         amplitude_scale=amplitude_scale,
         thermal_n=n0,
@@ -471,7 +470,6 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
             "amplitude_scale": amplitude_scale,
             "calibration_peak": calib,
             "conversion": fser["conversion"],
-            "k_modes": cfg.section("pump")["k_modes"],
             "r_per_fluence": fit.r_per_fluence,
             "quad_uncertainties": fit.quad_uncertainties,
         },

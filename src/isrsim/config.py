@@ -78,16 +78,21 @@ def _boolean(value, path: str) -> bool:
     return value
 
 
-def _number_list(value, path: str, min_len: int = 1) -> list[float]:
-    """At least min_len numbers, each > 0."""
+def _number_list(value, path: str, increasing: bool = False) -> list[float]:
+    """At least 3 numbers (the fewest either fit takes), each > 0, rising if asked."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{path}: expected a list of numbers")
-    if len(value) < min_len:
-        raise ConfigError(f"{path}: need at least {min_len} entries")
-    return [
+    if len(value) < 3:
+        raise ConfigError(f"{path}: need at least 3 entries")
+    out = [
         _number(v, f"{path}[{i}]", minimum=0.0, exclusive=True)
         for i, v in enumerate(value)
     ]
+    if increasing:
+        for i in range(1, len(out)):
+            if out[i] <= out[i - 1]:
+                raise ConfigError(f"{path}[{i}]: must exceed the entry before, {out[i-1]}")
+    return out
 
 
 def _directory(value, path: str) -> str:
@@ -127,7 +132,6 @@ _SCHEMA = {
     "pump": {
         "mu_displace": _nonnegative,
         "mu_squeeze": _nonnegative,
-        "k_modes": partial(_integer, minimum=1),
         "nu_amp": _nonnegative,
     },
     "bath": {
@@ -147,7 +151,6 @@ _SCHEMA = {
         "electronic_var": _nonnegative,
         "ref_mean_photons": partial(_number, minimum=0.0, allow_none=True),
         "unbalance_v": _number,
-        "drift_rms_v": _nonnegative,
     },
     "scan": {
         "start_ps": _nonnegative,
@@ -164,7 +167,7 @@ _SCHEMA = {
         "coupling_norm": partial(_number, minimum=0.0, allow_none=True),
     },
     "shot_noise": {
-        "powers_mw": partial(_number_list, min_len=3),
+        "powers_mw": partial(_number_list, increasing=True),
         "n_pulses": partial(_integer, minimum=2),
     },
     "outputs": {"directory": _directory, "formats": _formats},
@@ -281,7 +284,6 @@ class RunConfig:
         return PumpSpec(
             mu_displace=p["mu_displace"],
             mu_squeeze=p["mu_squeeze"],
-            k_modes=p["k_modes"],
             nu_amplitude=p["nu_amp"],
         )
 
@@ -322,7 +324,6 @@ class RunConfig:
             electronic_var=d["electronic_var"],
             ref_mean_photons=d["ref_mean_photons"],
             unbalance_v=d["unbalance_v"],
-            drift_rms_v=d["drift_rms_v"],
         )
 
     def scan_delays(self) -> np.ndarray:

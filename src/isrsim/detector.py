@@ -45,8 +45,6 @@ class DetectorSpec:
 
     ref_mean_photons None balances the reference arm against the signal:
     a scan's unpumped baseline, a shot-noise power's own photons.
-    drift_rms_v adds an optional per-pulse random-walk voltage (slow
-    classical drift), default off.
     """
 
     quantum_efficiency: float
@@ -54,7 +52,6 @@ class DetectorSpec:
     electronic_var: float
     ref_mean_photons: float | None = None
     unbalance_v: float = 0.0
-    drift_rms_v: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.quantum_efficiency <= 1.0):
@@ -70,8 +67,6 @@ class DetectorSpec:
             raise ValueError(f"ref_mean_photons must be >= 0, got {ref}")
         if not math.isfinite(self.unbalance_v):
             raise ValueError(f"unbalance_v must be finite, got {self.unbalance_v}")
-        if not (self.drift_rms_v >= 0 and math.isfinite(self.drift_rms_v)):
-            raise ValueError(f"drift_rms_v must be >= 0, got {self.drift_rms_v}")
 
 
 def calibrated_gain(probe_photons: float, quantum_efficiency: float) -> float:
@@ -151,10 +146,10 @@ def _burst_buffers(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Photon and electronic buffers for k bursts, as _write_bursts fills them.
 
-    Each burst's electronic draws are its noise term, then its drift
-    term, each present only when det switches it on.
+    Each burst's electronic draws are its noise term, present only when
+    det has electronic noise.
     """
-    terms = (det.electronic_var > 0) + (det.drift_rms_v > 0)
+    terms = int(det.electronic_var > 0)
     return np.empty((k, 2, n_pulses)), np.empty((k, terms, n_pulses))
 
 
@@ -174,9 +169,9 @@ def _write_bursts(
     n_pulses) voltages are photon[:, 0]. The signal arm is eta mean +
     sd z0, the reference arm eta ref + ref_sd z1; their difference is
     scaled by the gain, offset by the unbalance, and then gets the
-    electronic noise and the drift random walk, in that order. The draws
-    fill the buffers burst by burst, so k bursts at once take from the
-    streams, and give, exactly what k bursts one at a time would.
+    electronic noise. The draws fill the buffers burst by burst, so k
+    bursts at once take from the streams, and give, exactly what k bursts
+    one at a time would.
     """
     eta = det.quantum_efficiency
     rng_photon, rng_elec = streams
@@ -194,11 +189,6 @@ def _write_bursts(
         noise = elec[:, 0]
         noise *= math.sqrt(det.electronic_var)
         signal += noise
-    if det.drift_rms_v > 0:
-        walk = elec[:, -1]
-        walk *= det.drift_rms_v
-        np.cumsum(walk, axis=1, out=walk)
-        signal += walk
     return signal
 
 
@@ -308,12 +298,9 @@ def sample_scan_statistics(
     The voltage statistics are computed once for all rows. Each row, in
     row order, draws all its means as mu + sd * standard_normal, the
     same draws and bits as Generator.normal(mu, sd), then all its
-    variances from one chisquare call. Requires the drift term to be off
-    (samples would be correlated).
+    variances from one chisquare call.
     """
     _check_burst(n_pulses, var_ny)
-    if det.drift_rms_v > 0:
-        raise ValueError("statistics-level sampling requires drift_rms_v = 0")
     mu, var = voltage_statistics(
         np.asarray(mean_ny, dtype=float),
         np.asarray(var_ny, dtype=float),

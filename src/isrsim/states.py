@@ -117,24 +117,20 @@ class GaussianPhononState:
 class PumpSpec:
     """Impulsive pump drive.
 
-    mu_displace and mu_squeeze are the linear and quadratic coupling
-    strengths per mode pair, k_modes the number of contributing pump mode
-    pairs and nu_amplitude the magnitude |nu| of the common coherent
-    amplitude of each pump mode. The drive goes as the intensity |nu|^2,
-    so the field's phase cancels and is not a parameter.
+    mu_displace and mu_squeeze are the linear and quadratic couplings per
+    unit pump intensity |nu|^2, and nu_amplitude is the magnitude |nu| of
+    the pump's coherent amplitude. The drive goes as the intensity, so the
+    field's phase cancels and is not a parameter.
     """
 
     mu_displace: float
     mu_squeeze: float
-    k_modes: int
     nu_amplitude: float
 
     def __post_init__(self) -> None:
         for name in ("mu_displace", "mu_squeeze"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.k_modes < 1:
-            raise ValueError(f"k_modes must be a positive integer, got {self.k_modes}")
         if not (self.nu_amplitude >= 0 and math.isfinite(self.nu_amplitude)):
             raise ValueError(f"nu_amplitude must be >= 0, got {self.nu_amplitude}")
 
@@ -191,15 +187,15 @@ def thermal_state(n: float) -> GaussianPhononState:
 
 
 def pump_coefficients(pump: PumpSpec) -> tuple[complex, complex]:
-    """Collapse the multimode pump sums to the two drive coefficients.
+    """The two drive coefficients of the pump.
 
-    With all pump modes at the common amplitude nu, every pair in the sums
-    contributes nu* nu = |nu|^2, so the phases cancel and
+    The drive goes as the pump intensity nu* nu = |nu|^2, so the phases
+    cancel and
 
-        c1 = mu_displace * k_modes * |nu|^2
-        c2 = mu_squeeze  * k_modes * |nu|^2.
+        c1 = mu_displace * |nu|^2
+        c2 = mu_squeeze  * |nu|^2.
     """
-    weight = pump.k_modes * pump.nu_amplitude ** 2
+    weight = pump.nu_amplitude ** 2
     return complex(pump.mu_displace * weight), complex(pump.mu_squeeze * weight)
 
 

@@ -88,10 +88,10 @@ def test_variance_second_harmonic_requires_squeezing():
         return amps[b2] / amps[b1]
 
     squeezing = predict_trace(
-        PumpSpec(0.4, 1e-3, 80.0, math.sqrt(2.0)), bath, probe, n, delays
+        PumpSpec(32.0, 0.08, math.sqrt(2.0)), bath, probe, n, delays
     )
     displacing = predict_trace(
-        PumpSpec(0.4, 0.0, 80.0, math.sqrt(2.0)), bath, probe, n, delays
+        PumpSpec(32.0, 0.0, math.sqrt(2.0)), bath, probe, n, delays
     )
     mean_rel = rel2(squeezing[:, 1])
     var_rel_off = rel2(displacing[:, 2])
@@ -114,7 +114,7 @@ def test_trace_tone_amplitudes_match_closed_forms():
     # FFT comparison is against their average over the record; keeping
     # damping * record length at or below 0.3 holds the residual
     # envelope/leakage bias under one percent.
-    pump = PumpSpec(0.5, 0.002, 100.0, math.sqrt(2.0))
+    pump = PumpSpec(50.0, 0.2, math.sqrt(2.0))
     probe = ProbeSpec(0.05, 0.0, 1.0e6)
     n = N_300K
     per, cycles = 16, 8
@@ -135,7 +135,7 @@ def test_trace_tone_amplitudes_match_closed_forms():
         assert rel1 < 1e-2
         assert rel2 < 1e-2
         worst = max(worst, rel1, rel2)
-    no_squeeze = PumpSpec(0.5, 0.0, 100.0, math.sqrt(2.0))
+    no_squeeze = PumpSpec(50.0, 0.0, math.sqrt(2.0))
     assert amplitude_2omega(0.0, no_squeeze, BathSpec(OMEGA, 0.145, n), probe) == 0.0
     _report(
         "tone amplitudes",
@@ -149,7 +149,7 @@ def test_trace_tone_amplitudes_match_closed_forms():
 
 def _small_squeeze_lifetimes():
     bath = BathSpec(OMEGA, 2.0 / 7.0, N_300K)
-    pump = PumpSpec(0.5, 2.0e-4, 100.0, math.sqrt(2.0))
+    pump = PumpSpec(50.0, 0.02, math.sqrt(2.0))
     probe = ProbeSpec(0.05, 0.0, 1.0e6)
     delays = np.arange(512) * 0.02
     trace = predict_trace(pump, bath, probe, N_300K, delays)

@@ -218,19 +218,18 @@ def test_amplitude_prefactor_consistency():
 
 def fluence_setup():
     probe = ProbeSpec(0.05, 0.0, 1.0e6)
-    k_modes, conversion = 100, 0.15
-    return probe, k_modes, conversion
+    return probe, 0.15
 
 
 def test_fluence_fit_recovers_exact_coupling():
-    probe, k_modes, conversion = fluence_setup()
-    mu_s = 2.4e-3
-    slope = 2.0 * k_modes * conversion
+    probe, conversion = fluence_setup()
+    mu_s = 0.24
+    slope = 2.0 * conversion
     fluences = np.linspace(2.0, 12.0, 6)
     pref = amplitude_prefactor(probe, 1.1787)
     amps = pref * np.sinh(2.0 * slope * mu_s * fluences)
     pts = np.column_stack([fluences, amps, np.full(6, 1e-3)])
-    fit = fit_fluence_series(pts, probe, k_modes, conversion, 1.0, 1.1787)
+    fit = fit_fluence_series(pts, probe, conversion, 1.0, 1.1787)
     assert fit.mu_s_hat == pytest.approx(mu_s, rel=1e-9)
     assert fit.fit_residual < 1e-12
     assert fit.r_per_fluence[-1, 1] == pytest.approx(
@@ -242,10 +241,10 @@ def test_fluence_fit_recovers_exact_coupling():
 
 
 def test_fluence_fit_zero_amplitudes():
-    probe, k_modes, conversion = fluence_setup()
+    probe, conversion = fluence_setup()
     fluences = np.array([2.0, 5.0, 8.0])
     pts = np.column_stack([fluences, np.zeros(3), np.full(3, 1e-3)])
-    fit = fit_fluence_series(pts, probe, k_modes, conversion, 1.0, 1.1787)
+    fit = fit_fluence_series(pts, probe, conversion, 1.0, 1.1787)
     assert fit.mu_s_hat == 0.0
     assert np.all(fit.r_per_fluence[:, 1] == 0.0)
     # All quadrature variances collapse to the thermal value.
@@ -253,21 +252,21 @@ def test_fluence_fit_zero_amplitudes():
 
 
 def test_fluence_fit_validation():
-    probe, k_modes, conversion = fluence_setup()
+    probe, conversion = fluence_setup()
     with pytest.raises(FitError, match="3 fluence"):
         fit_fluence_series(
             np.array([[1.0, 0.1, 1e-3], [2.0, 0.2, 1e-3]]),
-            probe, k_modes, conversion, 1.0, 1.1787,
+            probe, conversion, 1.0, 1.1787,
         )
     with pytest.raises(ValueError):
         fit_fluence_series(
             np.array([[1.0, 0.1], [2.0, 0.2], [3.0, 0.3]]),
-            probe, k_modes, conversion, 1.0, 1.1787,
+            probe, conversion, 1.0, 1.1787,
         )
     with pytest.raises(ValueError, match="sigma"):
         fit_fluence_series(
             np.array([[1.0, 0.1, 0.0], [2.0, 0.2, 1e-3], [3.0, 0.3, 1e-3]]),
-            probe, k_modes, conversion, 1.0, 1.1787,
+            probe, conversion, 1.0, 1.1787,
         )
 
 

@@ -325,7 +325,7 @@ def test_fluence_detects_squeezing_quickly(tmp_path):
     fit = read_json(out / "fluence_fit.json")
     assert fit["two_omega_present"] is True
     assert fit["mu_s_hat"] > 0
-    assert fit["mu_s_injected"] == 0.002
+    assert fit["mu_s_injected"] == 0.2
     # r grows with fluence; quadrature rows stay physical.
     rs = [row[1] for row in fit["r_per_fluence"]]
     assert rs == sorted(rs)
@@ -338,8 +338,12 @@ def test_fluence_needs_three_points(tmp_path, capsys):
         tmp_path,
         FAST_SCAN + "fluence_series:\n  fluences: [5.0, 17.0]\n",
     )
-    assert cli.main(["fluence", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-    assert capsys.readouterr().err.startswith("fluence: fit error: ")
+    out = tmp_path / "o"
+    assert cli.main(["fluence", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "fluence: config error: fluence_series.fluences: need at least 3 entries\n"
+    )
+    assert not out.exists()
 
 
 def test_config_error_exit_codes(tmp_path, capsys):

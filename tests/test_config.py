@@ -16,6 +16,7 @@ from isrsim.config import (
     validate_mapping,
 )
 from isrsim.detector import calibrated_gain
+from isrsim.states import pump_coefficients
 
 N_300K = 1.178733690798772
 
@@ -45,9 +46,10 @@ def test_typed_builders_from_defaults():
     assert cfg.initial_occupation() == pytest.approx(N_300K, rel=1e-12)
 
     pump = cfg.pump_spec()
-    assert pump.mu_squeeze == 0.002
-    assert pump.k_modes == 100
+    assert pump.mu_squeeze == 0.2
     assert abs(pump.nu_amplitude) ** 2 == pytest.approx(2.0, rel=1e-12)
+    # The couplings are per |nu|^2: the drives are mu |nu|^2, to the bit.
+    assert pump_coefficients(pump) == (100.00000000000003, 0.40000000000000013)
 
     det = cfg.detector_spec()
     assert det.gain_v_per_photon == pytest.approx(
@@ -106,7 +108,7 @@ def test_overrides_do_not_leak_into_later_loads(tmp_path):
     fresh = load_config()
     load_config(seed=5, out_dir=str(tmp_path / "elsewhere"))
     load_config(write(tmp_path, "scan:\n  m_scans: 3\n"))
-    default_mapping()["pump"]["k_modes"] = 7
+    default_mapping()["pump"]["mu_squeeze"] = 7.0
     again = load_config()
     assert again.data == fresh.data
     assert again.section("scan")["seed"] == 20260814
@@ -159,8 +161,20 @@ def test_fluence_and_shot_noise_lists(tmp_path):
         load_config(write(tmp_path, "shot_noise:\n  powers_mw: [1.0, 2.0]\n"))
     with pytest.raises(ConfigError, match="fluences\\[1\\]"):
         load_config(
-            write(tmp_path, "fluence_series:\n  fluences: [1.0, -2.0]\n")
+            write(tmp_path, "fluence_series:\n  fluences: [1.0, -2.0, 3.0]\n")
         )
+    # The fluence fit takes three points: fewer is refused before any scan runs.
+    with pytest.raises(ConfigError, match="^fluence_series.fluences: need at least 3"):
+        load_config(write(tmp_path, "fluence_series:\n  fluences: [2.0, 5.0]\n"))
+    # The fit sorts its points, so the fluences may come in any order.
+    cfg = load_config(write(tmp_path, "fluence_series:\n  fluences: [8.0, 2.0, 5.0]\n"))
+    assert cfg.section("fluence_series")["fluences"] == [8.0, 2.0, 5.0]
+    # Equal powers leave the line fit singular, and unsorted ones would
+    # report another power's variance as the top power's.
+    for powers, index in (("1.0, 1.0, 1.0", 1), ("2.5, 0.25, 1.0", 1), ("0.25, 0.5, 0.5", 2)):
+        path = write(tmp_path, f"shot_noise:\n  powers_mw: [{powers}]\n")
+        with pytest.raises(ConfigError, match=rf"^shot_noise.powers_mw\[{index}\]: must exceed"):
+            load_config(path)
 
 
 def test_outputs_rules(tmp_path):
@@ -216,8 +230,12 @@ def test_seed_flag_validation():
         ("pump:\n  nu_phase: 0.3\n", "pump: unknown key(s): nu_phase"),
         # The oracle runs a fixed grid and grows its cutoffs itself.
         ("oracle:\n  max_phonon_dim: 24\n", "config: unknown key(s): oracle"),
+        # The couplings are per |nu|^2: fold a mode count into mu_displace and mu_squeeze.
+        ("pump:\n  k_modes: 100\n", "pump: unknown key(s): k_modes"),
+        # The detector's noise is shot noise plus electronic noise; there is no drift.
+        ("detector:\n  drift_rms_v: 0.0\n", "detector: unknown key(s): drift_rms_v"),
     ],
-    ids=["nu_phase", "oracle"],
+    ids=["nu_phase", "oracle", "k_modes", "drift_rms_v"],
 )
 def test_removed_keys_exit_with_a_config_error(tmp_path, capsys, text, message):
     path = write(tmp_path, text)

@@ -8,7 +8,12 @@ sha256 with the digests recorded when the current random-stream layout
 was fixed (the last two cases were recorded later, on code that gave
 the first three the same digests). The three scan-per-pulse histogram
 digests were re-recorded when the histograms' reference arm moved to
-the scan's unpumped baseline; no other digest changed with them.
+the scan's unpumped baseline; no other digest changed with them. The
+two fluence digests were re-recorded when the couplings became per
+|nu|^2 with no mode count: mu_s_hat and mu_s_injected are reported in
+that unit (100 times the old numbers), fluence_fit.json lost its k_modes
+field, and the fit's r and quadrature columns, and one amplitude, moved
+in their last digits because the products round in another order.
 Manifests are left out: they embed package versions.
 
 The digests were taken with numpy 2.4.6 on Python 3.11.7. Another numpy
@@ -63,8 +68,8 @@ GOLDEN = {
         "wavelet_map.csv": "c7a88c79504a42ce",
     },
     "fluence": {
-        "fluence_fit.json": "764c1528135fc08b",
-        "fluence_series.csv": "4b3fa855f265c55d",
+        "fluence_fit.json": "1c52d0d43b0b0442",
+        "fluence_series.csv": "bbe249916a03cb91",
     },
 }
 

@@ -135,18 +135,18 @@ def test_probe_spec_validation():
 
 
 def test_amplitude_2omega_frozen_and_squeeze_gate():
-    pump = PumpSpec(0.4, 0.001, 80, math.sqrt(2.0))
+    pump = PumpSpec(32.0, 0.08, math.sqrt(2.0))
     bath = BathSpec(OMEGA, 0.3, 1.2)
     probe = ProbeSpec(0.12, 0.0, 1.0e4)
     assert amplitude_2omega(0.8, pump, bath, probe) == pytest.approx(
         129.318139579332, rel=1e-12
     )
-    silent = PumpSpec(0.4, 0.0, 80, math.sqrt(2.0))
+    silent = PumpSpec(32.0, 0.0, math.sqrt(2.0))
     assert amplitude_2omega(0.8, silent, bath, probe) == 0.0
 
 
 def test_amplitude_2omega_decay_rate():
-    pump = PumpSpec(0.5, 0.002, 100, math.sqrt(2.0))
+    pump = PumpSpec(50.0, 0.2, math.sqrt(2.0))
     bath = BathSpec(OMEGA, 0.4, 1.0)
     probe = ProbeSpec(0.05, 0.0, 1.0e6)
     a0 = amplitude_2omega(0.0, pump, bath, probe)
@@ -157,7 +157,7 @@ def test_amplitude_2omega_decay_rate():
 def test_amplitude_formulas_match_spectrum_on_exact_grid():
     """Undamped trace on an integer-period grid: FFT peaks carry 2|A|."""
     n = 1.1787
-    pump = PumpSpec(0.5, 0.002, 100, math.sqrt(2.0))
+    pump = PumpSpec(50.0, 0.2, math.sqrt(2.0))
     bath = BathSpec(OMEGA, 0.0, n)
     probe = ProbeSpec(0.05, 0.0, 1.0e6)
     dt = 1.0 / (3.84 * 16.0)
@@ -186,7 +186,7 @@ def test_amplitude_formulas_match_spectrum_on_exact_grid():
 
 def test_mean_trace_has_no_second_harmonic():
     n = 0.9
-    pump = PumpSpec(0.5, 0.002, 100, math.sqrt(2.0))
+    pump = PumpSpec(50.0, 0.2, math.sqrt(2.0))
     bath = BathSpec(OMEGA, 0.0, n)
     probe = ProbeSpec(0.05, 0.0, 1.0e6)
     dt = 1.0 / (3.84 * 16.0)
@@ -199,7 +199,7 @@ def test_mean_trace_has_no_second_harmonic():
 
 
 def test_predict_trace_validation():
-    pump = PumpSpec(0.5, 0.0, 100, 1.0)
+    pump = PumpSpec(50.0, 0.0, 1.0)
     bath = BathSpec(OMEGA, 0.2, 1.0)
     probe = make_probe()
     with pytest.raises(ValueError):
@@ -231,7 +231,7 @@ def test_predict_trace_matches_scalar_chain():
 
 
 def test_predict_trace_names_first_unphysical_delay():
-    pump = PumpSpec(0.5, 0.0, 1, 1.0)
+    pump = PumpSpec(0.5, 0.0, 1.0)
     bath = BathSpec(OMEGA, 0.5, 0.0)
     # A negative bath occupation, which BathSpec rejects, relaxes the
     # state below the vacuum partway through the scan.

@@ -38,3 +38,6 @@ def test_override_example_loads(tmp_path):
     path.write_text(_fenced_block("Configuration", "yaml"))
     cfg = load_config(str(path))
     assert cfg.section("scan")["statistics_only"] is True
+    # The example doubles the squeezing coupling, in the defaults' unit.
+    default = load_config().section("pump")["mu_squeeze"]
+    assert cfg.section("pump")["mu_squeeze"] == 2 * default
