@@ -41,7 +41,7 @@ from .analysis import (
 from .config import ConfigError, RunConfig, load_config
 from .detector import (
     ScanResult,
-    row_streams,
+    row_generator,
     sample_pulse_ensemble,
     scan_experiment,
     shot_noise_scan,
@@ -314,16 +314,16 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
     if "csv" in out.formats and not s["statistics_only"]:
         # Per-pulse voltage histograms at three sample delays, drawn in
-        # turn from the streams of the scan row past the ones the averages
+        # turn from the stream of the scan row past the ones the averages
         # consumed, with the reference arm balanced as in the scan.
-        streams = row_streams(s["seed"], s["m_scans"])
+        rng = row_generator(s["seed"], s["m_scans"], 0)
         for idx in sorted({0, delays.size // 2, delays.size - 1}):
             volts = sample_pulse_ensemble(
                 res.model_trace[idx, 1],
                 res.model_trace[idx, 2],
                 det,
                 n_pulses=s["n_pulses"],
-                streams=streams,
+                rng=rng,
                 ref_photons=res.ref_photons,
             )
             counts, edges = np.histogram(volts, bins=_HISTOGRAM_BINS)

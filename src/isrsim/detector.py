@@ -3,24 +3,22 @@
 Each probe pulse is detected on a signal photodiode, a reference pulse on
 a twin diode, and the difference voltage is digitized per pulse. Photon
 counts are large (~1e6), so counting statistics are Gaussian to relative
-skewness ~1e-3: the signal arm draws from a normal with the
-Bernoulli-thinned variance eta^2 var + eta (1-eta) mean, the reference
-arm from Poisson-equivalent statistics, and electronic noise is additive.
+skewness ~1e-3: the signal arm is Normal with the Bernoulli-thinned
+variance eta^2 var + eta (1-eta) mean, the reference arm has
+Poisson-equivalent statistics, and electronic noise is additive. A sum of
+independent Gaussians is one Gaussian, so voltage_statistics states the
+whole chain as one mean and variance, and every sampler draws from it.
 
 Reproducibility is anchored in seed derivation, not execution order:
-every scan row keys two child streams (photon and electronic) of
-SeedSequence(seed prefix + [scan index]), and the row's delay cells draw
-from them in delay order. A per-pulse row draws from both; a
-statistics-only row draws only its photon stream and never builds the
-electronic one. Runs are bit-identical for a fixed seed whichever order
-or thread computes the rows, and the electronic contribution can be
-toggled without touching the photon draws.
+every scan row draws from one stream, row_generator(seed, row, 0), and
+the row's delay cells draw from it in delay order. Runs are
+bit-identical for a fixed seed whichever order or thread computes the
+rows.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,7 +33,7 @@ PHOTONS_PER_PULSE_PER_MW = 4.0e5
 # Photonic part of the voltage variance that calibrated_gain targets (V^2).
 PHOTONIC_VAR_V2 = 0.9
 # Pulses a per-pulse scan row draws per block of bursts: fewer, larger
-# numpy calls per delay cell, with 0.5 MB of photon buffer per row.
+# numpy calls per delay cell, with 0.25 MB of voltage buffer per row.
 _BLOCK_PULSES = 32768
 
 
@@ -105,10 +103,10 @@ class ScanResult:
 def row_generator(seed, row: int, child: int) -> np.random.Generator:
     """Generator of child stream `child` of scan row `row` under seed.
 
-    Child 0 is the row's photon stream and child 1 its electronic stream.
-    seed may be an int or a sequence of ints (a stream prefix); the child
-    is SeedSequence(prefix + [row], spawn_key=(child,)), the same stream
-    as SeedSequence(prefix + [row]).spawn(2)[child], built without the
+    Every sampler draws from child 0. seed may be an int or a sequence
+    of ints (a stream prefix); the child is SeedSequence(prefix + [row],
+    spawn_key=(child,)), the same stream as
+    SeedSequence(prefix + [row]).spawn(2)[child], built without the
     parent. SeedSequence ignores trailing zero words, so prefix + [0]
     keys the same streams as prefix alone: [s, 0] equals [s], and
     [s, i, 0] equals [s, i]. Distinct keys of one length never collide,
@@ -118,15 +116,6 @@ def row_generator(seed, row: int, child: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(prefix + [row], spawn_key=(child,))
     )
-
-
-def row_streams(seed, row: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Photon and electronic generators of scan row `row` under seed.
-
-    The two streams a per-pulse row or burst draws from, as row_generator
-    keys them.
-    """
-    return row_generator(seed, row, 0), row_generator(seed, row, 1)
 
 
 def _reference_photons(det: DetectorSpec, balanced: float) -> float:
@@ -139,122 +128,6 @@ def _check_burst(n_pulses: int, var_ny) -> None:
         raise ValueError("n_pulses must be at least 2")
     if np.any(np.asarray(var_ny) < 0):
         raise ValueError("var_ny must be >= 0")
-
-
-def _burst_buffers(
-    k: int, n_pulses: int, det: DetectorSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Photon and electronic buffers for k bursts, as _write_bursts fills them.
-
-    Each burst's electronic draws are its noise term, present only when
-    det has electronic noise.
-    """
-    terms = int(det.electronic_var > 0)
-    return np.empty((k, 2, n_pulses)), np.empty((k, terms, n_pulses))
-
-
-def _write_bursts(
-    photon: np.ndarray,
-    elec: np.ndarray,
-    mean_ny: np.ndarray,
-    var_ny: np.ndarray,
-    det: DetectorSpec,
-    ref_photons: float,
-    streams: tuple[np.random.Generator, np.random.Generator],
-) -> np.ndarray:
-    """Draw consecutive bursts into the buffers; return their voltages.
-
-    Burst i has photon mean mean_ny[i] and variance var_ny[i]. The
-    buffers come from _burst_buffers and are overwritten; the (k,
-    n_pulses) voltages are photon[:, 0]. The signal arm is eta mean +
-    sd z0, the reference arm eta ref + ref_sd z1; their difference is
-    scaled by the gain, offset by the unbalance, and then gets the
-    electronic noise. The draws fill the buffers burst by burst, so k
-    bursts at once take from the streams, and give, exactly what k bursts
-    one at a time would.
-    """
-    eta = det.quantum_efficiency
-    rng_photon, rng_elec = streams
-    rng_photon.standard_normal(out=photon)
-    signal, reference = photon[:, 0], photon[:, 1]
-    signal *= np.sqrt(eta * eta * var_ny + eta * (1.0 - eta) * mean_ny)[:, None]
-    signal += (eta * mean_ny)[:, None]
-    reference *= math.sqrt(eta * ref_photons)
-    reference += eta * ref_photons
-    signal -= reference
-    signal *= det.gain_v_per_photon
-    signal += det.unbalance_v
-    rng_elec.standard_normal(out=elec)
-    if det.electronic_var > 0:
-        noise = elec[:, 0]
-        noise *= math.sqrt(det.electronic_var)
-        signal += noise
-    return signal
-
-
-def sample_pulse_ensemble(
-    mean_ny: float,
-    var_ny: float,
-    det: DetectorSpec,
-    n_pulses: int,
-    streams: tuple[np.random.Generator, np.random.Generator],
-    ref_photons: float,
-) -> np.ndarray:
-    """Draw one burst of n_pulses differential voltages.
-
-    streams is the (photon, electronic) pair of Generators the burst
-    continues, as row_streams builds it; ref_photons is the reference
-    arm's mean photon number.
-    """
-    _check_burst(n_pulses, var_ny)
-    volts = _write_bursts(
-        *_burst_buffers(1, n_pulses, det),
-        np.array([mean_ny], dtype=float),
-        np.array([var_ny], dtype=float),
-        det,
-        ref_photons,
-        streams,
-    )
-    return volts[0]
-
-
-def _pulse_row(
-    means: np.ndarray,
-    variances: np.ndarray,
-    det: DetectorSpec,
-    n_pulses: int,
-    streams: tuple[np.random.Generator, np.random.Generator],
-    ref_photons: float,
-) -> np.ndarray:
-    """(mean, ddof-1 variance) of one burst per delay, drawn in delay order.
-
-    The row draws _BLOCK_PULSES pulses' worth of bursts at a time into one
-    pair of reused buffers. The statistics are computed as np.mean and
-    np.var(ddof=1) compute them: a pairwise sum divided by N, then the
-    squared deviations from that mean summed and divided by N - 1, so a
-    cell equals np.mean and np.var(ddof=1) of sample_pulse_ensemble's
-    burst bit for bit.
-    """
-    k = max(1, _BLOCK_PULSES // n_pulses)
-    photon, elec = _burst_buffers(min(k, means.size), n_pulses, det)
-    cells = np.empty((2, means.size))
-    for a in range(0, means.size, k):
-        b = min(a + k, means.size)
-        volts = _write_bursts(
-            photon[: b - a],
-            elec[: b - a],
-            means[a:b],
-            variances[a:b],
-            det,
-            ref_photons,
-            streams,
-        )
-        mean = np.add.reduce(volts, axis=1) / n_pulses
-        volts -= mean[:, None]
-        volts *= volts
-        cells[0, a:b] = mean
-        cells[1, a:b] = np.add.reduce(volts, axis=1) / (n_pulses - 1)
-    return cells
 
 
 def voltage_statistics(
@@ -278,12 +151,61 @@ def voltage_statistics(
     return mu, var
 
 
+def sample_pulse_ensemble(
+    mean_ny: float,
+    var_ny: float,
+    det: DetectorSpec,
+    n_pulses: int,
+    rng: np.random.Generator,
+    ref_photons: float,
+) -> np.ndarray:
+    """Draw one burst of n_pulses differential voltages, mu + sd z.
+
+    mu and sd**2 are voltage_statistics'; rng is the Generator the burst
+    continues, and ref_photons the reference arm's mean photon number.
+    """
+    _check_burst(n_pulses, var_ny)
+    mu, var = voltage_statistics(mean_ny, var_ny, det, ref_photons)
+    return mu + math.sqrt(var) * rng.standard_normal(n_pulses)
+
+
+def _pulse_row(
+    mu: np.ndarray, sd: np.ndarray, n_pulses: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(mean, ddof-1 variance) of one burst per delay, drawn in delay order.
+
+    Burst i is mu[i] + sd[i] z. The row draws _BLOCK_PULSES pulses' worth
+    of bursts at a time into one reused (k, n_pulses) buffer; a buffer
+    fills row by row, so k bursts at once take from rng exactly what k
+    bursts one at a time would. The statistics are computed as np.mean
+    and np.var(ddof=1) compute them: a pairwise sum divided by N, then
+    the squared deviations from that mean summed and divided by N - 1, so
+    a cell equals np.mean and np.var(ddof=1) of sample_pulse_ensemble's
+    burst bit for bit.
+    """
+    k = max(1, _BLOCK_PULSES // n_pulses)
+    buffer = np.empty((min(k, mu.size), n_pulses))
+    cells = np.empty((2, mu.size))
+    for a in range(0, mu.size, k):
+        b = min(a + k, mu.size)
+        volts = buffer[: b - a]
+        rng.standard_normal(out=volts)
+        volts *= sd[a:b, None]
+        volts += mu[a:b, None]
+        mean = np.add.reduce(volts, axis=1) / n_pulses
+        volts -= mean[:, None]
+        volts *= volts
+        cells[0, a:b] = mean
+        cells[1, a:b] = np.add.reduce(volts, axis=1) / (n_pulses - 1)
+    return cells
+
+
 def sample_scan_statistics(
     mean_ny,
     var_ny,
     det: DetectorSpec,
     n_pulses: int,
-    photon_rngs: Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
     ref_photons: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (sample mean, sample variance) of bursts without the samples.
@@ -293,8 +215,8 @@ def sample_scan_statistics(
     other, so drawing them directly is statistically identical to
     aggregating sample_pulse_ensemble and much faster for trial loops.
     mean_ny and var_ny may be arrays, one burst per element (the delays
-    of a scan). photon_rngs holds one photon Generator per scan row; the
-    result is a pair of (len(photon_rngs),) + shape(mean_ny) arrays.
+    of a scan). rngs holds one Generator per scan row; the result is a
+    pair of (len(rngs),) + shape(mean_ny) arrays.
     The voltage statistics are computed once for all rows. Each row, in
     row order, draws all its means as mu + sd * standard_normal, the
     same draws and bits as Generator.normal(mu, sd), then all its
@@ -307,12 +229,12 @@ def sample_scan_statistics(
         det,
         ref_photons,
     )
-    z = np.empty((len(photon_rngs), mu.size))
+    z = np.empty((len(rngs), mu.size))
     chi2 = np.empty_like(z)
-    for row, rng in enumerate(photon_rngs):
+    for row, rng in enumerate(rngs):
         rng.standard_normal(out=z[row])
         chi2[row] = rng.chisquare(n_pulses - 1, size=mu.size)
-    shape = (len(photon_rngs),) + mu.shape
+    shape = (len(rngs),) + mu.shape
     mean_hat = mu + np.sqrt(var / n_pulses) * z.reshape(shape)
     var_hat = var * chi2.reshape(shape) / (n_pulses - 1)
     return mean_hat, var_hat
@@ -333,15 +255,13 @@ def scan_experiment(
 ) -> ScanResult:
     """Simulate the full delay-scan acquisition.
 
-    The model observables are computed once for all delays; each scan
-    row then draws its cells, in delay order, from its own streams. The
-    reference arm is balanced against the unpumped baseline unless the
-    detector pins ref_mean_photons. statistics_only skips the per-pulse
-    samples: one sample_scan_statistics call draws every row's
-    statistics, each row from its photon stream alone
-    (row_generator(seed, s, 0)). Otherwise each cell draws one burst of
-    n_pulses pulses at a time from the row's photon and electronic pair
-    (row_streams(seed, s)).
+    The model observables and their voltage statistics are computed once
+    for all delays; each scan row then draws its cells, in delay order,
+    from its own stream, row_generator(seed, s, 0). The reference arm is
+    balanced against the unpumped baseline unless the detector pins
+    ref_mean_photons. statistics_only skips the per-pulse samples: one
+    sample_scan_statistics call draws every row's statistics. Otherwise
+    each cell draws one burst of n_pulses pulses.
 
     seed may be an int or a sequence of ints (a stream prefix). Per-pulse
     rows run on a pool of min(threads, m_scans) threads; the rows are
@@ -354,26 +274,22 @@ def scan_experiment(
     trace = predict_trace(pump, bath, probe, thermal_n, delays)
     ref_photons = _reference_photons(det, probe_mean(thermal_state(thermal_n), probe))
     taus, means, variances = trace.T
+    rngs = [row_generator(seed, s, 0) for s in range(m_scans)]
 
     if statistics_only:
         per_scan_mean, per_scan_var = sample_scan_statistics(
-            means,
-            variances,
-            det,
-            n_pulses,
-            [row_generator(seed, s, 0) for s in range(m_scans)],
-            ref_photons,
+            means, variances, det, n_pulses, rngs, ref_photons
         )
     else:
+        # Imported here: only per-pulse rows start a pool, and loading a
+        # config, which imports this module, need not load the pool.
+        from concurrent.futures import ThreadPoolExecutor
+
         _check_burst(n_pulses, variances)
-
-        def row(s: int) -> np.ndarray:
-            return _pulse_row(
-                means, variances, det, n_pulses, row_streams(seed, s), ref_photons
-            )
-
+        mu, var = voltage_statistics(means, variances, det, ref_photons)
+        sd = np.sqrt(var)
         with ThreadPoolExecutor(max_workers=min(threads, m_scans)) as pool:
-            rows = list(pool.map(row, range(m_scans)))
+            rows = list(pool.map(lambda rng: _pulse_row(mu, sd, n_pulses, rng), rngs))
         per_scan_mean, per_scan_var = np.stack(rows, axis=1)
     return ScanResult(
         delays=taus,
@@ -397,16 +313,15 @@ def shot_noise_scan(
     Returns an array of rows (power_mw, variance_v2). Pure coherent
     statistics: photon-number variance equals the mean at every power,
     and the reference arm is balanced against it unless det pins it.
+    Power i's ddof-1 variance of n_pulses Gaussian pulses is drawn
+    directly as var chi2(N-1)/(N-1), one chisquare draw from
+    row_generator(seed, i, 0).
     """
     powers = np.asarray(powers_mw, dtype=float)
     if powers.ndim != 1 or powers.size == 0 or np.any(powers <= 0):
         raise ValueError("powers must be positive")
-    out = np.empty((powers.size, 2))
-    for i, p in enumerate(powers):
-        photons = p * PHOTONS_PER_PULSE_PER_MW
-        volts = sample_pulse_ensemble(
-            photons, photons, det, n_pulses, row_streams(seed, i),
-            _reference_photons(det, photons),
-        )
-        out[i] = (p, float(np.var(volts, ddof=1)))
-    return out
+    photons = powers * PHOTONS_PER_PULSE_PER_MW
+    _check_burst(n_pulses, photons)
+    _, var = voltage_statistics(photons, photons, det, _reference_photons(det, photons))
+    chi2 = [row_generator(seed, i, 0).chisquare(n_pulses - 1) for i in range(powers.size)]
+    return np.column_stack([powers, var * np.array(chi2) / (n_pulses - 1)])

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows, file contracts, and exit codes."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -36,6 +37,11 @@ import isrsim
 
 submodules = sorted(m for m in sys.modules if m.startswith("isrsim."))
 assert submodules == [], submodules
+from isrsim.config import load_config
+
+load_config()
+# Only a per-pulse scan starts a thread pool; loading a config does not.
+assert "concurrent.futures" not in sys.modules
 import isrsim.cli
 from isrsim.fock import CrossCheckCase, cross_validate
 
@@ -163,13 +169,13 @@ def test_fluence_threads_match_serial(tmp_path, monkeypatch):
 
 def test_threads_default_to_the_usable_cores(tmp_path, monkeypatch):
     pools = []
-    real_pool = detector.ThreadPoolExecutor
+    real_pool = concurrent.futures.ThreadPoolExecutor
 
     def recording_pool(max_workers):
         pools.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(detector, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
     cfg = write_cfg(tmp_path, "scan:\n  stop_ps: 0.62\n  n_pulses: 60\n  m_scans: 3\n")
     for cores, workers in ((2, 2), (8, 3)):
         usable_cores(monkeypatch, cores)
@@ -182,7 +188,7 @@ def test_statistics_only_rows_never_start_a_thread_pool(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("statistics-only rows started a thread pool")
 
-    monkeypatch.setattr(detector, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     usable_cores(monkeypatch, 4)
     cfg = write_cfg(
         tmp_path, FAST_SCAN + "fluence_series:\n  fluences: [5.0, 11.0, 17.0]\n"
@@ -246,16 +252,16 @@ def test_histograms_centre_on_the_scan_trace(tmp_path):
 
 
 def test_streams_within_one_command_are_distinct(tmp_path, monkeypatch):
-    """No two streams drawn in one default scan or one fluence run alias.
+    """No two streams drawn in one scan, fluence or shot-noise run alias.
 
     numpy's SeedSequence ignores trailing zero words, so [s, 0] seeds the
     same streams as [s]; a layout that mixed prefix lengths could hand
-    two rows one stream. The default scan draws rows 0..m_scans-1 plus
-    the histogram row m_scans under prefix [seed], each from its photon
-    and electronic streams; a statistics-only fluence point i draws rows
-    0..m_scans-1 under [seed, i], each from its photon stream alone.
-    Every stream is built by row_generator, so recording there sees them
-    all.
+    two rows one stream. The default scan draws one stream per row
+    0..m_scans-1, plus the histogram row m_scans, under prefix [seed]; a
+    statistics-only fluence point i draws rows 0..m_scans-1 under
+    [seed, i]; shot-noise draws one stream per power. Every stream is
+    built by row_generator, so recording there, in the detector and in
+    the cli that imports it, sees them all.
     """
     states = []
 
@@ -265,13 +271,16 @@ def test_streams_within_one_command_are_distinct(tmp_path, monkeypatch):
         return rng
 
     monkeypatch.setattr(detector, "row_generator", recording)
+    monkeypatch.setattr(cli, "row_generator", recording)
     cfg = load_config()
     m_scans = cfg.section("scan")["m_scans"]
     n_fluences = len(cfg.section("fluence_series")["fluences"])
+    n_powers = len(cfg.section("shot_noise")["powers_mw"])
     statistics_only = write_cfg(tmp_path, "scan:\n  statistics_only: true\n")
     for argv, n_streams in (
-        (["scan"], 2 * (m_scans + 1)),
+        (["scan"], m_scans + 1),
         (["fluence", "--config", statistics_only], n_fluences * m_scans),
+        (["shot-noise"], n_powers),
     ):
         states.clear()
         assert cli.main(argv + ["--out", str(tmp_path / argv[0])]) == 0

@@ -13,8 +13,14 @@ two fluence digests were re-recorded when the couplings became per
 |nu|^2 with no mode count: mu_s_hat and mu_s_injected are reported in
 that unit (100 times the old numbers), fluence_fit.json lost its k_modes
 field, and the fit's r and quadrature columns, and one amplitude, moved
-in their last digits because the products round in another order.
-Manifests are left out: they embed package versions.
+in their last digits because the products round in another order. The
+scan-per-pulse and shot-noise digests were re-recorded when each pulse
+became one Normal draw from voltage_statistics, from one stream per row,
+in place of separate signal-arm, reference-arm and electronic draws from
+two, and each shot-noise power's variance became one var chi2(N-1)/(N-1)
+draw: same distribution, other bits. The per-pulse lifetimes.json kept
+its digest (at this short scan it reports no component present); no
+other digest changed. Manifests are left out: they embed package versions.
 
 The digests were taken with numpy 2.4.6 on Python 3.11.7. Another numpy
 may change the last bits of a float, and with them a digest, without any
@@ -45,8 +51,8 @@ GOLDEN = {
         "predict_reference_spectrum.json": "249af7de49533b54",
     },
     "shot-noise": {
-        "shot_noise.csv": "c36ac51a4fa2224e",
-        "shot_noise_fit.json": "71bb7ae96c9a0e4f",
+        "shot_noise.csv": "46b80ce9d59994ea",
+        "shot_noise_fit.json": "9445a349d9808e3d",
     },
     "scan": {
         "scan_trace.csv": "7492df345ef16a28",
@@ -57,15 +63,15 @@ GOLDEN = {
         "lifetimes.json": "1f8af8b5521ac952",
     },
     "scan-per-pulse": {
-        "histogram_delay_0000.csv": "c08b363bfa23f9ac",
-        "histogram_delay_0025.csv": "89b8b9d456dd6f0d",
-        "histogram_delay_0050.csv": "adbbd7b8d2259c1c",
+        "histogram_delay_0000.csv": "f899d47d26a691c8",
+        "histogram_delay_0025.csv": "517a86f467bfb52d",
+        "histogram_delay_0050.csv": "4077fbfd95f017c8",
         "lifetimes.json": "c08498aeaedcd3f8",
-        "scan_per_scan.csv": "b97ddd22d90a5d95",
-        "scan_spectrum.csv": "21915165ab0e151c",
-        "scan_spectrum.json": "68c59a3353ac8d0c",
-        "scan_trace.csv": "384c811935de3186",
-        "wavelet_map.csv": "c7a88c79504a42ce",
+        "scan_per_scan.csv": "80047f2badf1ff74",
+        "scan_spectrum.csv": "30fa351c4589cec4",
+        "scan_spectrum.json": "8635eda82a146a9f",
+        "scan_trace.csv": "c0432796e53e47d5",
+        "wavelet_map.csv": "ffa8252743b8bb4c",
     },
     "fluence": {
         "fluence_fit.json": "1c52d0d43b0b0442",
