@@ -2,9 +2,11 @@
 
 Covers the read-out side of the experiment: peak amplitudes at the
 phonon frequency and its second harmonic from detrended FFTs, Morlet
-time-frequency maps for lifetime separation, least-squares line fits,
-and the closed-loop fit of the squeezing coupling against a fluence
-series of second-harmonic amplitudes.
+time-frequency maps for lifetime separation, least-squares line fits
+with a Student-t interval on the intercept, and the closed-loop fit of
+the squeezing coupling against a fluence series of second-harmonic
+amplitudes. The coupling fit and the t quantile are computed here with
+numpy and math only, so no command loads scipy.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ _PRESENCE_RATIO = 1e-3
 
 # Quantum lower bound on the product of the two quadrature variances.
 _PRODUCT_BOUND = 0.25 - 1e-9
+# The fluence fit's Newton solve stops once a step or its bracket is this
+# many ulps of mu_s wide, and fails after _FIT_MAX_STEPS steps.
+_FIT_ULPS = 4
+_FIT_MAX_STEPS = 100
+# Newton steps student_t_975 takes at most; it needs fewer than ten.
+_T_MAX_STEPS = 50
 
 
 class FitError(RuntimeError):
@@ -232,11 +240,40 @@ class LineFit:
     @property
     def intercept_ci95(self) -> float:
         """Half-width of the 95% confidence interval on the intercept."""
-        # scipy.stats is imported here, on first use: it is costly to load,
-        # and only the shot-noise read-out asks for the interval.
-        from scipy import stats
+        return student_t_975(self.dof) * self.intercept_stderr
 
-        return float(stats.t.ppf(0.975, self.dof) * self.intercept_stderr)
+
+def student_t_975(dof: int) -> float:
+    """0.975 quantile of Student's t distribution with integer dof >= 1.
+
+    With t = sqrt(dof) tan(theta), P(|T| <= t) has the closed form A(theta)
+    of Abramowitz & Stegun 26.7.3 (odd dof) and 26.7.4 (even dof), and
+    dA/dtheta = c cos(theta)^(dof - 1), c = 2 Gamma((dof + 1)/2) /
+    (sqrt(pi) Gamma(dof/2)). Newton's method solves A = 0.95 in theta. A is
+    concave there, so the steps from the normal quantile, which lies below
+    every t quantile, rise to the root without overshooting it.
+    """
+    odd = dof % 2
+    c = 2.0 / math.sqrt(math.pi) * math.exp(
+        math.lgamma(0.5 * (dof + 1)) - math.lgamma(0.5 * dof)
+    )
+    theta = math.atan(1.959963984540054 / math.sqrt(dof))
+    for _ in range(_T_MAX_STEPS):
+        cos = math.cos(theta)
+        total, term = 0.0, cos if odd else 1.0
+        for m in range(1 + odd, dof, 2):
+            total += term
+            term *= m / (m + 1) * cos * cos
+        a = math.sin(theta) * total
+        if odd:
+            a = 2.0 / math.pi * (theta + a)
+        step = (0.95 - a) / (c * cos ** (dof - 1))
+        # Exact steps are all positive; the first that is not, or that no
+        # longer moves theta, is rounding noise in A at the root.
+        if step <= 0.0 or theta + step == theta:
+            break
+        theta += step
+    return math.sqrt(dof) * math.tan(theta)
 
 
 def fit_line(x, y) -> LineFit:
@@ -396,17 +433,28 @@ def fit_fluence_series(
 ) -> FluenceFitResult:
     """Weighted fit of the squeezing coupling to measured amplitudes.
 
-    points rows are (fluence, a2omega, sigma). The model is
+    points rows are (fluence, a2omega, sigma), all finite. The model is
     amplitude_scale * prefactor * sinh(2 r(F)), the prefactor taken at
     zero delay, with r(F) = 2 mu_s conversion F, where
-    conversion maps fluence to the pump intensity |nu|^2. The
-    single parameter mu_s is bounded below by zero; the gradient is
-    supplied in closed form. thermal_n is the occupation of the pre-pump
-    state.
+    conversion maps fluence to the pump intensity |nu|^2. thermal_n is
+    the occupation of the pre-pump state.
+
+    The single parameter mu_s >= 0 minimizes 0.5 sum r_i^2 over the
+    weighted residuals r_i = (model_i - a2omega_i) / sigma_i, found as a
+    root of the normal equation g(mu) = sum r_i dr_i/dmu, whose
+    derivative is in closed form. mu_s is exactly 0 when g(0) >= 0, the
+    bound being active. Otherwise an upper bracket is grown by doubling
+    from the asinh guess of the top-fluence point, and Newton steps,
+    bisecting whenever a step would leave the bracket, run until a step
+    or the bracket is a few ulps wide. Raises FitError when the model
+    overflows before g turns positive, or when the steps do not
+    converge.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be rows of (fluence, a2omega, sigma)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("fluence points must be finite")
     if pts.shape[0] < 3:
         raise FitError("need at least 3 fluence points")
     pts = pts[np.argsort(pts[:, 0])]
@@ -443,43 +491,59 @@ def fit_fluence_series(
     if pref <= 0:
         raise FitError("model prefactor is zero; amplitudes cannot be fitted")
 
-    def residuals(x):
-        return (pref * np.sinh(2.0 * slope * x[0] * fluence) - amp) / sigma
+    k = 2.0 * slope * fluence  # sinh argument per unit mu_s
 
-    def jacobian(x):
-        d = (
-            pref
-            * np.cosh(2.0 * slope * x[0] * fluence)
-            * 2.0
-            * slope
-            * fluence
-            / sigma
-        )
-        return d.reshape(-1, 1)
+    def normal_equation(mu: float) -> tuple[float, float]:
+        # g = sum r dr/dmu and g' = sum (dr/dmu)^2 + r d2r/dmu2 for the
+        # weighted residuals r = (pref sinh(k mu) - amp) / sigma.
+        s = np.sinh(k * mu)
+        r = (pref * s - amp) / sigma
+        dr = pref * k * np.cosh(k * mu) / sigma
+        g = float(r @ dr)
+        dg = float(dr @ dr + r @ (pref * k * k * s / sigma))
+        if not (math.isfinite(g) and math.isfinite(dg)):
+            raise FitError(
+                f"fluence fit: the model overflows at mu_s {mu:.3e}, "
+                "before the normal equation brackets the coupling"
+            )
+        return g, dg
 
-    top = np.argmax(fluence)
-    guess = math.asinh(max(amp[top], 0.0) / pref) / max(
-        2.0 * slope * fluence[top], 1e-300
+    def cost(mu: float) -> float:
+        r = (pref * np.sinh(k * mu) - amp) / sigma
+        return 0.5 * float(r @ r)
+
+    # Overflow (sinh, cosh or their products) shows as a non-finite g in
+    # normal_equation, which raises FitError; it must not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g0, _ = normal_equation(0.0)
+        if g0 >= 0.0:
+            # The cost rises from mu_s = 0: the bound is the optimum.
+            return finish(0.0, cost(0.0))
+        top = np.argmax(fluence)
+        guess = math.asinh(max(amp[top], 0.0) / pref) / max(k[top], 1e-300)
+        mu = max(guess, 1e-12)
+        g, dg = normal_equation(mu)
+        lo, hi, g_hi = 0.0, mu, g
+        while g_hi <= 0.0:
+            lo, hi = hi, 2.0 * hi
+            g_hi, _ = normal_equation(hi)
+        # Newton from the guess, bisecting whenever a step would leave the
+        # bracket [lo, hi], whose ends keep g(lo) < 0 < g(hi).
+        for _ in range(_FIT_MAX_STEPS):
+            if g > 0.0:
+                hi = mu
+            elif g < 0.0:
+                lo = mu
+            else:
+                return finish(mu, cost(mu))
+            newton = mu - g / dg if dg > 0.0 else math.nan
+            if abs(newton - mu) <= _FIT_ULPS * math.ulp(mu):
+                return finish(newton, cost(newton))
+            if hi - lo <= _FIT_ULPS * math.ulp(hi):
+                return finish(mu, cost(mu))
+            mu = newton if lo < newton < hi else 0.5 * (lo + hi)
+            g, dg = normal_equation(mu)
+    raise FitError(
+        f"fluence fit did not converge in {_FIT_MAX_STEPS} steps: "
+        f"mu_s {mu:.17g} in the bracket [{lo:.17g}, {hi:.17g}]"
     )
-    guess = max(guess, 1e-12)
-    # scipy.optimize is imported here, on first use: it is the costliest
-    # scipy module to load, and only the fluence fit needs it.
-    from scipy.optimize import least_squares
-
-    result = least_squares(
-        residuals,
-        x0=[guess],
-        jac=jacobian,
-        bounds=([0.0], [np.inf]),
-        method="trf",
-        max_nfev=200,
-        xtol=1e-14,
-        ftol=1e-12,
-        gtol=1e-14,
-    )
-    if result.status <= 0:
-        raise FitError(
-            f"fluence fit did not converge: status {result.status}, "
-            f"cost {result.cost:.3e}, mu_s {result.x[0]:.3e}"
-        )
-    return finish(float(result.x[0]), float(result.cost))

@@ -1,9 +1,12 @@
 """Spectral extraction and the fluence-series squeezing fit."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from isrsim.analysis import (
     FitError,
@@ -17,7 +20,9 @@ from isrsim.analysis import (
     morlet_noise_power,
     morlet_power,
     peak_contrast,
+    student_t_975,
 )
+from isrsim.config import load_config
 from isrsim.probe import ProbeSpec, amplitude_prefactor
 
 F0 = 3.84
@@ -207,6 +212,11 @@ def test_fit_line_slope_stderr():
     assert fit_line(x, 0.7 * x + 0.25).slope_stderr == pytest.approx(0.0, abs=1e-12)
 
 
+def test_student_t_975_matches_scipy():
+    for dof in range(1, 201):
+        assert student_t_975(dof) == pytest.approx(stats.t.ppf(0.975, dof), rel=1e-13)
+
+
 def test_amplitude_prefactor_consistency():
     probe = ProbeSpec(0.12, 0.0, 1.0e4)
     # Thermal occupation 1.2, damping rate 0.3, delay 0.8.
@@ -230,10 +240,10 @@ def test_fluence_fit_recovers_exact_coupling():
     amps = pref * np.sinh(2.0 * slope * mu_s * fluences)
     pts = np.column_stack([fluences, amps, np.full(6, 1e-3)])
     fit = fit_fluence_series(pts, probe, conversion, 1.0, 1.1787)
-    assert fit.mu_s_hat == pytest.approx(mu_s, rel=1e-9)
+    assert fit.mu_s_hat == pytest.approx(mu_s, rel=1e-13)
     assert fit.fit_residual < 1e-12
     assert fit.r_per_fluence[-1, 1] == pytest.approx(
-        slope * mu_s * 12.0, rel=1e-9
+        slope * mu_s * 12.0, rel=1e-13
     )
     # Quadrature pairs multiply to the thermal-limited bound.
     prod = fit.quad_uncertainties[:, 1] * fit.quad_uncertainties[:, 2]
@@ -268,6 +278,95 @@ def test_fluence_fit_validation():
             np.array([[1.0, 0.1, 0.0], [2.0, 0.2, 1e-3], [3.0, 0.3, 1e-3]]),
             probe, conversion, 1.0, 1.1787,
         )
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="fluence points must be finite"):
+            fit_fluence_series(
+                np.array([[1.0, 0.1, 1e-3], [2.0, bad, 1e-3], [3.0, 0.3, 1e-3]]),
+                probe, conversion, 1.0, 1.1787,
+            )
+
+
+def noisy_series(fluences, probe, conversion, thermal_n, mu_s, seed):
+    """(fluence, amplitude, sigma) rows: the model at mu_s plus 5% noise."""
+    pref = amplitude_prefactor(probe, thermal_n)
+    amps = pref * np.sinh(4.0 * conversion * mu_s * np.asarray(fluences))
+    sigma = 0.05 * amps
+    noise = np.random.default_rng(seed).standard_normal(amps.size)
+    return np.column_stack([fluences, amps + sigma * noise, sigma])
+
+
+def mpmath_root(pts, probe, conversion, thermal_n, start):
+    """Root of the fit's normal equation sum r dr/dmu, at 40 digits."""
+    with mpmath.workdps(40):
+        pref = mpmath.mpf(amplitude_prefactor(probe, thermal_n))
+        rows = [[mpmath.mpf(v) for v in row] for row in pts]
+
+        def g(mu):
+            total = mpmath.mpf(0)
+            for fluence, amp, sigma in rows:
+                k = 4 * mpmath.mpf(conversion) * fluence
+                r = (pref * mpmath.sinh(k * mu) - amp) / sigma
+                total += r * pref * k * mpmath.cosh(k * mu) / sigma
+            return total
+
+        return float(mpmath.findroot(g, mpmath.mpf(start)))
+
+
+def default_grid_setup():
+    cfg = load_config()
+    return (
+        cfg.section("fluence_series")["fluences"],
+        cfg.fluence_probe_spec(),
+        cfg.section("fluence_series")["conversion"],
+        cfg.initial_occupation(),
+        cfg.section("pump")["mu_squeeze"],
+    )
+
+
+@pytest.mark.parametrize("grid", ["noisy-6-point", "low-top-point", "default"])
+def test_fluence_fit_reaches_the_normal_equation_root(grid, monkeypatch):
+    if grid == "default":
+        fluences, probe, conversion, n, mu_s = default_grid_setup()
+    else:
+        (probe, conversion), n, mu_s = fluence_setup(), 1.1787, 0.24
+        fluences = np.linspace(2.0, 12.0, 6)
+    pts = noisy_series(fluences, probe, conversion, n, mu_s, seed=3)
+    if grid == "low-top-point":
+        # The top point's asinh guess then lies below the root.
+        pts[-1, 1] *= 0.8
+    sinh_calls = []
+    sinh = np.sinh
+    monkeypatch.setattr(np, "sinh", lambda x: sinh_calls.append(1) or sinh(x))
+    fit = fit_fluence_series(pts, probe, conversion, 1.0, n)
+    monkeypatch.undo()
+    root = mpmath_root(pts, probe, conversion, n, start=mu_s)
+    assert fit.mu_s_hat == pytest.approx(root, rel=1e-14)
+    assert fit.mu_s_hat == pytest.approx(mu_s, rel=0.2)
+    # Newton steps, not bisection, close the bracket.
+    assert len(sinh_calls) <= 12
+
+
+def test_fluence_fit_bound_active_returns_zero():
+    probe, conversion = fluence_setup()
+    # Amplitudes below zero: the cost rises from mu_s = 0.
+    amps = np.array([-0.2, -0.1, 0.05])
+    sigma = np.full(3, 1e-2)
+    pts = np.column_stack([[2.0, 5.0, 8.0], amps, sigma])
+    fit = fit_fluence_series(pts, probe, conversion, 1.0, 1.1787)
+    assert fit.mu_s_hat == 0.0
+    assert np.all(fit.r_per_fluence[:, 1] == 0.0)
+    assert fit.fit_residual == pytest.approx(0.5 * np.sum((amps / sigma) ** 2), rel=1e-15)
+
+
+def test_fluence_fit_without_upper_bracket_raises_without_warning():
+    probe, conversion = fluence_setup()
+    pref = amplitude_prefactor(probe, 1.1787)
+    # The optimum lies beyond the largest sinh a float can hold.
+    pts = np.column_stack([[2.0, 5.0, 8.0], np.full(3, 1e300 * pref), np.full(3, 1e-3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match="overflows"):
+            fit_fluence_series(pts, probe, conversion, 1.0, 1.1787)
 
 
 def test_fluence_result_invariants():

@@ -28,9 +28,10 @@ scan:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Run in a fresh interpreter: fails if a bare `import isrsim` loads any
-# submodule, or if importing the package, running predict or a
-# statistics-only scan, or cross-validating an oracle case loads any
-# scipy module.
+# submodule, or if importing the package, running predict, a
+# statistics-only scan, a statistics-only fluence trial (its coupling
+# fit) or a small shot-noise run (its t interval), or cross-validating an
+# oracle case loads any scipy module.
 NO_SCIPY = """
 import sys
 import isrsim
@@ -49,7 +50,12 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 assert scipy_modules() == [], scipy_modules()
-for argv in (["predict"], ["scan", "--config", sys.argv[2]]):
+for argv in (
+    ["predict"],
+    ["scan", "--config", sys.argv[2]],
+    ["fluence", "--config", sys.argv[3]],
+    ["shot-noise", "--config", sys.argv[4]],
+):
     assert isrsim.cli.main([*argv, "--out", sys.argv[1]]) == 0
     assert scipy_modules() == [], (argv, scipy_modules())
 [result] = cross_validate([CrossCheckCase(0.5, 0.2, 0.05j, 1.0, 0.5, 0.2, 10.0, 0.4)])
@@ -380,8 +386,12 @@ def test_import_and_light_commands_load_no_scipy(tmp_path):
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     cfg = write_cfg(tmp_path, FAST_SCAN)
+    fluence = write_cfg(
+        tmp_path, "scan:\n  stop_ps: 5.10\n  statistics_only: true\n", "fluence.yaml"
+    )
+    shot_noise = write_cfg(tmp_path, "shot_noise:\n  n_pulses: 200\n", "shot.yaml")
     run = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "out"), cfg],
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "out"), cfg, fluence, shot_noise],
         env=env,
         capture_output=True,
         text=True,
