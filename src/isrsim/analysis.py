@@ -2,11 +2,12 @@
 
 Covers the read-out side of the experiment: peak amplitudes at the
 phonon frequency and its second harmonic from detrended FFTs, Morlet
-time-frequency maps for lifetime separation, least-squares line fits
-with a Student-t interval on the intercept, and the closed-loop fit of
-the squeezing coupling against a fluence series of second-harmonic
-amplitudes. The coupling fit and the t quantile are computed here with
-numpy and math only, so no command loads scipy.
+time-frequency maps as a picture, least-squares line fits with a
+Student-t interval on the intercept, one variable-projection fit of the
+model's damped lines that reads every lifetime and decides each line's
+presence, the scan noise that weights it, and the closed-loop fit of the
+squeezing coupling against a fluence series of second-harmonic
+amplitudes. All of it is numpy and math only, so no command loads scipy.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ _DETREND_ORDER = 3
 # width of the background annulus around it.
 _PEAK_BINS = 3
 _ANNULUS_BINS = 8
-# The second harmonic counts as present in extract_lifetimes only above
-# this fraction of the fundamental's peak power.
-_PRESENCE_RATIO = 1e-3
 
 # Quantum lower bound on the product of the two quadrature variances.
 _PRODUCT_BOUND = 0.25 - 1e-9
@@ -196,11 +194,6 @@ def detrend_and_fft(trace, fundamental_thz: float) -> SpectrumResult:
     )
 
 
-def _sigma_t(freq):
-    """Time width of the Morlet wavelet of the row at freq."""
-    return DEFAULT_WAVELET_WIDTH / (2.0 * math.pi * freq)
-
-
 def morlet_power(trace, freqs: Sequence[float]) -> np.ndarray:
     """Morlet time-frequency power map, rows indexed by freqs.
 
@@ -217,7 +210,7 @@ def morlet_power(trace, freqs: Sequence[float]) -> np.ndarray:
     dt = taus[1] - taus[0]
     grid = np.fft.fftfreq(n, d=dt)
     spec = np.fft.fft(values)
-    sigma_t = _sigma_t(target)
+    sigma_t = DEFAULT_WAVELET_WIDTH / (2.0 * math.pi * target)
     # Analytic filter: positive frequencies only, amplitude 2 so that a
     # real cosine (half its weight at +f) returns unit response.
     filt = 2.0 * np.exp(
@@ -301,14 +294,156 @@ def fit_line(x, y) -> LineFit:
     )
 
 
+# A line is present when its two amplitude coefficients, whitened by
+# their fitted covariance, give a chi-square (2 dof) above the p = 1e-3
+# point, -2 ln(1e-3) = 13.8.
+PRESENCE_CHI2 = -2.0 * math.log(1e-3)
+_MAX_RATE = 100.0  # per record span: no basis column overflows
+_MAX_STEPS = 100  # Gauss-Newton steps of one fit
+_STEP_TOL = 1e-3  # standard errors: a smaller step in every rate is the last
+_MAX_HALVINGS = 8  # of one step, before the fit stops as converged
+_RATE_STEP = 1e-6  # relative, of the central difference in a rate
+
+
+@dataclass(frozen=True)
+class DampedLine:
+    """One line of a trace, as fit_lines fits it.
+
+    amplitude holds its (cos, sin) coefficients at the first delay, rate
+    its amplitude decay rate (1/ps) and cov the covariance of (rate, cos,
+    sin).
+    """
+
+    rate: float
+    amplitude: np.ndarray
+    cov: np.ndarray
+
+    @property
+    def present(self) -> bool:
+        """Whether the amplitude, whitened by its covariance, clears PRESENCE_CHI2.
+
+        lstsq, not an inverse, which overflows on the tiny covariance
+        fit_lines gives an all-zero trace.
+        """
+        a = self.amplitude
+        return float(a @ np.linalg.lstsq(self.cov[1:, 1:], a, rcond=None)[0]) > PRESENCE_CHI2
+
+
+@dataclass(frozen=True)
+class LinesFit:
+    """A trace's Omega and 2 Omega lines, and the fit's chi-square and dof."""
+
+    omega: DampedLine
+    two_omega: DampedLine
+    chi2: float
+    dof: int
+
+
+def fit_lines(trace, omega_thz: float, noise_sd: float = 0.0) -> LinesFit:
+    """Variable-projection fit of a trace to the model's damped lines.
+
+    Under energy relaxation at rate lambda, the mean and variance traces
+    are sums of a background 1, e^{-lambda tau}, e^{-2 lambda tau}, an
+    Omega line at rates lambda/2 and 3 lambda/2, and a 2 Omega line at a
+    rate kappa that the model puts at lambda. Least squares solves the
+    linear coefficients inside; Gauss-Newton steps, halved until the cost
+    falls, move the rates outside (Golub & Pereyra, Inverse Problems 19,
+    R1, 2003). The covariance is that of the linearization in rates and
+    coefficients, times the variance of a point: noise_sd^2, or for a
+    noise_sd of 0 the residual chi2/dof, floored at the rounding of a
+    computed trace, sqrt(n) ulps of its largest value.
+
+    A fit of the leading terms alone (1, e^{-lambda tau} and the Omega
+    line at lambda/2) starts the full fits away from the alias lambda/3,
+    whose 3 lambda/2 term fits that line as well. The next fit ties kappa
+    to lambda; only when its 2 Omega line is present does a last fit free
+    kappa, so that no rate wanders where no line fixes it.
+    """
+    taus, y = _as_trace(trace)
+    span = taus[-1] - taus[0]
+    t = (taus - taus[0]) / span
+    w = 2.0 * math.pi * omega_thz * span
+    waves = np.cos(w * t), np.sin(w * t), np.cos(2.0 * w * t), np.sin(2.0 * w * t)
+    floor = taus.size * (np.finfo(float).eps * np.max(np.abs(y))) ** 2
+    floor = max(floor, np.finfo(float).tiny)
+
+    def basis(theta, n_coef):
+        # In record units: the Omega line's (cos, sin) at rate lam/2, the
+        # 2 Omega line's at kappa, then 1, g, g^2 and g times the Omega
+        # pair, g = (1 - e^{-lam t}) / lam -> t: independent as lam -> 0.
+        lam, kappa = theta[0], theta[-1]
+        g = t if lam == 0.0 else -np.expm1(-lam * t) / lam
+        half, two = np.exp(-0.5 * lam * t), np.exp(-kappa * t)
+        cos, sin = half * waves[0], half * waves[1]
+        cols = [cos, sin, two * waves[2], two * waves[3], np.ones_like(t), g, g * g]
+        return np.column_stack([*cols, g * cos, g * sin][:n_coef])
+
+    def project(theta, n_coef):
+        cols = basis(theta, n_coef)
+        coef = np.linalg.lstsq(cols, y, rcond=None)[0]
+        resid = y - cols @ coef
+        return cols, coef, resid, float(resid @ resid)
+
+    def solve(theta, n_coef=9):
+        p, fit = theta.size, project(theta, n_coef)
+        dof = taus.size - p - n_coef
+        for _ in range(_MAX_STEPS):
+            var = max(noise_sd**2 if noise_sd > 0 else fit[3] / dof, floor)
+            h = _RATE_STEP * np.maximum(1.0, np.abs(theta))
+            jac = [
+                (basis(theta + dk, n_coef) - basis(theta - dk, n_coef)) @ fit[1] / (2.0 * hk)
+                for dk, hk in zip(np.diag(h), h)
+            ]
+            inv = np.linalg.pinv(np.column_stack([*jac, fit[0]]))
+            cov = var * inv @ inv.T
+            step = (inv @ fit[2])[:p]
+            if np.all(np.abs(step) <= _STEP_TOL * np.sqrt(np.diag(cov)[:p])):
+                break
+            for halving in range(_MAX_HALVINGS):
+                trial_theta = np.clip(theta + step / 2**halving, -_MAX_RATE, _MAX_RATE)
+                trial = project(trial_theta, n_coef)
+                if trial[3] < fit[3]:
+                    theta, fit = trial_theta, trial
+                    break
+            else:
+                break
+        lines = []
+        for at, first, unit in ((0, p, 0.5 / span), (p - 1, p + 2, 1.0 / span)):
+            idx = [at, first, first + 1]
+            scale = np.outer([unit, 1, 1], [unit, 1, 1])
+            amp = fit[1][first - p : first - p + 2]
+            lines.append(DampedLine(theta[at] * unit, amp, cov[np.ix_(idx, idx)] * scale))
+        return theta, lines, fit[3] / var, dof
+
+    start, _, _, _ = solve(np.array([1.0]), n_coef=6)
+    theta, lines, chi2, dof = solve(start)
+    if lines[1].present:
+        _, lines, chi2, dof = solve(np.array([theta[0], theta[0]]))
+    return LinesFit(*lines, chi2=chi2, dof=dof)
+
+
+def scan_noise(dt_var, n_pulses: int, m_scans: int) -> tuple[float, float, float]:
+    """Estimated noise of a scan: (mean sd, variance sd, amplitude sigma).
+
+    Over N Gaussian pulses of variance sigma^2 (the median of dt_var), a
+    burst mean has sd sigma / sqrt(N), a ddof-1 variance sigma^2
+    sqrt(2/(N-1)), both over sqrt(m) for m scans; white noise of that
+    variance sd gives 2 sd / sqrt(n_delays) per detrend_and_fft bin.
+    """
+    var = float(np.median(dt_var))
+    var_sd = var * math.sqrt(2.0 / (n_pulses - 1)) / math.sqrt(m_scans)
+    mean_sd = math.sqrt(var / (n_pulses * m_scans))
+    return mean_sd, var_sd, 2.0 * var_sd / math.sqrt(dt_var.size)
+
+
 @dataclass(frozen=True)
 class ComponentLifetime:
-    """Envelope decay of one spectral component.
+    """Envelope decay of one line of a trace, as fit_lines fits it.
 
-    rate is the amplitude decay rate (1/ps); lifetime its inverse, or
-    inf when the fitted rate is consistent with zero at 3 sigma. present
-    is False when the component never rises above the noise floor, in
-    which case the other fields are nan.
+    rate is the amplitude decay rate (1/ps) and rate_stderr its standard
+    error; lifetime is the rate's inverse, or inf when the rate is within
+    3 standard errors of zero. present is False when the line fails
+    fit_lines' presence test, and the other fields are then nan.
     """
 
     present: bool
@@ -327,77 +462,18 @@ class LifetimeResult:
         return self.second_harmonic.rate / self.fundamental.rate
 
 
-_ABSENT = ComponentLifetime(False, math.nan, math.nan, math.nan)
-
-# Margin added to ln(n) when testing a row peak against the expected
-# maximum of white noise over n samples (the peak of a noise-only row
-# concentrates near mean * ln(n), not near the mean).
-_DETECTION_LOG_MARGIN = 5.0
-
-
-def morlet_noise_power(noise_sd: float, dt: float, freq: float) -> float:
-    """Expected spectrogram power of white per-sample noise in one row.
-
-    White noise of standard deviation noise_sd passes the row's Gaussian
-    band with integrated response 2 dt / (sqrt(pi) sigma_t), which is
-    the mean |w|^2 it contributes along the row.
-    """
-    return noise_sd ** 2 * 2.0 * dt / (math.sqrt(math.pi) * _sigma_t(freq))
-
-
-def _fit_row_decay(taus: np.ndarray, row: np.ndarray, floor: float) -> ComponentLifetime:
-    # Fit log power linearly where the row stands above floor.
-    keep = row > floor
-    if np.count_nonzero(keep) < 8:
-        return _ABSENT
-    fit = fit_line(taus[keep], np.log(row[keep]))
-    rate = 0.5 * -fit.slope  # amplitude envelope decays at half the power rate
-    rate_stderr = 0.5 * fit.slope_stderr
-    if abs(rate) <= 3.0 * rate_stderr:
-        return ComponentLifetime(True, rate, rate_stderr, math.inf)
-    return ComponentLifetime(True, rate, rate_stderr, 1.0 / rate)
+def _lifetime(line: DampedLine) -> ComponentLifetime:
+    if not line.present:
+        return ComponentLifetime(False, math.nan, math.nan, math.nan)
+    stderr = math.sqrt(line.cov[0, 0])
+    lifetime = math.inf if abs(line.rate) <= 3.0 * stderr else 1.0 / line.rate
+    return ComponentLifetime(True, line.rate, stderr, lifetime)
 
 
 def extract_lifetimes(trace, omega_thz: float, noise_sd: float = 0.0) -> LifetimeResult:
-    """Envelope lifetimes of the two oscillating components of a trace.
-
-    The trace's fundamental and second-harmonic rows of the Morlet map
-    are fitted with exponential envelopes. Each row is read only outside
-    its cone of influence, 3 sigma_t from either end of the record, where
-    edge artifacts of the finite record would otherwise dominate. A
-    component is reported as absent rather than fitted when its peak
-    power there stays below the expected peak of the white-noise row
-    power implied by noise_sd; the second harmonic is also absent below
-    _PRESENCE_RATIO times the fundamental's peak (a ratio above the
-    spectral wing a damped fundamental leaves at its second harmonic),
-    and whenever the fundamental is. A fitted rate within 3 sigma of
-    zero is reported as non-decaying (infinite lifetime). The trace is
-    detrended before the transform so the relaxation background neither
-    fills the low-frequency rows nor rings across the record as a
-    wrap-around discontinuity.
-    """
-    taus, _ = _as_trace(trace)
-    freqs = [omega_thz, 2.0 * omega_thz]
-    rows = morlet_power(detrended_trace(trace), freqs)
-    dt = taus[1] - taus[0]
-    log_n = math.log(taus.size)
-    components = []
-    min_peak = 0.0
-    for freq, row in zip(freqs, rows):
-        margin = 3.0 * _sigma_t(freq)
-        interior = (taus >= taus[0] + margin) & (taus <= taus[-1] - margin)
-        peak = float(np.max(row[interior] if np.any(interior) else row))
-        noise = morlet_noise_power(noise_sd, dt, freq)
-        if peak <= 0 or peak < min_peak or peak < noise * (log_n + _DETECTION_LOG_MARGIN):
-            break
-        components.append(
-            _fit_row_decay(
-                taus[interior], row[interior], max(peak * 1e-3, 3.0 * noise)
-            )
-        )
-        min_peak = _PRESENCE_RATIO * peak
-    components += [_ABSENT] * (2 - len(components))
-    return LifetimeResult(*components)
+    """Lifetimes of a trace's Omega and 2 Omega lines, by fit_lines."""
+    fit = fit_lines(trace, omega_thz, noise_sd)
+    return LifetimeResult(_lifetime(fit.omega), _lifetime(fit.two_omega))
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .analysis import (
     fit_line,
     morlet_power,
     peak_contrast,
+    scan_noise,
 )
 from .config import ConfigError, RunConfig, load_config
 from .detector import (
@@ -115,17 +116,6 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@functools.cache
-def _scipy_version() -> str:
-    """scipy's version, read from its installed metadata once per process.
-
-    Importing scipy would cost more than most commands that never use it.
-    """
-    from importlib import metadata
-
-    return metadata.version("scipy")
-
-
 def _write_manifest(outdir: Path, command: str, cfg: RunConfig, files: list[Path]) -> None:
     manifest = {
         "command": command,
@@ -135,7 +125,6 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, files: list[Path
             "isrsim": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "scipy": _scipy_version(),
         },
         "files": {p.name: _sha256(p) for p in sorted(files)},
     }
@@ -184,16 +173,13 @@ def _peak_block(spec) -> dict:
     }
 
 
-def _lifetime_block(result) -> dict:
-    ratio = (
-        result.ratio()
-        if result.fundamental.present and result.second_harmonic.present
-        else None
-    )
+def _lifetime_block(trace, omega_thz: float, noise_sd: float) -> dict:
+    result = extract_lifetimes(trace, omega_thz, noise_sd)
+    both = result.fundamental.present and result.second_harmonic.present
     return {
         "fundamental": dataclasses.asdict(result.fundamental),
         "second_harmonic": dataclasses.asdict(result.second_harmonic),
-        "rate_ratio": ratio,
+        "rate_ratio": result.ratio() if both else None,
     }
 
 
@@ -216,28 +202,6 @@ def _run_scan(cfg: RunConfig, pump, bath, probe, det, delays, seed) -> ScanResul
         statistics_only=s["statistics_only"],
         threads=len(os.sched_getaffinity(0)),
     )
-
-
-def _variance_noise_sd(res: ScanResult, s) -> float:
-    """Estimated sd of one scan-averaged per-delay burst variance.
-
-    A per-cell sample variance of a Gaussian burst has relative sd
-    sqrt(2/(N-1)); averaging m scans divides it by sqrt(m).
-    """
-    return (
-        float(np.median(res.dt_var))
-        * math.sqrt(2.0 / (s["n_pulses"] - 1))
-        / math.sqrt(s["m_scans"])
-    )
-
-
-def _amplitude_noise_sigma(res: ScanResult, s) -> float:
-    """Estimated rms noise of one variance-spectrum amplitude bin.
-
-    White per-delay noise spread over the spectrum gives
-    2 sd / sqrt(n_delays) per amplitude bin.
-    """
-    return 2.0 * _variance_noise_sd(res, s) / math.sqrt(res.delays.size)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -316,7 +280,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         # Per-pulse voltage histograms at three sample delays, drawn in
         # turn from the stream of the scan row past the ones the averages
         # consumed, with the reference arm balanced as in the scan.
-        rng = row_generator(s["seed"], s["m_scans"], 0)
+        rng = row_generator(s["seed"], s["m_scans"])
         for idx in sorted({0, delays.size // 2, delays.size - 1}):
             volts = sample_pulse_ensemble(
                 res.model_trace[idx, 1],
@@ -337,7 +301,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     var_trace = np.column_stack([res.delays, res.dt_var])
     spec_mean = detrend_and_fft(mean_trace, fundamental_thz=f0)
     spec_var = detrend_and_fft(var_trace, fundamental_thz=f0)
-    sigma_amp = _amplitude_noise_sigma(res, s)
+    noise_mean, noise_var, sigma_amp = scan_noise(res.dt_var, s["n_pulses"], s["m_scans"])
     out.csv(
         "scan_spectrum.csv",
         ["freq_thz", "mean_amp_v", "var_amp_v2"],
@@ -357,15 +321,6 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     )
 
     if "json" in out.formats:
-        # Per-delay estimator noise: the burst mean has sd sigma/sqrt(N),
-        # the burst variance sd sigma^2 sqrt(2/(N-1)), both averaged over
-        # m scans. Components buried under these are reported absent.
-        noise_mean = math.sqrt(
-            float(np.median(res.dt_var)) / (s["n_pulses"] * s["m_scans"])
-        )
-        noise_var = _variance_noise_sd(res, s)
-        life_mean = extract_lifetimes(mean_trace, omega_thz=f0, noise_sd=noise_mean)
-        life_var = extract_lifetimes(var_trace, omega_thz=f0, noise_sd=noise_var)
         out.json(
             "scan_spectrum.json",
             {
@@ -379,7 +334,10 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         )
         out.json(
             "lifetimes.json",
-            {"mean": _lifetime_block(life_mean), "variance": _lifetime_block(life_var)},
+            {
+                "mean": _lifetime_block(mean_trace, f0, noise_mean),
+                "variance": _lifetime_block(var_trace, f0, noise_var),
+            },
         )
 
     out.finish()
@@ -407,7 +365,7 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
             np.column_stack([res.delays, res.dt_var]), fundamental_thz=f0
         )
         amps[i] = spec.peak_2omega
-        sigmas[i] = _amplitude_noise_sigma(res, s)
+        sigmas[i] = scan_noise(res.dt_var, s["n_pulses"], s["m_scans"])[2]
 
     detected = bool(np.any(amps > DETECTION_SIGMAS * sigmas))
     if not detected:

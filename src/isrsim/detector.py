@@ -10,7 +10,7 @@ independent Gaussians is one Gaussian, so voltage_statistics states the
 whole chain as one mean and variance, and every sampler draws from it.
 
 Reproducibility is anchored in seed derivation, not execution order:
-every scan row draws from one stream, row_generator(seed, row, 0), and
+every scan row draws from one stream, row_generator(seed, row), and
 the row's delay cells draw from it in delay order. Runs are
 bit-identical for a fixed seed whichever order or thread computes the
 rows.
@@ -100,21 +100,20 @@ class ScanResult:
             raise ValueError("dt_var must be non-negative")
 
 
-def row_generator(seed, row: int, child: int) -> np.random.Generator:
-    """Generator of child stream `child` of scan row `row` under seed.
+def row_generator(seed, row: int) -> np.random.Generator:
+    """Generator of the stream of scan row `row` under seed.
 
-    Every sampler draws from child 0. seed may be an int or a sequence
-    of ints (a stream prefix); the child is SeedSequence(prefix + [row],
-    spawn_key=(child,)), the same stream as
-    SeedSequence(prefix + [row]).spawn(2)[child], built without the
-    parent. SeedSequence ignores trailing zero words, so prefix + [0]
+    seed may be an int or a sequence of ints (a stream prefix); the
+    stream is SeedSequence(prefix + [row], spawn_key=(0,)), the same as
+    SeedSequence(prefix + [row]).spawn(1)[0], built without the parent.
+    SeedSequence ignores trailing zero words, so prefix + [0]
     keys the same streams as prefix alone: [s, 0] equals [s], and
     [s, i, 0] equals [s, i]. Distinct keys of one length never collide,
     so every command keys all of its rows under prefixes of one length.
     """
     prefix = [int(v) for v in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
     return np.random.default_rng(
-        np.random.SeedSequence(prefix + [row], spawn_key=(child,))
+        np.random.SeedSequence(prefix + [row], spawn_key=(0,))
     )
 
 
@@ -257,7 +256,7 @@ def scan_experiment(
 
     The model observables and their voltage statistics are computed once
     for all delays; each scan row then draws its cells, in delay order,
-    from its own stream, row_generator(seed, s, 0). The reference arm is
+    from its own stream, row_generator(seed, s). The reference arm is
     balanced against the unpumped baseline unless the detector pins
     ref_mean_photons. statistics_only skips the per-pulse samples: one
     sample_scan_statistics call draws every row's statistics. Otherwise
@@ -274,7 +273,7 @@ def scan_experiment(
     trace = predict_trace(pump, bath, probe, thermal_n, delays)
     ref_photons = _reference_photons(det, probe_mean(thermal_state(thermal_n), probe))
     taus, means, variances = trace.T
-    rngs = [row_generator(seed, s, 0) for s in range(m_scans)]
+    rngs = [row_generator(seed, s) for s in range(m_scans)]
 
     if statistics_only:
         per_scan_mean, per_scan_var = sample_scan_statistics(
@@ -315,7 +314,7 @@ def shot_noise_scan(
     and the reference arm is balanced against it unless det pins it.
     Power i's ddof-1 variance of n_pulses Gaussian pulses is drawn
     directly as var chi2(N-1)/(N-1), one chisquare draw from
-    row_generator(seed, i, 0).
+    row_generator(seed, i).
     """
     powers = np.asarray(powers_mw, dtype=float)
     if powers.ndim != 1 or powers.size == 0 or np.any(powers <= 0):
@@ -323,5 +322,5 @@ def shot_noise_scan(
     photons = powers * PHOTONS_PER_PULSE_PER_MW
     _check_burst(n_pulses, photons)
     _, var = voltage_statistics(photons, photons, det, _reference_photons(det, photons))
-    chi2 = [row_generator(seed, i, 0).chisquare(n_pulses - 1) for i in range(powers.size)]
+    chi2 = [row_generator(seed, i).chisquare(n_pulses - 1) for i in range(powers.size)]
     return np.column_stack([powers, var * np.array(chi2) / (n_pulses - 1)])

@@ -4,7 +4,8 @@ The quadrature variances of a Gaussian state, the squeeze parameters of
 a pump coefficient, and the fundamental and second-harmonic amplitudes
 of the noiseless variance trace. The package computes none of these:
 the tests compare them with the moment algebra, the Fock oracle and the
-spectra of predicted and sampled traces.
+spectra of predicted and sampled traces. assert_coverage checks that an
+estimator's standard errors are honest over many seeded trials.
 """
 
 from __future__ import annotations
@@ -93,3 +94,19 @@ def amplitude_omega(
         )
     )
     return abs(beat + cubic) / 2.0
+
+
+def assert_coverage(z) -> None:
+    """Assert that z-scores over seeded trials behave as standard normals.
+
+    The number of |z| < 1.96 must lie in the central 99% range of
+    Binomial(n, 0.95), and the sample sd of z in [0.8, 1.2].
+    """
+    z = np.asarray(z, dtype=float)
+    n = z.size
+    inside = int(np.count_nonzero(np.abs(z) < 1.959963984540054))
+    cdf = np.cumsum([math.comb(n, k) * 0.95**k * 0.05**(n - k) for k in range(n + 1)])
+    lo, hi = np.searchsorted(cdf, [0.005, 0.995])
+    assert lo <= inside <= hi, f"{inside} of {n} within 1.96, outside [{lo}, {hi}]"
+    sd = float(np.std(z, ddof=1))
+    assert 0.8 <= sd <= 1.2, f"z sd {sd:.3f} outside [0.8, 1.2]"

@@ -160,12 +160,12 @@ def test_variance_second_harmonic_decays_at_twice_the_rate():
     life = _small_squeeze_lifetimes()
     assert life.fundamental.present and life.second_harmonic.present
     ratio = life.ratio()
-    assert ratio == pytest.approx(2.0, rel=0.05)
-    assert life.fundamental.lifetime == pytest.approx(7.0, rel=0.05)
+    assert ratio == pytest.approx(2.0, rel=1e-10)
+    assert life.fundamental.lifetime == pytest.approx(7.0, rel=1e-10)
     _report(
         "envelope lifetimes",
-        f"rate ratio {ratio:.3f} (target 2 +- 5%), fundamental lifetime "
-        f"{life.fundamental.lifetime:.2f} ps",
+        f"rate ratio {ratio:.12f} (target 2 to 1e-10), fundamental lifetime "
+        f"{life.fundamental.lifetime:.10f} ps",
     )
 
 
@@ -337,6 +337,25 @@ def test_scan_spectrum_peak_positions(default_scan):
         "spectral peaks",
         f"mean at {mean_peak:.4f} THz (target {F0}), variance at "
         f"{var_peak:.4f} THz (target {2 * F0}), bin width {bin_width:.4f} THz",
+    )
+
+
+def test_scan_lifetimes_agree_with_spectrum(default_scan):
+    spec = json.loads((default_scan / "scan_spectrum.json").read_text())
+    life = json.loads((default_scan / "lifetimes.json").read_text())
+    lam = load_config().section("bath")["damping_rate"]
+    omega = life["mean"]["fundamental"]
+    two_omega = life["variance"]["second_harmonic"]
+    assert spec["two_omega_present"] is True
+    assert two_omega["present"] is True
+    assert abs(omega["rate"] - lam / 2.0) < 3.0 * omega["rate_stderr"]
+    assert abs(two_omega["rate"] - lam) < 3.0 * two_omega["rate_stderr"]
+    _report(
+        "scan lifetimes",
+        f"mean Omega rate {omega['rate']:.5f} +- {omega['rate_stderr']:.5f} /ps "
+        f"(target {lam / 2:.5f}), variance 2 Omega rate {two_omega['rate']:.3f} "
+        f"+- {two_omega['rate_stderr']:.3f} /ps (target {lam:.4f}), present as "
+        "in the spectrum",
     )
 
 

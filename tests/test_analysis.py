@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from closed_forms import assert_coverage
 from isrsim.analysis import (
     FitError,
     FluenceFitResult,
@@ -16,14 +17,16 @@ from isrsim.analysis import (
     extract_lifetimes,
     fit_fluence_series,
     fit_line,
+    fit_lines,
     interpolate_peak,
-    morlet_noise_power,
     morlet_power,
     peak_contrast,
+    scan_noise,
     student_t_975,
 )
 from isrsim.config import load_config
-from isrsim.probe import ProbeSpec, amplitude_prefactor
+from isrsim.detector import scan_experiment
+from isrsim.probe import ProbeSpec, amplitude_prefactor, predict_trace
 
 F0 = 3.84
 
@@ -169,18 +172,58 @@ def test_morlet_tone_survives_noise_gate():
     assert fit.fundamental.rate == pytest.approx(0.12, rel=0.15)
 
 
-def test_morlet_noise_power_formula():
-    # Monte-Carlo check of the white-noise row power.
-    sd, dt, n = 0.3, 0.02, 4096
-    taus = np.arange(n) * dt
-    rng = np.random.default_rng(11)
-    acc = []
-    for _ in range(8):
-        values = rng.normal(0.0, sd, n)
-        row = morlet_power(np.column_stack([taus, values]), [F0])[0]
-        acc.append(np.mean(row[200:-200]))
-    predicted = morlet_noise_power(sd, dt, F0)
-    assert np.mean(acc) == pytest.approx(predicted, rel=0.15)
+def test_lifetimes_of_noiseless_default_traces_are_exact():
+    cfg = load_config()
+    bath = cfg.bath_spec()
+    trace = predict_trace(
+        cfg.pump_spec(), bath, cfg.probe_spec(), cfg.initial_occupation(), cfg.scan_delays()
+    )
+    lam = bath.damping_rate
+    mean = extract_lifetimes(trace[:, [0, 1]], F0)
+    var = extract_lifetimes(trace[:, [0, 2]], F0)
+    assert mean.fundamental.rate == pytest.approx(lam / 2.0, rel=1e-10)
+    assert not mean.second_harmonic.present
+    assert var.second_harmonic.rate == pytest.approx(lam, rel=1e-10)
+    assert var.fundamental.rate == pytest.approx(lam / 2.0, rel=1e-10)
+
+
+def test_absent_line_keeps_the_tied_rate():
+    # The mean trace has no 2 Omega line: its rate stays tied to the
+    # background's, finite, instead of wandering with the noise.
+    taus = np.arange(512) * 0.02
+    values = (
+        3.0 + np.exp(-0.3 * taus)
+        + np.exp(-0.15 * taus) * np.cos(2 * np.pi * F0 * taus + 0.4)
+        + np.random.default_rng(2).normal(0.0, 0.05, taus.size)
+    )
+    fit = fit_lines(np.column_stack([taus, values]), F0, noise_sd=0.05)
+    assert fit.omega.present and not fit.two_omega.present
+    assert fit.two_omega.rate == 2.0 * fit.omega.rate
+    assert abs(fit.omega.rate - 0.15) < 3.0 * math.sqrt(fit.omega.cov[0, 0])
+    assert fit.chi2 == pytest.approx(fit.dof, abs=5.0 * math.sqrt(2.0 * fit.dof))
+
+
+def test_rate_stderrs_cover_over_statistics_only_scans():
+    """Over 100 seeded statistics-only default scans, the mean's Omega
+    rate and the variance's 2 Omega rate fall within their reported
+    standard errors as standard normals would."""
+    cfg = load_config()
+    s = cfg.section("scan")
+    bath = cfg.bath_spec()
+    args = (cfg.pump_spec(), bath, cfg.probe_spec(), cfg.detector_spec(), cfg.scan_delays())
+    z_mean, z_var = [], []
+    for seed in range(100):
+        res = scan_experiment(
+            *args, n_pulses=s["n_pulses"], m_scans=s["m_scans"], seed=seed,
+            thermal_n=cfg.initial_occupation(), statistics_only=True,
+        )
+        noise_mean, noise_var, _ = scan_noise(res.dt_var, s["n_pulses"], s["m_scans"])
+        mean = fit_lines(np.column_stack([res.delays, res.dt_mean]), F0, noise_mean).omega
+        var = fit_lines(np.column_stack([res.delays, res.dt_var]), F0, noise_var).two_omega
+        z_mean.append((mean.rate - bath.damping_rate / 2.0) / math.sqrt(mean.cov[0, 0]))
+        z_var.append((var.rate - bath.damping_rate) / math.sqrt(var.cov[0, 0]))
+    assert_coverage(z_mean)
+    assert_coverage(z_var)
 
 
 def test_peak_contrast_distinguishes_line_from_wing():

@@ -271,8 +271,8 @@ def test_streams_within_one_command_are_distinct(tmp_path, monkeypatch):
     """
     states = []
 
-    def recording(seed, row, child):
-        rng = row_generator(seed, row, child)
+    def recording(seed, row):
+        rng = row_generator(seed, row)
         states.append(tuple(rng.bit_generator.seed_seq.generate_state(4)))
         return rng
 

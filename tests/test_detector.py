@@ -30,7 +30,7 @@ def config_detector():
 
 
 def stream(seed):
-    return row_generator(seed, 0, 0)
+    return row_generator(seed, 0)
 
 
 def quiet_detector(electronic_var=0.0):
@@ -88,7 +88,7 @@ def test_statistics_only_matches_full_sampling_distribution():
     det = quiet_detector(0.02)
     mu, var = voltage_statistics(5e5, 6e5, det, 5e5)
     n = 2000
-    rngs = [row_generator(1000 + i, 0, 0) for i in range(300)]
+    rngs = [row_generator(1000 + i, 0) for i in range(300)]
     means, variances = sample_scan_statistics(5e5, 6e5, det, n, rngs, 5e5)
     assert np.mean(means) == pytest.approx(mu, abs=5 * math.sqrt(var / n / 300))
     assert np.std(means, ddof=1) == pytest.approx(
@@ -110,7 +110,7 @@ def test_guards():
         sample_pulse_ensemble(1e6, 1e6, quiet_detector(), 1, stream(0), 1e6)
     with pytest.raises(ValueError):
         sample_pulse_ensemble(1e6, -1.0, quiet_detector(), 100, stream(0), 1e6)
-    rngs = [row_generator(0, 0, 0)]
+    rngs = [row_generator(0, 0)]
     with pytest.raises(ValueError, match="n_pulses"):
         sample_scan_statistics(1e6, 1e6, quiet_detector(), 1, rngs, 1e6)
     with pytest.raises(ValueError, match="var_ny"):
@@ -228,7 +228,7 @@ def test_per_pulse_scan_equals_ensemble_loop(name):
         ref = probe_mean(thermal_state(n), probe)
     expected = np.empty((2, m_scans, delays.size))
     for s in range(m_scans):
-        row = row_generator(seed, s, 0)
+        row = row_generator(seed, s)
         for d in range(delays.size):
             volts = sample_pulse_ensemble(
                 trace[d, 1], trace[d, 2], det, n_pulses, row, ref
@@ -279,12 +279,12 @@ def test_statistics_rows_drawn_together_equal_rows_drawn_alone():
     seed, n_pulses = [3, 1], 700
     together = sample_scan_statistics(
         means, variances, det, n_pulses,
-        [row_generator(seed, s, 0) for s in range(4)], 9.9e5,
+        [row_generator(seed, s) for s in range(4)], 9.9e5,
     )
     assert together[0].shape == together[1].shape == (4, 40)
     for s in range(4):
         alone = sample_scan_statistics(
-            means, variances, det, n_pulses, [row_generator(seed, s, 0)], 9.9e5
+            means, variances, det, n_pulses, [row_generator(seed, s)], 9.9e5
         )
         assert np.array_equal(together[0][s], alone[0][0])
         assert np.array_equal(together[1][s], alone[1][0])
