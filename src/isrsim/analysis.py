@@ -4,10 +4,13 @@ Covers the read-out side of the experiment: peak amplitudes at the
 phonon frequency and its second harmonic from detrended FFTs, Morlet
 time-frequency maps as a picture, least-squares line fits with a
 Student-t interval on the intercept, one variable-projection fit of the
-model's damped lines that reads every lifetime and decides each line's
-presence, the scan noise that weights it, and the closed-loop fit of the
-squeezing coupling against a fluence series of second-harmonic
-amplitudes. All of it is numpy and math only, so no command loads scipy.
+model's damped lines that reads every lifetime, the scan noise that
+weights it, and the closed-loop fit of the squeezing coupling against a
+fluence series of second-harmonic amplitudes. Whether a line is present,
+in predict's noiseless traces and in scan's noisy ones alike, is decided
+here and only here: by DampedLine.present, the chi-square of the line's
+fitted amplitude against PRESENCE_CHI2. All of it is numpy and math
+only, so no command loads scipy.
 """
 
 from __future__ import annotations
@@ -25,10 +28,8 @@ from .states import squeezed_thermal_quadrature_variance
 DEFAULT_WAVELET_WIDTH = 8.0
 # Order of the polynomial baseline removed before any spectrum or map.
 _DETREND_ORDER = 3
-# Half-width of the window a spectral peak is looked for in, and the
-# width of the background annulus around it.
+# Half-width of the window a spectral peak is looked for in.
 _PEAK_BINS = 3
-_ANNULUS_BINS = 8
 
 # Quantum lower bound on the product of the two quadrature variances.
 _PRODUCT_BOUND = 0.25 - 1e-9
@@ -103,8 +104,8 @@ def detrended_trace(trace) -> np.ndarray:
     return np.column_stack([taus, _detrend(taus, values)])
 
 
-def _peak_window(freqs, size: int, nominal: float) -> tuple[float, int, int, int]:
-    """Bin width, nominal bin and search window [lo, hi) of a spectrum of size bins.
+def _peak_window(freqs, size: int, nominal: float) -> tuple[float, int, int]:
+    """Bin width and search window [lo, hi) of a spectrum of size bins.
 
     The window spans _PEAK_BINS bins on each side of the nominal bin,
     clipped to skip the DC bin and the last bin.
@@ -115,7 +116,7 @@ def _peak_window(freqs, size: int, nominal: float) -> tuple[float, int, int, int
     hi = min(size - 1, center + _PEAK_BINS + 1)
     if lo >= hi:
         raise ValueError("nominal frequency outside the spectrum")
-    return df, center, lo, hi
+    return df, lo, hi
 
 
 def interpolate_peak(
@@ -127,7 +128,7 @@ def interpolate_peak(
     with a log-domain parabola through the three surrounding bins, which
     removes most of the scalloping of off-bin tones.
     """
-    df, _, lo, hi = _peak_window(freqs, len(amps), nominal)
+    df, lo, hi = _peak_window(freqs, len(amps), nominal)
     j = lo + int(np.argmax(amps[lo:hi]))
     if 0 < j < len(amps) - 1 and amps[j - 1] > 0 and amps[j] > 0 and amps[j + 1] > 0:
         la, lb, lc = math.log(amps[j - 1]), math.log(amps[j]), math.log(amps[j + 1])
@@ -138,32 +139,6 @@ def interpolate_peak(
                 amp = math.exp(lb - 0.25 * (la - lc) * delta)
                 return (j + delta) * df, amp
     return j * df, float(amps[j])
-
-
-def peak_contrast(freqs: np.ndarray, power: np.ndarray, nominal: float) -> float:
-    """Peak height over the local spectral background near a frequency.
-
-    The background is the median over an annulus of bins around the
-    nominal position, skipping the peak itself. A genuine narrow line
-    stands far above it; the smooth wing of a damped line elsewhere in
-    the spectrum does not, which is what distinguishes the two.
-    """
-    freqs = np.asarray(freqs, dtype=float)
-    power = np.asarray(power, dtype=float)
-    _, center, lo, hi = _peak_window(freqs, power.size, nominal)
-    peak = float(np.max(power[lo:hi]))
-    ring = np.concatenate(
-        [
-            power[max(1, center - _PEAK_BINS - _ANNULUS_BINS) : lo],
-            power[hi : min(power.size, center + _PEAK_BINS + _ANNULUS_BINS + 1)],
-        ]
-    )
-    if ring.size == 0:
-        return math.inf
-    background = float(np.median(ring))
-    if background <= 0:
-        return math.inf if peak > 0 else 0.0
-    return peak / background
 
 
 def detrend_and_fft(trace, fundamental_thz: float) -> SpectrumResult:
@@ -311,7 +286,11 @@ class DampedLine:
 
     amplitude holds its (cos, sin) coefficients at the first delay, rate
     its amplitude decay rate (1/ps) and cov the covariance of (rate, cos,
-    sin).
+    sin). chi2 is the amplitude whitened by its covariance: under the
+    null of no line, chi-square with 2 dof, the GLRT statistic of a line
+    of known frequency and unknown amplitude and phase (Kay, Fundamentals
+    of Statistical Signal Processing II, 1998, ch. 7). The line is
+    present when chi2 exceeds PRESENCE_CHI2.
     """
 
     rate: float
@@ -319,14 +298,18 @@ class DampedLine:
     cov: np.ndarray
 
     @property
-    def present(self) -> bool:
-        """Whether the amplitude, whitened by its covariance, clears PRESENCE_CHI2.
+    def chi2(self) -> float:
+        """a^T C^-1 a over the (cos, sin) amplitude a and its covariance C.
 
         lstsq, not an inverse, which overflows on the tiny covariance
         fit_lines gives an all-zero trace.
         """
         a = self.amplitude
-        return float(a @ np.linalg.lstsq(self.cov[1:, 1:], a, rcond=None)[0]) > PRESENCE_CHI2
+        return float(a @ np.linalg.lstsq(self.cov[1:, 1:], a, rcond=None)[0])
+
+    @property
+    def present(self) -> bool:
+        return self.chi2 > PRESENCE_CHI2
 
 
 @dataclass(frozen=True)
@@ -440,13 +423,16 @@ def scan_noise(dt_var, n_pulses: int, m_scans: int) -> tuple[float, float, float
 class ComponentLifetime:
     """Envelope decay of one line of a trace, as fit_lines fits it.
 
-    rate is the amplitude decay rate (1/ps) and rate_stderr its standard
-    error; lifetime is the rate's inverse, or inf when the rate is within
-    3 standard errors of zero. present is False when the line fails
-    fit_lines' presence test, and the other fields are then nan.
+    chi2 is the line's presence statistic (DampedLine.chi2), finite
+    whether or not the line is present, and present is chi2 >
+    PRESENCE_CHI2. rate is the amplitude decay rate (1/ps) and
+    rate_stderr its standard error; lifetime is the rate's inverse, or
+    inf when the rate is within 3 standard errors of zero. These three
+    are nan when the line is absent.
     """
 
     present: bool
+    chi2: float
     rate: float
     rate_stderr: float
     lifetime: float
@@ -457,17 +443,13 @@ class LifetimeResult:
     fundamental: ComponentLifetime
     second_harmonic: ComponentLifetime
 
-    def ratio(self) -> float:
-        """rate(2 Omega) / rate(Omega)."""
-        return self.second_harmonic.rate / self.fundamental.rate
-
 
 def _lifetime(line: DampedLine) -> ComponentLifetime:
     if not line.present:
-        return ComponentLifetime(False, math.nan, math.nan, math.nan)
+        return ComponentLifetime(False, line.chi2, math.nan, math.nan, math.nan)
     stderr = math.sqrt(line.cov[0, 0])
     lifetime = math.inf if abs(line.rate) <= 3.0 * stderr else 1.0 / line.rate
-    return ComponentLifetime(True, line.rate, stderr, lifetime)
+    return ComponentLifetime(True, line.chi2, line.rate, stderr, lifetime)
 
 
 def extract_lifetimes(trace, omega_thz: float, noise_sd: float = 0.0) -> LifetimeResult:

@@ -29,14 +29,15 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    PRESENCE_CHI2,
     FitError,
     detrend_and_fft,
     detrended_trace,
     extract_lifetimes,
     fit_fluence_series,
     fit_line,
+    fit_lines,
     morlet_power,
-    peak_contrast,
     scan_noise,
 )
 from .config import ConfigError, RunConfig, load_config
@@ -51,13 +52,7 @@ from .fock import TruncationError, cross_validate, default_grid
 from .probe import predict_trace
 from .states import PhysicalityError
 
-# A second-harmonic line counts as present in a noiseless spectrum when
-# its peak exceeds this fraction of the fundamental's AND stands out of
-# the local background by MIN_PEAK_CONTRAST (a damped fundamental's
-# spectral wing reaches the second-harmonic bin but is locally smooth).
-TWO_OMEGA_PRESENCE_RATIO = 1e-5
-MIN_PEAK_CONTRAST = 3.0
-# In noisy spectra presence instead requires this many noise sigmas.
+# fluence's 2 Omega gate, on FFT peaks: until ROADMAP item 7 replaces them.
 DETECTION_SIGMAS = 4.0
 
 _HISTOGRAM_BINS = 50
@@ -173,14 +168,13 @@ def _peak_block(spec) -> dict:
     }
 
 
-def _lifetime_block(trace, omega_thz: float, noise_sd: float) -> dict:
-    result = extract_lifetimes(trace, omega_thz, noise_sd)
-    both = result.fundamental.present and result.second_harmonic.present
-    return {
-        "fundamental": dataclasses.asdict(result.fundamental),
-        "second_harmonic": dataclasses.asdict(result.second_harmonic),
-        "rate_ratio": result.ratio() if both else None,
-    }
+def _rate_ratio(omega, two_omega) -> dict:
+    """two_omega's rate over omega's (model: 2) and its stderr, null unless both are present."""
+    ratio = stderr = None
+    if omega.present and two_omega.present:
+        ratio = two_omega.rate / omega.rate
+        stderr = math.hypot(two_omega.rate_stderr, ratio * omega.rate_stderr) / abs(omega.rate)
+    return {"rate_ratio": ratio, "rate_ratio_stderr": stderr}
 
 
 # -- scan helpers ------------------------------------------------------------
@@ -225,11 +219,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
         out.csv(f"predict_{name}_trace.csv", ["delay_ps", "mean_ny", "var_ny"], trace.T)
         spec_mean = detrend_and_fft(trace[:, [0, 1]], fundamental_thz=f0)
         spec_var = detrend_and_fft(trace[:, [0, 2]], fundamental_thz=f0)
-        contrast = peak_contrast(spec_var.freqs, spec_var.power, 2.0 * f0)
-        present = (
-            spec_var.peak_2omega
-            >= TWO_OMEGA_PRESENCE_RATIO * max(spec_var.peak_omega, 1e-300)
-        ) and contrast >= MIN_PEAK_CONTRAST
+        two_omega = fit_lines(trace[:, [0, 2]], f0).two_omega
         out.json(
             f"predict_{name}_spectrum.json",
             {
@@ -237,10 +227,9 @@ def cmd_predict(cfg: RunConfig, args) -> int:
                 "fundamental_thz": f0,
                 "mean": _peak_block(spec_mean),
                 "variance": _peak_block(spec_var),
-                "two_omega_present": present,
-                "two_omega_contrast": contrast,
-                "presence_ratio": TWO_OMEGA_PRESENCE_RATIO,
-                "min_contrast": MIN_PEAK_CONTRAST,
+                "two_omega_present": two_omega.present,
+                "two_omega_chi2": two_omega.chi2,
+                "presence_chi2": PRESENCE_CHI2,
             },
         )
     out.finish()
@@ -321,22 +310,28 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     )
 
     if "json" in out.formats:
+        # One presence rule: the variance fit's 2 Omega line, in both files.
+        mean_life = extract_lifetimes(mean_trace, f0, noise_mean)
+        var_life = extract_lifetimes(var_trace, f0, noise_var)
+        two_omega = var_life.second_harmonic
         out.json(
             "scan_spectrum.json",
             {
                 "fundamental_thz": f0,
                 "mean": _peak_block(spec_mean),
                 "variance": _peak_block(spec_var),
-                "two_omega_present": spec_var.peak_2omega > DETECTION_SIGMAS * sigma_amp,
+                "two_omega_present": two_omega.present,
+                "two_omega_chi2": two_omega.chi2,
+                "presence_chi2": PRESENCE_CHI2,
                 "amplitude_noise_sigma": sigma_amp,
-                "detection_sigmas": DETECTION_SIGMAS,
             },
         )
         out.json(
             "lifetimes.json",
             {
-                "mean": _lifetime_block(mean_trace, f0, noise_mean),
-                "variance": _lifetime_block(var_trace, f0, noise_var),
+                "mean": dataclasses.asdict(mean_life),
+                "variance": dataclasses.asdict(var_life),
+                **_rate_ratio(mean_life.fundamental, two_omega),
             },
         )
 

@@ -159,7 +159,7 @@ def _small_squeeze_lifetimes():
 def test_variance_second_harmonic_decays_at_twice_the_rate():
     life = _small_squeeze_lifetimes()
     assert life.fundamental.present and life.second_harmonic.present
-    ratio = life.ratio()
+    ratio = life.second_harmonic.rate / life.fundamental.rate
     assert ratio == pytest.approx(2.0, rel=1e-10)
     assert life.fundamental.lifetime == pytest.approx(7.0, rel=1e-10)
     _report(
@@ -348,6 +348,7 @@ def test_scan_lifetimes_agree_with_spectrum(default_scan):
     two_omega = life["variance"]["second_harmonic"]
     assert spec["two_omega_present"] is True
     assert two_omega["present"] is True
+    assert spec["two_omega_chi2"] == two_omega["chi2"]
     assert abs(omega["rate"] - lam / 2.0) < 3.0 * omega["rate_stderr"]
     assert abs(two_omega["rate"] - lam) < 3.0 * two_omega["rate_stderr"]
     _report(

@@ -118,8 +118,17 @@ def test_scan_statistics_only_outputs(tmp_path):
     # Statistics-level sampling has no per-pulse stream to histogram.
     assert not list(out.glob("histogram_delay_*.csv"))
     lifetimes = read_json(out / "lifetimes.json")
-    assert set(lifetimes) == {"mean", "variance"}
-    assert "rate_ratio" in lifetimes["mean"]
+    assert set(lifetimes) == {"mean", "variance", "rate_ratio", "rate_ratio_stderr"}
+    omega = lifetimes["mean"]["fundamental"]
+    two_omega = lifetimes["variance"]["second_harmonic"]
+    if omega["present"] and two_omega["present"]:
+        assert lifetimes["rate_ratio"] == two_omega["rate"] / omega["rate"]
+    else:
+        assert lifetimes["rate_ratio"] is None
+    # scan_spectrum.json's presence is lifetimes.json's, not a rule of its own.
+    spectrum = read_json(out / "scan_spectrum.json")
+    assert spectrum["two_omega_present"] is two_omega["present"]
+    assert spectrum["two_omega_chi2"] == two_omega["chi2"]
     manifest_checks(out, "scan")
 
 

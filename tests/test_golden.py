@@ -31,8 +31,19 @@ every other digest kept theirs. The lifetimes.json digests of the scan
 and scan-per-pulse cases were re-recorded when extract_lifetimes became
 one variable-projection fit of the model's damped lines (fit_lines) in
 place of log-power line fits to Morlet rows: every rate, stderr and
-presence flag in those files moved; no other digest changed. Manifests
-are left out: they embed package versions.
+presence flag in those files moved; no other digest changed. Six
+digests were re-recorded when predict and scan took their 2 Omega
+presence from fit_lines' chi-square test in place of a peak-contrast
+rule and a 4-sigma FFT gate: predict_squeezed_spectrum.json and
+predict_reference_spectrum.json (two_omega_chi2 and presence_chi2 in
+place of two_omega_contrast, presence_ratio and min_contrast), and
+scan_spectrum.json and lifetimes.json in both the scan and the
+scan-per-pulse cases (two_omega_chi2 and presence_chi2 in place of
+detection_sigmas; a chi2 field per line; one top-level rate_ratio, the
+variance's 2 Omega rate over the mean's Omega rate, with its stderr, in
+place of one per block). The statistics-only scan's two_omega_present
+turned true with that, as its lifetimes.json already said. No other
+digest changed. Manifests are left out: they embed package versions.
 
 The digests were taken with numpy 2.4.6 on Python 3.11.7. Another numpy
 may change the last bits of a float, and with them a digest, without any
@@ -59,8 +70,8 @@ GOLDEN = {
     "predict": {
         "predict_squeezed_trace.csv": "4ea5994ea830702d",
         "predict_reference_trace.csv": "b1910b454e95171e",
-        "predict_squeezed_spectrum.json": "7afed878deb4d909",
-        "predict_reference_spectrum.json": "249af7de49533b54",
+        "predict_squeezed_spectrum.json": "16ee7caf068066ca",
+        "predict_reference_spectrum.json": "7b2d10adbe1fe4b3",
     },
     "shot-noise": {
         "shot_noise.csv": "46b80ce9d59994ea",
@@ -70,18 +81,18 @@ GOLDEN = {
         "scan_trace.csv": "7492df345ef16a28",
         "scan_per_scan.csv": "f86f06e551bdf5cb",
         "scan_spectrum.csv": "458ba954a6f2ce07",
-        "scan_spectrum.json": "8a7501efc8b17436",
+        "scan_spectrum.json": "1c6cd35352a99f3a",
         "wavelet_map.csv": "342f6e90f75e6500",
-        "lifetimes.json": "31d2a4af747abbdc",
+        "lifetimes.json": "7397aa46a6e32f77",
     },
     "scan-per-pulse": {
         "histogram_delay_0000.csv": "f899d47d26a691c8",
         "histogram_delay_0025.csv": "517a86f467bfb52d",
         "histogram_delay_0050.csv": "4077fbfd95f017c8",
-        "lifetimes.json": "01acb270e9879a99",
+        "lifetimes.json": "76b8b1c0e0f9daad",
         "scan_per_scan.csv": "80047f2badf1ff74",
         "scan_spectrum.csv": "30fa351c4589cec4",
-        "scan_spectrum.json": "8635eda82a146a9f",
+        "scan_spectrum.json": "82808db0467aa26c",
         "scan_trace.csv": "c0432796e53e47d5",
         "wavelet_map.csv": "ffa8252743b8bb4c",
     },
