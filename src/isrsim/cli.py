@@ -1,9 +1,9 @@
 """Command-line driver for the end-to-end simulation workflows.
 
-Subcommands: predict (noiseless traces and spectra), scan (full
-acquisition Monte Carlo plus analysis), fluence (generate a fluence
-series and fit the squeezing coupling), oracle (fast path versus exact
-Fock cross-check), shot-noise (pump-off variance versus probe power).
+Subcommands: predict (noiseless traces and spectra), scan (acquisition
+Monte Carlo plus analysis), fluence (generate a fluence series and fit
+the squeezing coupling), oracle (fast path versus exact Fock
+cross-check), shot-noise (pump-off variance versus probe power).
 
 Every run writes its outputs plus a manifest (config hash, seed,
 versions, file digests) into the output directory; reruns with the same
@@ -20,7 +20,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import platform
 import sys
 from pathlib import Path
@@ -181,7 +180,7 @@ def _rate_ratio(omega, two_omega) -> dict:
 
 
 def _run_scan(cfg: RunConfig, pump, bath, probe, det, delays, seed) -> ScanResult:
-    """scan_experiment with the configured scan settings, on the usable cores."""
+    """scan_experiment with the configured scan settings."""
     s = cfg.section("scan")
     return scan_experiment(
         pump,
@@ -193,8 +192,6 @@ def _run_scan(cfg: RunConfig, pump, bath, probe, det, delays, seed) -> ScanResul
         m_scans=s["m_scans"],
         seed=seed,
         thermal_n=cfg.initial_occupation(),
-        statistics_only=s["statistics_only"],
-        threads=len(os.sched_getaffinity(0)),
     )
 
 
@@ -265,10 +262,10 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         ],
     )
 
-    if "csv" in out.formats and not s["statistics_only"]:
-        # Per-pulse voltage histograms at three sample delays, drawn in
-        # turn from the stream of the scan row past the ones the averages
-        # consumed, with the reference arm balanced as in the scan.
+    if "csv" in out.formats:
+        # Voltage histograms of one burst at each of three sample delays,
+        # drawn in turn from the stream of the scan row past the ones the
+        # averages consumed, with the reference arm balanced as in the scan.
         rng = row_generator(s["seed"], s["m_scans"])
         for idx in sorted({0, delays.size // 2, delays.size - 1}):
             volts = sample_pulse_ensemble(
@@ -531,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("predict", parents=[common], help="noiseless traces and spectra")
-    sub.add_parser("scan", parents=[common], help="full acquisition Monte Carlo")
+    sub.add_parser("scan", parents=[common], help="acquisition Monte Carlo")
     sub.add_parser("fluence", parents=[common], help="fluence series and coupling fit")
     oracle = sub.add_parser("oracle", parents=[common], help="exact cross-validation")
     oracle.add_argument(

@@ -72,10 +72,18 @@ def _integer(value, path: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def _boolean(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false, got {value!r}")
-    return value
+def _retired_statistics_only(value, path: str) -> None:
+    """The per-pulse switch, gone: true or absent, and read by no code.
+
+    Every scan samples burst statistics. The key stays only because the
+    perfbench fluence_loop config sets it true; it leaves the schema with
+    the bench-scoped change of ROADMAP items 1 and 14.
+    """
+    if value is not None and value is not True:
+        raise ConfigError(
+            f"{path}: per-pulse sampling was removed; every scan samples burst "
+            f"statistics, so drop the key (got {value!r})"
+        )
 
 
 def _number_list(value, path: str, increasing: bool = False) -> list[float]:
@@ -159,7 +167,7 @@ _SCHEMA = {
         "n_pulses": partial(_integer, minimum=2),
         "m_scans": partial(_integer, minimum=1),
         "seed": partial(_integer, minimum=0),
-        "statistics_only": _boolean,
+        "statistics_only": _retired_statistics_only,
     },
     "fluence_series": {
         "fluences": _number_list,
@@ -192,6 +200,8 @@ def validate_mapping(mapping: Mapping) -> dict:
             key: rule(section.get(key), f"{name}.{key}") for key, rule in rules.items()
         }
     scan = out["scan"]
+    # Validated, never resolved: the retired key changes no run or its hash.
+    del scan["statistics_only"]
     if scan["stop_ps"] <= scan["start_ps"]:
         raise ConfigError("scan.stop_ps: must be greater than scan.start_ps")
     n_delays = _delay_count(scan)

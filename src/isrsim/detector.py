@@ -9,11 +9,16 @@ Poisson-equivalent statistics, and electronic noise is additive. A sum of
 independent Gaussians is one Gaussian, so voltage_statistics states the
 whole chain as one mean and variance, and every sampler draws from it.
 
+A burst of N such pulses has a mean and a ddof-1 variance that are
+exactly Normal(mu, var/N) and var chi2(N-1)/(N-1), independent of each
+other (Cochran's theorem). A scan therefore draws those two statistics
+per cell, never the pulses; only the voltage histograms draw bursts.
+
 Reproducibility is anchored in seed derivation, not execution order:
 every scan row draws from one stream, row_generator(seed, row), and
 the row's delay cells draw from it in delay order. Runs are
-bit-identical for a fixed seed whichever order or thread computes the
-rows.
+bit-identical for a fixed seed, and a row's draws do not depend on how
+many rows the scan has.
 """
 
 from __future__ import annotations
@@ -32,9 +37,6 @@ from .states import BathSpec, PumpSpec, thermal_state
 PHOTONS_PER_PULSE_PER_MW = 4.0e5
 # Photonic part of the voltage variance that calibrated_gain targets (V^2).
 PHOTONIC_VAR_V2 = 0.9
-# Pulses a per-pulse scan row draws per block of bursts: fewer, larger
-# numpy calls per delay cell, with 0.25 MB of voltage buffer per row.
-_BLOCK_PULSES = 32768
 
 
 @dataclass(frozen=True)
@@ -168,37 +170,6 @@ def sample_pulse_ensemble(
     return mu + math.sqrt(var) * rng.standard_normal(n_pulses)
 
 
-def _pulse_row(
-    mu: np.ndarray, sd: np.ndarray, n_pulses: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(mean, ddof-1 variance) of one burst per delay, drawn in delay order.
-
-    Burst i is mu[i] + sd[i] z. The row draws _BLOCK_PULSES pulses' worth
-    of bursts at a time into one reused (k, n_pulses) buffer; a buffer
-    fills row by row, so k bursts at once take from rng exactly what k
-    bursts one at a time would. The statistics are computed as np.mean
-    and np.var(ddof=1) compute them: a pairwise sum divided by N, then
-    the squared deviations from that mean summed and divided by N - 1, so
-    a cell equals np.mean and np.var(ddof=1) of sample_pulse_ensemble's
-    burst bit for bit.
-    """
-    k = max(1, _BLOCK_PULSES // n_pulses)
-    buffer = np.empty((min(k, mu.size), n_pulses))
-    cells = np.empty((2, mu.size))
-    for a in range(0, mu.size, k):
-        b = min(a + k, mu.size)
-        volts = buffer[: b - a]
-        rng.standard_normal(out=volts)
-        volts *= sd[a:b, None]
-        volts += mu[a:b, None]
-        mean = np.add.reduce(volts, axis=1) / n_pulses
-        volts -= mean[:, None]
-        volts *= volts
-        cells[0, a:b] = mean
-        cells[1, a:b] = np.add.reduce(volts, axis=1) / (n_pulses - 1)
-    return cells
-
-
 def sample_scan_statistics(
     mean_ny,
     var_ny,
@@ -212,7 +183,7 @@ def sample_scan_statistics(
     For Gaussian pulses the burst mean and ddof-1 variance are exactly
     Normal(mu, var/N) and var * chi2(N-1)/(N-1), independent of each
     other, so drawing them directly is statistically identical to
-    aggregating sample_pulse_ensemble and much faster for trial loops.
+    aggregating sample_pulse_ensemble, at two draws per burst.
     mean_ny and var_ny may be arrays, one burst per element (the delays
     of a scan). rngs holds one Generator per scan row; the result is a
     pair of (len(rngs),) + shape(mean_ny) arrays.
@@ -249,24 +220,16 @@ def scan_experiment(
     m_scans: int,
     seed,
     thermal_n: float,
-    statistics_only: bool = False,
-    threads: int = 1,
 ) -> ScanResult:
     """Simulate the full delay-scan acquisition.
 
     The model observables and their voltage statistics are computed once
-    for all delays; each scan row then draws its cells, in delay order,
-    from its own stream, row_generator(seed, s). The reference arm is
-    balanced against the unpumped baseline unless the detector pins
-    ref_mean_photons. statistics_only skips the per-pulse samples: one
-    sample_scan_statistics call draws every row's statistics. Otherwise
-    each cell draws one burst of n_pulses pulses.
-
-    seed may be an int or a sequence of ints (a stream prefix). Per-pulse
-    rows run on a pool of min(threads, m_scans) threads; the rows are
-    independent streams, so the result is bit-identical for any thread
-    count. A statistics-only row takes tens of microseconds, less than
-    handing it to a thread, so those rows start no pool.
+    for all delays; one sample_scan_statistics call then draws every
+    cell's burst mean and variance, each scan row s in delay order from
+    its own stream, row_generator(seed, s). The reference arm is balanced
+    against the unpumped baseline unless the detector pins
+    ref_mean_photons. seed may be an int or a sequence of ints (a stream
+    prefix).
     """
     if m_scans < 1:
         raise ValueError("m_scans must be at least 1")
@@ -274,22 +237,9 @@ def scan_experiment(
     ref_photons = _reference_photons(det, probe_mean(thermal_state(thermal_n), probe))
     taus, means, variances = trace.T
     rngs = [row_generator(seed, s) for s in range(m_scans)]
-
-    if statistics_only:
-        per_scan_mean, per_scan_var = sample_scan_statistics(
-            means, variances, det, n_pulses, rngs, ref_photons
-        )
-    else:
-        # Imported here: only per-pulse rows start a pool, and loading a
-        # config, which imports this module, need not load the pool.
-        from concurrent.futures import ThreadPoolExecutor
-
-        _check_burst(n_pulses, variances)
-        mu, var = voltage_statistics(means, variances, det, ref_photons)
-        sd = np.sqrt(var)
-        with ThreadPoolExecutor(max_workers=min(threads, m_scans)) as pool:
-            rows = list(pool.map(lambda rng: _pulse_row(mu, sd, n_pulses, rng), rngs))
-        per_scan_mean, per_scan_var = np.stack(rows, axis=1)
+    per_scan_mean, per_scan_var = sample_scan_statistics(
+        means, variances, det, n_pulses, rngs, ref_photons
+    )
     return ScanResult(
         delays=taus,
         dt_mean=per_scan_mean.mean(axis=0),

@@ -206,10 +206,10 @@ def test_absent_line_keeps_the_tied_rate():
 
 
 def test_rate_stderrs_cover_over_statistics_only_scans():
-    """Over 100 seeded statistics-only default scans, the mean's Omega
-    rate and the variance's 2 Omega rate fall within their reported
-    standard errors as standard normals would, and the variance's 2 Omega
-    line is found present on at least 97 of them."""
+    """Over 100 seeded default scans, the mean's Omega rate and the
+    variance's 2 Omega rate fall within their reported standard errors as
+    standard normals would, and the variance's 2 Omega line is found
+    present on at least 97 of them."""
     cfg = load_config()
     s = cfg.section("scan")
     bath = cfg.bath_spec()
@@ -218,7 +218,7 @@ def test_rate_stderrs_cover_over_statistics_only_scans():
     for seed in range(100):
         res = scan_experiment(
             *args, n_pulses=s["n_pulses"], m_scans=s["m_scans"], seed=seed,
-            thermal_n=cfg.initial_occupation(), statistics_only=True,
+            thermal_n=cfg.initial_occupation(),
         )
         noise_mean, noise_var, _ = scan_noise(res.dt_var, s["n_pulses"], s["m_scans"])
         mean = fit_lines(np.column_stack([res.delays, res.dt_mean]), F0, noise_mean).omega
@@ -232,10 +232,9 @@ def test_rate_stderrs_cover_over_statistics_only_scans():
 
 
 def test_two_omega_false_alarms_over_unsqueezed_scans():
-    """Over 200 seeded statistics-only default scans with squeezing off,
-    the variance's 2 Omega line is present on at most 2: the 99% upper
-    point of Binomial(200, p = 1e-3), the presence test's false-alarm
-    rate."""
+    """Over 200 seeded default scans with squeezing off, the variance's
+    2 Omega line is present on at most 2: the 99% upper point of
+    Binomial(200, p = 1e-3), the presence test's false-alarm rate."""
     cfg = load_config()
     s = cfg.section("scan")
     pump = dataclasses.replace(cfg.pump_spec(), mu_squeeze=0.0)
@@ -244,7 +243,7 @@ def test_two_omega_false_alarms_over_unsqueezed_scans():
     for seed in range(200):
         res = scan_experiment(
             *args, n_pulses=s["n_pulses"], m_scans=s["m_scans"], seed=seed,
-            thermal_n=cfg.initial_occupation(), statistics_only=True,
+            thermal_n=cfg.initial_occupation(),
         )
         _, noise_var, _ = scan_noise(res.dt_var, s["n_pulses"], s["m_scans"])
         var = fit_lines(np.column_stack([res.delays, res.dt_var]), F0, noise_var)

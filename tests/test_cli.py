@@ -1,7 +1,7 @@
 """End-to-end command-line workflows, file contracts, and exit codes."""
 
-import concurrent.futures
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +13,7 @@ import pytest
 import isrsim.cli as cli
 import isrsim.detector as detector
 from isrsim.config import load_config
-from isrsim.detector import row_generator
+from isrsim.detector import row_generator, scan_experiment, voltage_statistics
 from isrsim.fock import CrossCheckCase, CrossCheckResult, TruncationError, default_grid
 
 FAST_SCAN = """\
@@ -21,17 +21,17 @@ scan:
   stop_ps: 0.62
   n_pulses: 500
   m_scans: 2
-  statistics_only: true
 """
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Run in a fresh interpreter: fails if a bare `import isrsim` loads any
-# submodule, or if importing the package, running predict, a
-# statistics-only scan, a statistics-only fluence trial (its coupling
-# fit) or a small shot-noise run (its t interval), or cross-validating an
-# oracle case loads any scipy module.
+# submodule, or if importing the package, running predict, the default
+# scan, a fluence trial (its coupling fit) or a small shot-noise run (its
+# t interval), or cross-validating an oracle case loads any scipy module.
+# No step may load concurrent.futures either: no command runs a thread
+# pool, and the import path that loading a config takes stays lean.
 NO_SCIPY = """
 import sys
 import isrsim
@@ -41,7 +41,6 @@ assert submodules == [], submodules
 from isrsim.config import load_config
 
 load_config()
-# Only a per-pulse scan starts a thread pool; loading a config does not.
 assert "concurrent.futures" not in sys.modules
 import isrsim.cli
 from isrsim.fock import CrossCheckCase, cross_validate
@@ -52,15 +51,17 @@ def scipy_modules():
 assert scipy_modules() == [], scipy_modules()
 for argv in (
     ["predict"],
-    ["scan", "--config", sys.argv[2]],
-    ["fluence", "--config", sys.argv[3]],
-    ["shot-noise", "--config", sys.argv[4]],
+    ["scan"],
+    ["fluence", "--config", sys.argv[2]],
+    ["shot-noise", "--config", sys.argv[3]],
 ):
     assert isrsim.cli.main([*argv, "--out", sys.argv[1]]) == 0
     assert scipy_modules() == [], (argv, scipy_modules())
+    assert "concurrent.futures" not in sys.modules, argv
 [result] = cross_validate([CrossCheckCase(0.5, 0.2, 0.05j, 1.0, 0.5, 0.2, 10.0, 0.4)])
 assert result.passed, result
 assert scipy_modules() == [], scipy_modules()
+assert "concurrent.futures" not in sys.modules
 """
 
 
@@ -115,8 +116,12 @@ def test_scan_statistics_only_outputs(tmp_path):
         "lifetimes.json",
     ):
         assert (out / name).exists()
-    # Statistics-level sampling has no per-pulse stream to histogram.
-    assert not list(out.glob("histogram_delay_*.csv"))
+    # Every scan with CSV output draws one burst per histogram.
+    assert sorted(p.name for p in out.glob("histogram_delay_*.csv")) == [
+        "histogram_delay_0000.csv",
+        "histogram_delay_0016.csv",
+        "histogram_delay_0031.csv",
+    ]
     lifetimes = read_json(out / "lifetimes.json")
     assert set(lifetimes) == {"mean", "variance", "rate_ratio", "rate_ratio_stderr"}
     omega = lifetimes["mean"]["fundamental"]
@@ -144,77 +149,8 @@ def test_scan_rerun_is_byte_identical(tmp_path):
     assert read_json(out_a / "manifest.json") == read_json(out_b / "manifest.json")
 
 
-def usable_cores(monkeypatch, n):
-    """Make the process's CPU set, as cli reads it, n cores wide."""
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def test_scan_threads_match_serial(tmp_path, monkeypatch):
-    per_pulse = "scan:\n  stop_ps: 0.62\n  n_pulses: 60\n  m_scans: 3\n"
-    for name, text in (("stats", FAST_SCAN), ("pulses", per_pulse)):
-        cfg = write_cfg(tmp_path, text, name=f"{name}.yaml")
-        serial = tmp_path / f"{name}_serial"
-        threaded = tmp_path / f"{name}_threaded"
-        usable_cores(monkeypatch, 1)
-        assert cli.main(["scan", "--config", cfg, "--out", str(serial)]) == 0
-        usable_cores(monkeypatch, 4)
-        assert cli.main(["scan", "--config", cfg, "--out", str(threaded)]) == 0
-        csvs = sorted(p.name for p in serial.glob("*.csv"))
-        assert "scan_per_scan.csv" in csvs
-        assert csvs == sorted(p.name for p in threaded.glob("*.csv"))
-        for csv in csvs:
-            assert (serial / csv).read_bytes() == (threaded / csv).read_bytes()
-
-
-def test_fluence_threads_match_serial(tmp_path, monkeypatch):
-    per_pulse = "scan:\n  stop_ps: 0.62\n  n_pulses: 60\n  m_scans: 3\n"
-    cfg = write_cfg(tmp_path, per_pulse)
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    usable_cores(monkeypatch, 1)
-    assert cli.main(["fluence", "--config", cfg, "--out", str(serial)]) == 0
-    usable_cores(monkeypatch, 4)
-    assert cli.main(["fluence", "--config", cfg, "--out", str(threaded)]) == 0
-    names = sorted(p.name for p in serial.iterdir())
-    assert names == ["fluence_fit.json", "fluence_series.csv", "manifest.json"]
-    assert names == sorted(p.name for p in threaded.iterdir())
-    for name in names:
-        assert (serial / name).read_bytes() == (threaded / name).read_bytes()
-
-
-def test_threads_default_to_the_usable_cores(tmp_path, monkeypatch):
-    pools = []
-    real_pool = concurrent.futures.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        pools.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-    cfg = write_cfg(tmp_path, "scan:\n  stop_ps: 0.62\n  n_pulses: 60\n  m_scans: 3\n")
-    for cores, workers in ((2, 2), (8, 3)):
-        usable_cores(monkeypatch, cores)
-        assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert pools.pop() == workers
-    assert pools == []
-
-
-def test_statistics_only_rows_never_start_a_thread_pool(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("statistics-only rows started a thread pool")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-    usable_cores(monkeypatch, 4)
-    cfg = write_cfg(
-        tmp_path, FAST_SCAN + "fluence_series:\n  fluences: [5.0, 11.0, 17.0]\n"
-    )
-    for command in ("scan", "fluence"):
-        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
-        assert cli.main(argv) == 0
-
-
 def test_every_command_refuses_threads(tmp_path, capsys):
-    """The CPU set the process may use decides the threads, not a flag."""
+    """No command takes a thread flag: a scan's rows are drawn in one call."""
     for command in ("predict", "scan", "fluence", "oracle", "shot-noise"):
         with pytest.raises(SystemExit) as info:
             cli.main([command, "--threads", "2", "--out", str(tmp_path / "o")])
@@ -266,6 +202,41 @@ def test_histograms_centre_on_the_scan_trace(tmp_path):
         assert abs(centre - dt_mean) < 5.0 * sd + 0.5 * width, path.name
 
 
+def test_histograms_match_voltage_statistics(tmp_path):
+    """Each histogram's burst has voltage_statistics' mean and variance.
+
+    Binning moves a pulse by at most half a bin, w/2, so the binned mean
+    lies within w/2 of the burst's and the binned ddof-1 sd within
+    sqrt(N/(N-1)) w/2 of the burst's. The burst's mean and sd lie within
+    5 sampling sds, sqrt(var/N) and sqrt(var/(2(N-1))), of mu and
+    sqrt(var) at the histogram's delay of the scan's model trace.
+    """
+    path = write_cfg(tmp_path, "scan:\n  stop_ps: 0.62\n")
+    out = tmp_path / "out"
+    assert cli.main(["scan", "--config", path, "--out", str(out)]) == 0
+    cfg = load_config(path)
+    n = cfg.section("scan")["n_pulses"]
+    det = cfg.detector_spec()
+    model = scan_experiment(
+        cfg.pump_spec(), cfg.bath_spec(), cfg.probe_spec(), det, cfg.scan_delays(),
+        n_pulses=n, m_scans=1, seed=0, thermal_n=cfg.initial_occupation(),
+    )
+    histograms = sorted(out.glob("histogram_delay_*.csv"))
+    assert len(histograms) == 3
+    for hist in histograms:
+        _, mean_ny, var_ny = model.model_trace[int(hist.stem.rsplit("_", 1)[1])]
+        mu, var = voltage_statistics(mean_ny, var_ny, det, model.ref_photons)
+        left, counts = np.loadtxt(hist, delimiter=",", skiprows=1, unpack=True)
+        assert counts.sum() == n
+        half = 0.5 * (left[1] - left[0])
+        centres = left + half
+        mean = np.average(centres, weights=counts)
+        sd = math.sqrt(np.sum(counts * (centres - mean) ** 2) / (n - 1))
+        assert abs(mean - mu) < 5.0 * math.sqrt(var / n) + half, hist.name
+        sd_bound = 5.0 * math.sqrt(var / (2 * (n - 1))) + math.sqrt(n / (n - 1)) * half
+        assert abs(sd - math.sqrt(var)) < sd_bound, hist.name
+
+
 def test_streams_within_one_command_are_distinct(tmp_path, monkeypatch):
     """No two streams drawn in one scan, fluence or shot-noise run alias.
 
@@ -273,8 +244,7 @@ def test_streams_within_one_command_are_distinct(tmp_path, monkeypatch):
     same streams as [s]; a layout that mixed prefix lengths could hand
     two rows one stream. The default scan draws one stream per row
     0..m_scans-1, plus the histogram row m_scans, under prefix [seed]; a
-    statistics-only fluence point i draws rows 0..m_scans-1 under
-    [seed, i]; shot-noise draws one stream per power. Every stream is
+    fluence point i draws rows 0..m_scans-1 under [seed, i]; shot-noise draws one stream per power. Every stream is
     built by row_generator, so recording there, in the detector and in
     the cli that imports it, sees them all.
     """
@@ -291,10 +261,9 @@ def test_streams_within_one_command_are_distinct(tmp_path, monkeypatch):
     m_scans = cfg.section("scan")["m_scans"]
     n_fluences = len(cfg.section("fluence_series")["fluences"])
     n_powers = len(cfg.section("shot_noise")["powers_mw"])
-    statistics_only = write_cfg(tmp_path, "scan:\n  statistics_only: true\n")
     for argv, n_streams in (
         (["scan"], m_scans + 1),
-        (["fluence", "--config", statistics_only], n_fluences * m_scans),
+        (["fluence"], n_fluences * m_scans),
         (["shot-noise"], n_powers),
     ):
         states.clear()
@@ -394,13 +363,10 @@ def test_import_and_light_commands_load_no_scipy(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
-    cfg = write_cfg(tmp_path, FAST_SCAN)
-    fluence = write_cfg(
-        tmp_path, "scan:\n  stop_ps: 5.10\n  statistics_only: true\n", "fluence.yaml"
-    )
+    fluence = write_cfg(tmp_path, "scan:\n  stop_ps: 5.10\n", "fluence.yaml")
     shot_noise = write_cfg(tmp_path, "shot_noise:\n  n_pulses: 200\n", "shot.yaml")
     run = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "out"), cfg, fluence, shot_noise],
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "out"), fluence, shot_noise],
         env=env,
         capture_output=True,
         text=True,

@@ -206,9 +206,36 @@ def test_every_rule_rejects_a_wrong_type(section, key):
 
 
 def test_rule_table_and_defaults_declare_the_same_keys():
-    """An optional key cannot drop out of defaults.yaml unnoticed."""
+    """An optional key cannot drop out of defaults.yaml unnoticed.
+
+    The one exception is scan.statistics_only, retired but still accepted
+    as true or absent while the perfbench fluence_loop config sets it.
+    """
     declared = {section: set(rules) for section, rules in _SCHEMA.items()}
+    declared["scan"].remove("statistics_only")
     assert declared == {section: set(keys) for section, keys in default_mapping().items()}
+
+
+def test_statistics_only_true_or_absent_is_the_same_run(tmp_path):
+    """Every scan samples burst statistics; the retired key changes nothing."""
+    absent = load_config()
+    true = load_config(write(tmp_path, "scan:\n  statistics_only: true\n"))
+    assert "statistics_only" not in absent.section("scan")
+    assert true.data == absent.data
+    assert true.sha256() == absent.sha256()
+
+
+@pytest.mark.parametrize("value,shown", [("false", "False"), ("1", "1")])
+def test_statistics_only_other_than_true_exits_with_a_config_error(
+    tmp_path, capsys, value, shown
+):
+    path = write(tmp_path, f"scan:\n  statistics_only: {value}\n")
+    assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "scan: config error: scan.statistics_only: per-pulse sampling was removed; "
+        f"every scan samples burst statistics, so drop the key (got {shown})\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_section_rejected():

@@ -168,23 +168,13 @@ def scan_args():
 
 
 def test_scan_split_by_rows_is_bit_identical():
-    """Rows are independent streams: fewer rows, or rows on threads, change no row."""
+    """Rows are independent streams: fewer rows change no row."""
     pump, bath, probe, det, delays = scan_args()
-    for statistics_only in (False, True):
-        kwargs = dict(
-            n_pulses=50, seed=5, thermal_n=bath.n_bath, statistics_only=statistics_only
-        )
-        whole = scan_experiment(pump, bath, probe, det, delays, m_scans=4, **kwargs)
-        head = scan_experiment(pump, bath, probe, det, delays, m_scans=2, **kwargs)
-        assert np.array_equal(whole.per_scan_mean[:2], head.per_scan_mean)
-        assert np.array_equal(whole.per_scan_var[:2], head.per_scan_var)
-        threaded = scan_experiment(
-            pump, bath, probe, det, delays, m_scans=4, threads=3, **kwargs
-        )
-        assert np.array_equal(whole.per_scan_mean, threaded.per_scan_mean)
-        assert np.array_equal(whole.per_scan_var, threaded.per_scan_var)
-        assert np.array_equal(whole.dt_mean, threaded.dt_mean)
-        assert np.array_equal(whole.dt_var, threaded.dt_var)
+    kwargs = dict(n_pulses=50, seed=5, thermal_n=bath.n_bath)
+    whole = scan_experiment(pump, bath, probe, det, delays, m_scans=4, **kwargs)
+    head = scan_experiment(pump, bath, probe, det, delays, m_scans=2, **kwargs)
+    assert np.array_equal(whole.per_scan_mean[:2], head.per_scan_mean)
+    assert np.array_equal(whole.per_scan_var[:2], head.per_scan_var)
 
 
 # Detector settings that each switch on one term of voltage_statistics.
@@ -208,44 +198,6 @@ def test_pulse_ensemble_matches_written_out_formula(name):
 
 
 @pytest.mark.parametrize("name", sorted(BURST_DETECTORS))
-def test_per_pulse_scan_equals_ensemble_loop(name):
-    """A per-pulse scan cell is bit for bit one sample_pulse_ensemble burst.
-
-    The reference draws each row's bursts in delay order from the row's
-    stream and takes np.mean and np.var(ddof=1) of each; the scan must
-    agree exactly, on one thread or two. At 3000 pulses a row draws ten
-    bursts per block, so the 32 delays also end on a partial block. The
-    reference arm holds the detector's pinned photons, else the unpumped
-    baseline's.
-    """
-    det = BURST_DETECTORS[name]
-    pump, bath, probe, _, delays = scan_args()
-    n_pulses, m_scans, seed = 3000, 3, [4, 1]
-    n = bath.n_bath
-    trace = predict_trace(pump, bath, probe, n, delays)
-    ref = det.ref_mean_photons
-    if ref is None:
-        ref = probe_mean(thermal_state(n), probe)
-    expected = np.empty((2, m_scans, delays.size))
-    for s in range(m_scans):
-        row = row_generator(seed, s)
-        for d in range(delays.size):
-            volts = sample_pulse_ensemble(
-                trace[d, 1], trace[d, 2], det, n_pulses, row, ref
-            )
-            expected[:, s, d] = np.mean(volts), np.var(volts, ddof=1)
-    for threads in (1, 2):
-        res = scan_experiment(
-            pump, bath, probe, det, delays, n_pulses=n_pulses, m_scans=m_scans,
-            seed=seed, thermal_n=n, threads=threads,
-        )
-        assert np.array_equal(res.per_scan_mean, expected[0])
-        assert np.array_equal(res.per_scan_var, expected[1])
-        assert res.ref_photons == ref
-        assert np.array_equal(res.model_trace, trace)
-
-
-@pytest.mark.parametrize("name", sorted(BURST_DETECTORS))
 def test_statistics_only_row_stream_layout(name):
     """Row s is one normal and one chisquare call on SeedSequence(prefix + [s])'s stream."""
     det = BURST_DETECTORS[name]
@@ -253,7 +205,7 @@ def test_statistics_only_row_stream_layout(name):
     n, n_pulses = bath.n_bath, 300
     res = scan_experiment(
         pump, bath, probe, det, delays, n_pulses=n_pulses, m_scans=3,
-        seed=[9, 2], thermal_n=n, statistics_only=True,
+        seed=[9, 2], thermal_n=n,
     )
     trace = predict_trace(pump, bath, probe, n, delays)
     ref = det.ref_mean_photons
@@ -295,8 +247,8 @@ def test_written_out_normal_equals_generator_normal(seed):
     """mu + sd * standard_normal is Generator.normal(mu, sd) bit for bit.
 
     sample_scan_statistics draws its means this way; a numpy build that
-    fused the multiply-add inside Generator.normal would change the
-    statistics-only outputs, and fails here first.
+    fused the multiply-add inside Generator.normal would change every
+    scan's outputs, and fails here first.
     """
     mu = np.linspace(-0.3, 0.7, 256)
     sd = np.sqrt(np.linspace(0.5, 1.5, 256) / 4000)
@@ -324,30 +276,34 @@ def test_scan_seed_prefix_isolates_runs():
 
 
 def test_scan_statistics_only_agrees_with_full_monte_carlo():
+    """A scan's cells against np.mean and np.var(ddof=1) of whole bursts.
+
+    The reference draws every (scan, delay) cell as one
+    sample_pulse_ensemble burst of 3000 pulses on the scan's model trace
+    and reference arm.
+    """
     pump, bath, probe, det, delays = scan_args()
+    n_pulses, m_scans = 3000, 8
     fast = scan_experiment(
-        pump,
-        bath,
-        probe,
-        det,
-        delays,
-        n_pulses=3000,
-        m_scans=8,
-        seed=2,
-        thermal_n=bath.n_bath,
-        statistics_only=True,
-    )
-    slow = scan_experiment(
-        pump, bath, probe, det, delays, n_pulses=3000, m_scans=8, seed=2,
+        pump, bath, probe, det, delays, n_pulses=n_pulses, m_scans=m_scans, seed=2,
         thermal_n=bath.n_bath,
     )
+    slow = np.empty((2, m_scans, delays.size))
+    for s in range(m_scans):
+        rng = row_generator(3, s)
+        for d, (_, mean_ny, var_ny) in enumerate(fast.model_trace):
+            volts = sample_pulse_ensemble(
+                mean_ny, var_ny, det, n_pulses, rng, fast.ref_photons
+            )
+            slow[:, s, d] = np.mean(volts), np.var(volts, ddof=1)
+    slow_mean, slow_var = slow.mean(axis=1)
     # Different draws, same distribution: compare scan-averaged moments
     # against each other within the combined error of two independent
     # estimates (sqrt(2) wider than either alone).
-    mu_sd = np.sqrt(slow.dt_var / (3000 * 8))
-    assert np.all(np.abs(fast.dt_mean - slow.dt_mean) < 8 * mu_sd)
-    var_sd = slow.dt_var * math.sqrt(2.0 / (3000 - 1)) / math.sqrt(8)
-    assert np.all(np.abs(fast.dt_var - slow.dt_var) < 8 * var_sd)
+    mu_sd = np.sqrt(slow_var / (n_pulses * m_scans))
+    assert np.all(np.abs(fast.dt_mean - slow_mean) < 8 * mu_sd)
+    var_sd = slow_var * math.sqrt(2.0 / (n_pulses - 1)) / math.sqrt(m_scans)
+    assert np.all(np.abs(fast.dt_var - slow_var) < 8 * var_sd)
 
 
 def test_shot_noise_power_scan_is_linear():

@@ -1,12 +1,13 @@
 """Output bytes pinned to recorded digests.
 
 Refactors of this package promise the same output bytes for the same
-config and seed. This test runs three cheap commands in-process at the
-default config, plus a small per-pulse scan and one statistics-only
-fluence trial, and compares the first 16 hex digits of each data file's
+config and seed. This test runs predict, shot-noise and scan in-process
+at the default config, plus a short scan and one fluence trial of the
+tier-1 loop, and compares the first 16 hex digits of each data file's
 sha256 with the digests recorded when the current random-stream layout
 was fixed (the last two cases were recorded later, on code that gave
-the first three the same digests). The three scan-per-pulse histogram
+the first three the same digests). The three scan-per-pulse (now
+scan-short) histogram
 digests were re-recorded when the histograms' reference arm moved to
 the scan's unpumped baseline; no other digest changed with them. The
 two fluence digests were re-recorded when the couplings became per
@@ -43,7 +44,18 @@ detection_sigmas; a chi2 field per line; one top-level rate_ratio, the
 variance's 2 Omega rate over the mean's Omega rate, with its stderr, in
 place of one per block). The statistics-only scan's two_omega_present
 turned true with that, as its lifetimes.json already said. No other
-digest changed. Manifests are left out: they embed package versions.
+digest changed. When per-pulse sampling was removed and every scan came
+to draw its burst statistics directly, the scan case moved from an
+explicit statistics-only config to the defaults with all six data
+digests unchanged, and its file list gained the three voltage histograms
+that every scan with CSV output now writes (digests recorded then; they
+equal the old default per-pulse scan's). The short per-pulse scan became
+the statistics-sampled scan-short: its three histogram digests held, and
+lifetimes.json, scan_per_scan.csv, scan_spectrum.csv,
+scan_spectrum.json, scan_trace.csv and wavelet_map.csv were re-recorded,
+since its cells are now drawn as statistics. The fluence case dropped
+its statistics_only key with both digests unchanged. Manifests are left
+out: they embed package versions.
 
 The digests were taken with numpy 2.4.6 on Python 3.11.7. Another numpy
 may change the last bits of a float, and with them a digest, without any
@@ -60,10 +72,10 @@ import isrsim.cli as cli
 CASES = {
     "predict": ("predict", None),
     "shot-noise": ("shot-noise", None),
-    "scan": ("scan", "scan:\n  statistics_only: true\n"),
-    "scan-per-pulse": ("scan", "scan:\n  stop_ps: 1.0\n  n_pulses: 200\n  m_scans: 2\n"),
-    # The statistics-only trial of the fluence acceptance loop.
-    "fluence": ("fluence", "scan:\n  stop_ps: 5.10\n  statistics_only: true\n"),
+    "scan": ("scan", None),
+    "scan-short": ("scan", "scan:\n  stop_ps: 1.0\n  n_pulses: 200\n  m_scans: 2\n"),
+    # The trial of the fluence acceptance loop.
+    "fluence": ("fluence", "scan:\n  stop_ps: 5.10\n"),
 }
 
 GOLDEN = {
@@ -78,6 +90,9 @@ GOLDEN = {
         "shot_noise_fit.json": "617becd35b8b256a",
     },
     "scan": {
+        "histogram_delay_0000.csv": "0ea4f162bc2ff45d",
+        "histogram_delay_0256.csv": "696a74c5ddd7af3f",
+        "histogram_delay_0511.csv": "59952a67c31fba79",
         "scan_trace.csv": "7492df345ef16a28",
         "scan_per_scan.csv": "f86f06e551bdf5cb",
         "scan_spectrum.csv": "458ba954a6f2ce07",
@@ -85,16 +100,16 @@ GOLDEN = {
         "wavelet_map.csv": "342f6e90f75e6500",
         "lifetimes.json": "7397aa46a6e32f77",
     },
-    "scan-per-pulse": {
+    "scan-short": {
         "histogram_delay_0000.csv": "f899d47d26a691c8",
         "histogram_delay_0025.csv": "517a86f467bfb52d",
         "histogram_delay_0050.csv": "4077fbfd95f017c8",
-        "lifetimes.json": "76b8b1c0e0f9daad",
-        "scan_per_scan.csv": "80047f2badf1ff74",
-        "scan_spectrum.csv": "30fa351c4589cec4",
-        "scan_spectrum.json": "82808db0467aa26c",
-        "scan_trace.csv": "c0432796e53e47d5",
-        "wavelet_map.csv": "ffa8252743b8bb4c",
+        "lifetimes.json": "cb05e363cb85b71f",
+        "scan_per_scan.csv": "4ca9ff11622f6c3b",
+        "scan_spectrum.csv": "064cfd0d95d5b667",
+        "scan_spectrum.json": "79daea4e708b6577",
+        "scan_trace.csv": "24836bc9c1a7ae57",
+        "wavelet_map.csv": "d73cb23cb0feb4e1",
     },
     "fluence": {
         "fluence_fit.json": "24511abb93199e98",

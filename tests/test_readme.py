@@ -37,7 +37,7 @@ def test_override_example_loads(tmp_path):
     path = tmp_path / "override.yaml"
     path.write_text(_fenced_block("Configuration", "yaml"))
     cfg = load_config(str(path))
-    assert cfg.section("scan")["statistics_only"] is True
+    assert cfg.section("scan")["stop_ps"] == 5.10
     # The example doubles the squeezing coupling, in the defaults' unit.
     default = load_config().section("pump")["mu_squeeze"]
     assert cfg.section("pump")["mu_squeeze"] == 2 * default
