@@ -55,6 +55,7 @@ from .states import PhysicalityError
 DETECTION_SIGMAS = 4.0
 
 _HISTOGRAM_BINS = 50
+_CSV_ROWS = 2048  # rows formatted, encoded and written at a time
 
 
 # -- deterministic writers -------------------------------------------------
@@ -63,9 +64,9 @@ _HISTOGRAM_BINS = 50
 def _column_text(column) -> list[str]:
     """Integers as str(int), everything else as repr(float).
 
-    Each distinct float bit pattern is formatted once: grid columns repeat
-    a few frequencies or delays thousands of times. Keying on the int64
-    view keeps -0.0 apart from 0.0.
+    _write_csv passes one block of rows. Each distinct float bit pattern
+    in it is formatted once: grid columns repeat a few frequencies or
+    delays. Keying on the int64 view keeps -0.0 apart from 0.0.
     """
     values = np.asarray(column)
     if values.dtype.kind in "iu":
@@ -77,11 +78,26 @@ def _column_text(column) -> list[str]:
     return text[inverse].tolist()
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """One row per element of the equal-length columns."""
-    cells = [_column_text(c) for c in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: list[str], columns) -> str:
+    """One row per element of the equal-length columns; returns their sha256.
+
+    Text is built _CSV_ROWS rows at a time: memory is bounded by a block.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError(f"{path.name}: columns of unequal lengths")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        lines = [",".join(header)]
+        for start in range(0, max(n_rows, 1), _CSV_ROWS):  # the header at least
+            cells = [_column_text(c[start : start + _CSV_ROWS]) for c in columns]
+            lines += map(",".join, zip(*cells))
+            data = ("\n".join(lines) + "\n").encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+            lines = []
+    return digest.hexdigest()
 
 
 def _py(obj):
@@ -100,17 +116,13 @@ def _py(obj):
     return obj
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(
-        json.dumps(_py(obj), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+def _write_json(path: Path, obj) -> str:
+    data = (json.dumps(_py(obj), sort_keys=True, indent=2) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(outdir: Path, command: str, cfg: RunConfig, files: list[Path]) -> None:
+def _write_manifest(outdir: Path, command: str, cfg: RunConfig, files: dict[str, str]) -> None:
     manifest = {
         "command": command,
         "config_sha256": cfg.sha256(),
@@ -120,17 +132,17 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, files: list[Path
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "files": {p.name: _sha256(p) for p in sorted(files)},
+        "files": files,
     }
     _write_json(outdir / "manifest.json", manifest)
 
 
 class _Outputs:
-    """One run's output directory, format filter and list of written files.
+    """One run's output directory, format filter and written files' digests.
 
     csv and json write a file only when outputs.formats asks for its
-    format; add writes unconditionally. finish writes the manifest over
-    every file written.
+    format; add writes unconditionally and records the digest the writer
+    returns. finish writes the manifest over every file written.
     """
 
     def __init__(self, cfg: RunConfig, command: str):
@@ -139,12 +151,10 @@ class _Outputs:
         self.dir = Path(cfg.section("outputs")["directory"])
         self.dir.mkdir(parents=True, exist_ok=True)
         self.formats = cfg.section("outputs")["formats"]
-        self.files: list[Path] = []
+        self.files: dict[str, str] = {}
 
     def add(self, name: str, write, *content) -> None:
-        path = self.dir / name
-        write(path, *content)
-        self.files.append(path)
+        self.files[name] = write(self.dir / name, *content)
 
     def csv(self, name: str, header: list[str], columns) -> None:
         if "csv" in self.formats:

@@ -1,10 +1,12 @@
 """End-to-end command-line workflows, file contracts, and exit codes."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +81,10 @@ def read_json(path):
 def manifest_checks(outdir: Path, command: str):
     manifest = read_json(outdir / "manifest.json")
     assert manifest["command"] == command
+    written = {p.name for p in outdir.iterdir()} - {"manifest.json"}
+    assert set(manifest["files"]) == written
     for name, digest in manifest["files"].items():
-        assert cli._sha256(outdir / name) == digest
+        assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == digest
     return manifest
 
 
@@ -491,24 +495,76 @@ def row_by_row_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_csv_writer_matches_row_by_row_formatting(tmp_path):
-    floats = np.array(
-        [0.0, -0.0, 0.1, 1e-5, 1e16, 123456789.125, 5e-324, np.nan, np.inf, -np.inf]
-    )
-    columns = [
-        np.arange(floats.size) - 3,
+ROWS = cli._CSV_ROWS
+SPECIAL = np.array(
+    [0.0, -0.0, 0.1, 1e-5, 1e16, 123456789.125, 5e-324, np.nan, np.inf, -np.inf]
+)
+
+
+def edge_table(n_rows):
+    """Columns of every kind the writer formats, with SPECIAL on both
+    sides of every block edge and integers running across it."""
+    rng = np.random.default_rng(n_rows)
+    floats = rng.normal(size=n_rows) * 10.0 ** rng.integers(-8, 17, n_rows)
+    k = SPECIAL.size
+    for edge in range(0, n_rows + 1, ROWS):
+        before, after = floats[max(edge - k, 0) : edge], floats[edge : edge + k]
+        before[:] = SPECIAL[k - before.size :]
+        after[:] = SPECIAL[::-1][: after.size]
+    return [
+        np.arange(n_rows) - 3,
         floats,
-        np.arange(floats.size, dtype=np.uint8),
+        np.arange(n_rows, dtype=np.uint8),
         floats.astype(np.float32),
-        np.arange(floats.size) % 2 == 0,
+        np.arange(n_rows) % 2 == 0,
         floats.tolist(),
     ]
-    header = [f"c{k}" for k in range(len(columns))]
+
+
+def test_csv_writer_matches_row_by_row_formatting(tmp_path):
     path = tmp_path / "t.csv"
-    cli._write_csv(path, header, columns)
-    assert path.read_text() == row_by_row_csv(header, zip(*columns))
-    with pytest.raises(ValueError):
-        cli._write_csv(path, ["a", "b"], [[1.0], [1.0, 2.0]])
+    for n_rows in (0, 10, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 7):
+        columns = edge_table(n_rows)
+        header = [f"c{k}" for k in range(len(columns))]
+        digest = cli._write_csv(path, header, columns)
+        expected = row_by_row_csv(header, zip(*columns)).encode()
+        assert path.read_bytes() == expected, n_rows
+        assert digest == hashlib.sha256(expected).hexdigest()
+
+
+def test_csv_length_mismatch_leaves_the_file_untouched(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"before\n")
+    for columns in ([[1.0], [1.0, 2.0]], [np.zeros(ROWS + 1), np.zeros(ROWS)]):
+        with pytest.raises(ValueError):
+            cli._write_csv(path, ["a", "b"], columns)
+        assert path.read_bytes() == b"before\n"
+
+
+def csv_peak_mb(path, n_freqs):
+    """tracemalloc's peak over one _write_csv call on a wavelet_map.csv-like
+    table: n_freqs repeated frequencies x 512 tiled delays, random powers."""
+    rng = np.random.default_rng(0)
+    delays = np.arange(512) * 0.02
+    columns = [
+        np.repeat(np.sort(rng.random(n_freqs)), delays.size),
+        np.tile(delays, n_freqs),
+        rng.random(n_freqs * delays.size),
+    ]
+    tracemalloc.start()
+    try:
+        cli._write_csv(path, ["freq_thz", "delay_ps", "power"], columns)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_memory_is_bounded_by_a_block(tmp_path):
+    # 33 x 512 = 16,896 rows is the default wavelet map; the file's whole
+    # text would take several MB, and four times as much at 4x the rows.
+    peak = csv_peak_mb(tmp_path / "a.csv", 33)
+    assert peak <= 1.5
+    assert csv_peak_mb(tmp_path / "b.csv", 4 * 33) <= 1.25 * peak
 
 
 def test_csv_formatting_is_locale_free(tmp_path):
