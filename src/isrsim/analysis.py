@@ -2,15 +2,16 @@
 
 Covers the read-out side of the experiment: peak amplitudes at the
 phonon frequency and its second harmonic from detrended FFTs, Morlet
-time-frequency maps as a picture, least-squares line fits with a
-Student-t interval on the intercept, one variable-projection fit of the
-model's damped lines that reads every lifetime, the scan noise that
-weights it, and the closed-loop fit of the squeezing coupling against a
-fluence series of second-harmonic amplitudes. Whether a line is present,
-in predict's noiseless traces and in scan's noisy ones alike, is decided
-here and only here: by DampedLine.present, the chi-square of the line's
-fitted amplitude against PRESENCE_CHI2. All of it is numpy and math
-only, so no command loads scipy.
+time-frequency maps as a picture, the shot-noise line fit, weighted by
+the known chi-square sd of each burst variance, with a Normal interval
+on its intercept, one variable-projection fit of the model's damped
+lines that reads every lifetime, the scan noise that weights it, and
+the closed-loop fit of the squeezing coupling against a fluence series
+of second-harmonic amplitudes. Whether a line is present, in predict's
+noiseless traces and in scan's noisy ones alike, is decided here and
+only here: by DampedLine.present, the chi-square of the line's fitted
+amplitude against PRESENCE_CHI2. All of it is numpy and math only, so
+no command loads scipy.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ _PRODUCT_BOUND = 0.25 - 1e-9
 # many ulps of mu_s wide, and fails after _FIT_MAX_STEPS steps.
 _FIT_ULPS = 4
 _FIT_MAX_STEPS = 100
-# Newton steps student_t_975 takes at most; it needs fewer than ten.
-_T_MAX_STEPS = 50
 
 
 class FitError(RuntimeError):
@@ -196,6 +195,15 @@ def morlet_power(trace, freqs: Sequence[float]) -> np.ndarray:
     return np.abs(rows) ** 2
 
 
+def _burst_variance_sd(var, n_pulses: int):
+    """sd of the ddof-1 variance of n_pulses Gaussian pulses of variance var.
+
+    (N - 1) s^2 / var is chi-square with N - 1 dof, so s^2 has sd
+    var sqrt(2/(N-1)).
+    """
+    return var * math.sqrt(2.0 / (n_pulses - 1))
+
+
 @dataclass(frozen=True)
 class LineFit:
     slope: float
@@ -203,60 +211,39 @@ class LineFit:
     r_squared: float
     slope_stderr: float
     intercept_stderr: float
-    dof: int
 
     @property
     def intercept_ci95(self) -> float:
-        """Half-width of the 95% confidence interval on the intercept."""
-        return student_t_975(self.dof) * self.intercept_stderr
+        """Half-width of the 95% interval on the intercept: the Normal
+        0.975 quantile times its stderr."""
+        return 1.959963984540054 * self.intercept_stderr
 
 
-def student_t_975(dof: int) -> float:
-    """0.975 quantile of Student's t distribution with integer dof >= 1.
+def fit_line(x, y, n_pulses: int) -> LineFit:
+    """Line through burst variances y at x, weighted by their known sd.
 
-    With t = sqrt(dof) tan(theta), P(|T| <= t) has the closed form A(theta)
-    of Abramowitz & Stegun 26.7.3 (odd dof) and 26.7.4 (even dof), and
-    dA/dtheta = c cos(theta)^(dof - 1), c = 2 Gamma((dof + 1)/2) /
-    (sqrt(pi) Gamma(dof/2)). Newton's method solves A = 0.95 in theta. A is
-    concave there, so the steps from the normal quantile, which lies below
-    every t quantile, rise to the root without overshooting it.
+    Each y is the ddof-1 variance of n_pulses Gaussian pulses, with sd
+    _burst_variance_sd(line(x), n_pulses). The weights w = 1/sd come from
+    the unweighted least-squares line; one weighted solve then gives the
+    coefficients and their covariance, which is not rescaled by the
+    residuals, so the intercept interval takes the Normal quantile.
+    Raises FitError, naming the x, when the unweighted line is <= 0 at
+    one of the points, where no variance can lie.
     """
-    odd = dof % 2
-    c = 2.0 / math.sqrt(math.pi) * math.exp(
-        math.lgamma(0.5 * (dof + 1)) - math.lgamma(0.5 * dof)
-    )
-    theta = math.atan(1.959963984540054 / math.sqrt(dof))
-    for _ in range(_T_MAX_STEPS):
-        cos = math.cos(theta)
-        total, term = 0.0, cos if odd else 1.0
-        for m in range(1 + odd, dof, 2):
-            total += term
-            term *= m / (m + 1) * cos * cos
-        a = math.sin(theta) * total
-        if odd:
-            a = 2.0 / math.pi * (theta + a)
-        step = (0.95 - a) / (c * cos ** (dof - 1))
-        # Exact steps are all positive; the first that is not, or that no
-        # longer moves theta, is rounding noise in A at the root.
-        if step <= 0.0 or theta + step == theta:
-            break
-        theta += step
-    return math.sqrt(dof) * math.tan(theta)
-
-
-def fit_line(x, y) -> LineFit:
-    """Ordinary least-squares line with the standard errors of both
-    coefficients."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 3:
         raise ValueError("need at least 3 points")
     design = np.column_stack([x, np.ones_like(x)])
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    line = design @ np.linalg.lstsq(design, y, rcond=None)[0]
+    if np.any(line <= 0.0):
+        at = float(x[np.argmax(line <= 0.0)])
+        raise FitError(f"line fit: the unweighted line is <= 0 at x = {at!r}")
+    w = 1.0 / _burst_variance_sd(line, n_pulses)
+    inv = np.linalg.pinv(design * w[:, None])
+    coef = inv @ (y * w)
+    cov = inv @ inv.T
     resid = y - design @ coef
-    dof = x.size - 2
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(design.T @ design)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
     return LineFit(
@@ -265,7 +252,6 @@ def fit_line(x, y) -> LineFit:
         r_squared=r2,
         slope_stderr=math.sqrt(cov[0, 0]),
         intercept_stderr=math.sqrt(cov[1, 1]),
-        dof=dof,
     )
 
 
@@ -409,12 +395,13 @@ def scan_noise(dt_var, n_pulses: int, m_scans: int) -> tuple[float, float, float
     """Estimated noise of a scan: (mean sd, variance sd, amplitude sigma).
 
     Over N Gaussian pulses of variance sigma^2 (the median of dt_var), a
-    burst mean has sd sigma / sqrt(N), a ddof-1 variance sigma^2
-    sqrt(2/(N-1)), both over sqrt(m) for m scans; white noise of that
-    variance sd gives 2 sd / sqrt(n_delays) per detrend_and_fft bin.
+    burst mean has sd sigma / sqrt(N), a ddof-1 variance
+    _burst_variance_sd(sigma^2, N), both over sqrt(m) for m scans; white
+    noise of that variance sd gives 2 sd / sqrt(n_delays) per
+    detrend_and_fft bin.
     """
     var = float(np.median(dt_var))
-    var_sd = var * math.sqrt(2.0 / (n_pulses - 1)) / math.sqrt(m_scans)
+    var_sd = _burst_variance_sd(var, n_pulses) / math.sqrt(m_scans)
     mean_sd = math.sqrt(var / (n_pulses * m_scans))
     return mean_sd, var_sd, 2.0 * var_sd / math.sqrt(dt_var.size)
 

@@ -492,7 +492,7 @@ def cmd_shot_noise(cfg: RunConfig, args) -> int:
     rows = shot_noise_scan(
         sn["powers_mw"], det, n_pulses=sn["n_pulses"], seed=cfg.section("scan")["seed"]
     )
-    fit = fit_line(rows[:, 0], rows[:, 1])
+    fit = fit_line(rows[:, 0], rows[:, 1], sn["n_pulses"])
     covered = abs(fit.intercept - det.electronic_var) <= fit.intercept_ci95
     out = _Outputs(cfg, "shot-noise")
     out.csv("shot_noise.csv", ["power_mw", "dt_var_v2"], rows.T)

@@ -30,8 +30,6 @@ from .states import (
     thermal_state,
 )
 
-_REALITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ProbeSpec:
@@ -78,47 +76,20 @@ class ObservablePair:
             raise ValueError(f"var_ny must be >= 0, got {self.var_ny}")
 
 
-def _require_real(value, label: str, delays=None):
-    """Real part of value, elementwise, once its imaginary residue is round-off.
-
-    Raises ArithmeticError naming the first element that fails and,
-    when delays is given, that element's delay.
-    """
-    value = np.asarray(value)
-    scale = np.maximum(1.0, np.abs(value.real))
-    residue = np.abs(value.imag) > _REALITY_TOL * scale
-    if residue.any():
-        i = int(np.argmax(residue))
-        where = ""
-        if delays is not None:
-            where = f" at delay {float(np.ravel(delays)[i])!r} ps"
-        raise ArithmeticError(
-            f"{label}{where} has imaginary residue {value.imag.flat[i]:.3e}; "
-            "moment algebra is inconsistent"
-        )
-    return value.real
-
-
 def _mean_ny(mean_b, occupation, probe: ProbeSpec):
-    """Mean detected photon number before the reality guard.
+    """Mean detected photon number.
 
     Exact in the rotation angle: the coherent part is attenuated by
     cos^2, the phonon occupation enters with sin^2 and the coherent
-    phonon amplitude beats against the field with sin(2 angle). The
+    phonon amplitude beats against the field with sin(2 angle), through
+    Im(e^{i phase_diff} <b>), so the result is real by construction. The
     moments may be arrays, one state per element.
     """
     th = probe.coupling_norm
     iy = probe.intensity_y
-    dth = probe.phase_diff
     s, c = math.sin(th), math.cos(th)
-    m = mean_b
-    cross = (
-        0.5j
-        * math.sqrt(iy)
-        * math.sin(2.0 * th)
-        * (cmath.exp(-1j * dth) * np.conj(m) - cmath.exp(1j * dth) * m)
-    )
-    return iy * c * c + s * s * occupation + cross
+    beat = (cmath.exp(1j * probe.phase_diff) * mean_b).imag
+    return iy * c * c + s * s * occupation + math.sqrt(iy) * math.sin(2.0 * th) * beat
 
 
 def _var_ny(mean_b, occupation, anomalous, probe: ProbeSpec):
@@ -162,8 +133,7 @@ def _var_ny(mean_b, occupation, anomalous, probe: ProbeSpec):
 
 def probe_mean(state: GaussianPhononState, probe: ProbeSpec) -> float:
     """Mean detected photon number after the probe interaction."""
-    value = _mean_ny(state.mean_b, state.occupation, probe)
-    return float(_require_real(value, "probe mean"))
+    return float(_mean_ny(state.mean_b, state.occupation, probe))
 
 
 def probe_variance(state: GaussianPhononState, probe: ProbeSpec) -> float:
@@ -196,9 +166,9 @@ def predict_trace(
     Prepares a thermal phonon state, applies the impulsive pump, relaxes
     to every delay at once and evaluates the probe read-out on the moment
     arrays, through the same formulas as probe_mean and probe_variance.
-    Each delay's state is checked for physicality and its mean for
-    reality; an error names the first delay that fails. Returns an array
-    of shape (len(delays), 3) with columns (delay, mean_ny, var_ny).
+    Each delay's state is checked for physicality; an error names the
+    first delay that fails. Returns an array of shape (len(delays), 3)
+    with columns (delay, mean_ny, var_ny).
     """
     taus = np.asarray(delays, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
@@ -213,6 +183,6 @@ def predict_trace(
     check_moments(m, occ, an, taus)
     out = np.empty((taus.size, 3), dtype=float)
     out[:, 0] = taus
-    out[:, 1] = _require_real(_mean_ny(m, occ, probe), "probe mean", taus)
+    out[:, 1] = _mean_ny(m, occ, probe)
     out[:, 2] = _var_ny(m, occ, an, probe)
     return out

@@ -105,7 +105,14 @@ def assert_coverage(z) -> None:
     z = np.asarray(z, dtype=float)
     n = z.size
     inside = int(np.count_nonzero(np.abs(z) < 1.959963984540054))
-    cdf = np.cumsum([math.comb(n, k) * 0.95**k * 0.05**(n - k) for k in range(n + 1)])
+    # The Binomial(n, 0.95) pmf in log space: math.comb(n, k) overflows a
+    # float from n = 1030 on.
+    log_pmf = [
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(0.95) + (n - k) * math.log(0.05)
+        for k in range(n + 1)
+    ]
+    cdf = np.cumsum(np.exp(log_pmf))
     lo, hi = np.searchsorted(cdf, [0.005, 0.995])
     assert lo <= inside <= hi, f"{inside} of {n} within 1.96, outside [{lo}, {hi}]"
     sd = float(np.std(z, ddof=1))

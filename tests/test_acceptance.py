@@ -234,7 +234,7 @@ def test_detector_variance_linear_in_power():
     rows = shot_noise_scan(
         sn["powers_mw"], det, n_pulses=sn["n_pulses"], seed=cfg.section("scan")["seed"]
     )
-    fit = fit_line(rows[:, 0], rows[:, 1])
+    fit = fit_line(rows[:, 0], rows[:, 1], sn["n_pulses"])
     top = float(rows[-1, 1])
     assert fit.r_squared > 0.999
     assert abs(fit.intercept - det.electronic_var) <= fit.intercept_ci95

@@ -1,6 +1,7 @@
 """Spectral extraction and the fluence-series squeezing fit."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -10,6 +11,7 @@ import pytest
 from scipy import stats
 
 import isrsim.analysis as analysis
+import isrsim.cli as cli
 from closed_forms import assert_coverage
 from isrsim.analysis import (
     PRESENCE_CHI2,
@@ -24,7 +26,6 @@ from isrsim.analysis import (
     interpolate_peak,
     morlet_power,
     scan_noise,
-    student_t_975,
 )
 from isrsim.config import load_config
 from isrsim.detector import scan_experiment
@@ -207,15 +208,16 @@ def test_absent_line_keeps_the_tied_rate():
 
 
 def test_rate_stderrs_cover_over_statistics_only_scans():
-    """Over 100 seeded default scans, the mean's Omega rate and the
-    variance's 2 Omega rate fall within their reported standard errors as
-    standard normals would, and the variance's 2 Omega line is found
-    present on at least 97 of them."""
+    """Over 100 seeded default scans, the mean's Omega rate, the
+    variance's 2 Omega rate and lifetimes.json's rate ratio (model: 2)
+    fall within their reported standard errors as standard normals
+    would, and the variance's 2 Omega line is found present on at least
+    97 of them."""
     cfg = load_config()
     s = cfg.section("scan")
     bath = cfg.bath_spec()
     args = (cfg.pump_spec(), bath, cfg.probe_spec(), cfg.detector_spec(), cfg.scan_delays())
-    z_mean, z_var, detected = [], [], 0
+    z_mean, z_var, z_ratio, detected = [], [], [], 0
     for seed in range(100):
         res = scan_experiment(
             *args, n_pulses=s["n_pulses"], m_scans=s["m_scans"], seed=seed,
@@ -227,8 +229,12 @@ def test_rate_stderrs_cover_over_statistics_only_scans():
         z_mean.append((mean.rate - bath.damping_rate / 2.0) / math.sqrt(mean.cov[0, 0]))
         z_var.append((var.rate - bath.damping_rate) / math.sqrt(var.cov[0, 0]))
         detected += var.present
+        ratio = cli._rate_ratio(analysis._lifetime(mean), analysis._lifetime(var))
+        if ratio["rate_ratio"] is not None:
+            z_ratio.append((ratio["rate_ratio"] - 2.0) / ratio["rate_ratio_stderr"])
     assert_coverage(z_mean)
     assert_coverage(z_var)
+    assert_coverage(z_ratio)
     assert detected >= 97
 
 
@@ -256,15 +262,15 @@ def test_fit_does_not_depend_on_the_step_cap(monkeypatch):
         assert abs(a.rate - b.rate) <= 1e-2 * math.sqrt(a.cov[0, 0])
 
 
-def test_two_omega_false_alarms_over_unsqueezed_scans():
-    """Over 200 seeded default scans with squeezing off, the variance's
-    2 Omega line is present on at most 2: the 99% upper point of
-    Binomial(200, p = 1e-3), the presence test's false-alarm rate."""
+@functools.cache
+def _unsqueezed_two_omega_lines() -> tuple:
+    """The variance's 2 Omega line over 200 seeded default scans with
+    squeezing off, fitted once for the tests that read them."""
     cfg = load_config()
     s = cfg.section("scan")
     pump = dataclasses.replace(cfg.pump_spec(), mu_squeeze=0.0)
     args = (pump, cfg.bath_spec(), cfg.probe_spec(), cfg.detector_spec(), cfg.scan_delays())
-    alarms = 0
+    lines = []
     for seed in range(200):
         res = scan_experiment(
             *args, n_pulses=s["n_pulses"], m_scans=s["m_scans"], seed=seed,
@@ -272,9 +278,32 @@ def test_two_omega_false_alarms_over_unsqueezed_scans():
         )
         _, noise_var, _ = scan_noise(res.dt_var, s["n_pulses"], s["m_scans"])
         var = fit_lines(np.column_stack([res.delays, res.dt_var]), F0, noise_var)
-        alarms += var.two_omega.present
+        lines.append(var.two_omega)
+    return tuple(lines)
+
+
+def test_two_omega_false_alarms_over_unsqueezed_scans():
+    """Over 200 seeded default scans with squeezing off, the variance's
+    2 Omega line is present on at most 2: the 99% upper point of
+    Binomial(200, p = 1e-3), the presence test's false-alarm rate."""
+    alarms = sum(line.present for line in _unsqueezed_two_omega_lines())
     assert stats.binom.ppf(0.99, 200, 1e-3) == 2
     assert alarms <= 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the null presence chi-square runs low: over these 200 unsqueezed "
+    "scans its mean is 1.459, where chi-square with 2 dof gives 2 +- 0.141, "
+    "and none exceeds its 95% point 5.99",
+)
+def test_null_presence_chi2_is_chi2_with_two_dof():
+    """With squeezing off, the 2 Omega line's presence chi-square is
+    chi-square with 2 dof: over 200 scans its mean lies within 3
+    standard errors (2 / sqrt(200)) of 2."""
+    chi2 = np.array([line.chi2 for line in _unsqueezed_two_omega_lines()])
+    assert abs(chi2.mean() - 2.0) <= 3.0 * 2.0 / math.sqrt(chi2.size)
 
 
 def test_presence_is_the_whitened_amplitude_against_the_threshold():
@@ -291,24 +320,33 @@ def test_presence_is_the_whitened_amplitude_against_the_threshold():
 
 
 def test_fit_line_slope_stderr():
+    """The fit is weighted least squares with W = diag(1/sd^2), sd the
+    burst variance sd at the unweighted line, and the covariance
+    (X^T W X)^-1, not rescaled by the residuals."""
     x = np.arange(8.0)
     wiggle = np.array([0.1, -0.2, 0.05, 0.15, -0.1, 0.0, -0.05, 0.05])
     y = 0.7 * x + 0.25 + wiggle
-    fit = fit_line(x, y)
+    n_pulses = 1000
+    fit = fit_line(x, y, n_pulses)
     design = np.column_stack([x, np.ones_like(x)])
-    resid = y - design @ np.array([fit.slope, fit.intercept])
-    s2 = float(resid @ resid) / (x.size - 2)
-    cov = s2 * np.linalg.inv(design.T @ design)
+    line = design @ np.linalg.solve(design.T @ design, design.T @ y)
+    weight = np.diag(1.0 / (line * math.sqrt(2.0 / (n_pulses - 1))) ** 2)
+    cov = np.linalg.inv(design.T @ weight @ design)
+    coef = cov @ design.T @ weight @ y
+    assert fit.slope == pytest.approx(coef[0], rel=1e-12)
+    assert fit.intercept == pytest.approx(coef[1], rel=1e-12)
     assert fit.slope_stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
-    # Textbook form of the same quantity.
-    expected = math.sqrt(s2 / float(np.sum((x - x.mean()) ** 2)))
-    assert fit.slope_stderr == pytest.approx(expected, rel=1e-12)
-    assert fit_line(x, 0.7 * x + 0.25).slope_stderr == pytest.approx(0.0, abs=1e-12)
+    assert fit.intercept_stderr == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-12)
+    assert fit.intercept_ci95 == pytest.approx(
+        stats.norm.ppf(0.975) * math.sqrt(cov[1, 1]), rel=1e-15
+    )
 
 
-def test_student_t_975_matches_scipy():
-    for dof in range(1, 201):
-        assert student_t_975(dof) == pytest.approx(stats.t.ppf(0.975, dof), rel=1e-13)
+def test_assert_coverage_at_2000_trials():
+    z = np.random.default_rng(3).standard_normal(2000)
+    assert_coverage(z)
+    with pytest.raises(AssertionError):
+        assert_coverage(0.6 * z)
 
 
 def test_amplitude_prefactor_consistency():

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from isrsim.analysis import fit_line
+from closed_forms import assert_coverage
+from isrsim.analysis import FitError, fit_line
 from isrsim.config import load_config
 from isrsim.detector import (
     PHOTONS_PER_PULSE_PER_MW,
@@ -311,7 +312,7 @@ def test_shot_noise_power_scan_is_linear():
     powers = np.linspace(0.25, 2.5, 10)
     n_pulses = 4000
     rows = shot_noise_scan(powers, det, n_pulses=n_pulses, seed=1)
-    fit = fit_line(rows[:, 0], rows[:, 1])
+    fit = fit_line(rows[:, 0], rows[:, 1], n_pulses)
     assert fit.r_squared > 0.99
     assert fit.intercept == pytest.approx(det.electronic_var, abs=0.05)
     # Variance at full power lands near the calibration target.
@@ -320,7 +321,7 @@ def test_shot_noise_power_scan_is_linear():
     # noise moves into the intercept, and the slope halves.
     pinned = dataclasses.replace(det, ref_mean_photons=1.0e6)
     rows = shot_noise_scan(powers, pinned, n_pulses=n_pulses, seed=1)
-    pinned_fit = fit_line(rows[:, 0], rows[:, 1])
+    pinned_fit = fit_line(rows[:, 0], rows[:, 1], n_pulses)
     shot_v2 = det.gain_v_per_photon ** 2 * det.quantum_efficiency
     # Each power's variance is within 5 sampling sd of voltage_statistics'
     # exact one, written out: coherent light gives each arm eta photons of
@@ -340,10 +341,27 @@ def test_shot_noise_power_scan_is_linear():
 def test_fit_line_exact_on_noiseless_points():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     y = 0.7 * x + 0.25
-    fit = fit_line(x, y)
+    fit = fit_line(x, y, n_pulses=1000)
     assert fit.slope == pytest.approx(0.7, rel=1e-12)
     assert fit.intercept == pytest.approx(0.25, rel=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert fit.intercept_ci95 == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
-        fit_line([1.0, 2.0], [1.0, 2.0])
+        fit_line([1.0, 2.0], [1.0, 2.0], n_pulses=1000)
+    # A line through zero has no variance there to weight by.
+    with pytest.raises(FitError, match=r"at x = 0\.0$"):
+        fit_line(x, x - 0.5, n_pulses=1000)
+
+
+def test_shot_noise_intercept_interval_covers_electronic_var():
+    """Over 2000 seeded default shot-noise scans, the fitted intercept
+    falls within its 95% interval of the electronic variance as often as
+    a standard normal falls within 1.96."""
+    cfg = load_config()
+    sn = cfg.section("shot_noise")
+    det = cfg.detector_spec()
+    z = []
+    for seed in range(1000, 3000):
+        rows = shot_noise_scan(sn["powers_mw"], det, n_pulses=sn["n_pulses"], seed=seed)
+        fit = fit_line(rows[:, 0], rows[:, 1], sn["n_pulses"])
+        z.append(1.959963984540054 * (fit.intercept - det.electronic_var) / fit.intercept_ci95)
+    assert_coverage(z)

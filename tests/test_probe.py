@@ -13,7 +13,6 @@ from isrsim.fock import apply_pump_exact, build_thermal_fock, probe_exact
 from isrsim.probe import (
     ObservablePair,
     ProbeSpec,
-    _require_real,
     predict_trace,
     probe_mean,
     probe_variance,
@@ -114,15 +113,6 @@ def test_observables_pair_and_guards():
         ObservablePair(-1.0, 0.5)
     with pytest.raises(ValueError):
         ObservablePair(1.0, -0.5)
-
-
-def test_require_real_guard():
-    assert _require_real(complex(5.0, 4e-13), "x") == 5.0
-    with pytest.raises(ArithmeticError):
-        _require_real(complex(5.0, 1e-3), "x")
-    values = np.array([5.0 + 4e-13j, 2.0 + 0j, 5.0 + 1e-3j])
-    with pytest.raises(ArithmeticError, match="at delay 0.25 ps"):
-        _require_real(values, "x", np.array([0.0, 0.125, 0.25]))
 
 
 def test_probe_spec_validation():
