@@ -4,14 +4,15 @@ Covers the read-out side of the experiment: peak amplitudes at the
 phonon frequency and its second harmonic from detrended FFTs, Morlet
 time-frequency maps as a picture, the shot-noise line fit, weighted by
 the known chi-square sd of each burst variance, with a Normal interval
-on its intercept, one variable-projection fit of the model's damped
-lines that reads every lifetime, the scan noise that weights it, and
-the closed-loop fit of the squeezing coupling against a fluence series
-of second-harmonic amplitudes. Whether a line is present, in predict's
-noiseless traces and in scan's noisy ones alike, is decided here and
-only here: by DampedLine.present, the chi-square of the line's fitted
-amplitude against PRESENCE_CHI2. All of it is numpy and math only, so
-no command loads scipy.
+on its intercept, the scan noise, one scan analysis (scan_lifetimes)
+that fits the model's damped lines to the mean trace and then the
+variance trace at the mean's decay rate, and the closed-loop fit of the
+squeezing coupling against a fluence series of second-harmonic
+amplitudes. Whether a line is present, in predict's noiseless traces
+and in scan's noisy ones alike, is decided here and only here: by
+DampedLine.present, the chi-square of the line's fitted amplitude
+against PRESENCE_CHI2. All of it is numpy and math only, so no command
+loads scipy.
 """
 
 from __future__ import annotations
@@ -103,31 +104,21 @@ def detrended_trace(trace) -> np.ndarray:
     return np.column_stack([taus, _detrend(taus, values)])
 
 
-def _peak_window(freqs, size: int, nominal: float) -> tuple[float, int, int]:
-    """Bin width and search window [lo, hi) of a spectrum of size bins.
-
-    The window spans _PEAK_BINS bins on each side of the nominal bin,
-    clipped to skip the DC bin and the last bin.
-    """
-    df = freqs[1] - freqs[0]
-    center = int(round(nominal / df))
-    lo = max(1, center - _PEAK_BINS)
-    hi = min(size - 1, center + _PEAK_BINS + 1)
-    if lo >= hi:
-        raise ValueError("nominal frequency outside the spectrum")
-    return df, lo, hi
-
-
 def interpolate_peak(
     freqs: np.ndarray, amps: np.ndarray, nominal: float
 ) -> tuple[float, float]:
     """Refined (frequency, amplitude) near a nominal frequency.
 
-    Takes the maximum bin within the search halfwidth and sharpens it
-    with a log-domain parabola through the three surrounding bins, which
+    Takes the maximum bin within _PEAK_BINS bins of the nominal one,
+    skipping the DC bin and the last bin, and sharpens it with a
+    log-domain parabola through the three surrounding bins, which
     removes most of the scalloping of off-bin tones.
     """
-    df, lo, hi = _peak_window(freqs, len(amps), nominal)
+    df = freqs[1] - freqs[0]
+    center = int(round(nominal / df))
+    lo, hi = max(1, center - _PEAK_BINS), min(len(amps) - 1, center + _PEAK_BINS + 1)
+    if lo >= hi:
+        raise ValueError("nominal frequency outside the spectrum")
     j = lo + int(np.argmax(amps[lo:hi]))
     if 0 < j < len(amps) - 1 and amps[j - 1] > 0 and amps[j] > 0 and amps[j + 1] > 0:
         la, lb, lc = math.log(amps[j - 1]), math.log(amps[j]), math.log(amps[j + 1])
@@ -308,7 +299,7 @@ class LinesFit:
     dof: int
 
 
-def fit_lines(trace, omega_thz: float, noise_sd: float = 0.0) -> LinesFit:
+def fit_lines(trace, omega_thz: float, noise_sd: float = 0.0, shared=None) -> LinesFit:
     """Variable-projection fit of a trace to the model's damped lines.
 
     Under energy relaxation at rate lambda, the mean and variance traces
@@ -322,24 +313,27 @@ def fit_lines(trace, omega_thz: float, noise_sd: float = 0.0) -> LinesFit:
     noise_sd of 0 the residual chi2/dof, floored at the rounding of a
     computed trace, sqrt(n) ulps of its largest value.
 
-    A fit of the leading terms alone (1, e^{-lambda tau} and the Omega
-    line at lambda/2) starts the full fits away from the alias lambda/3,
-    whose 3 lambda/2 term fits that line as well. The next fit ties kappa
-    to lambda; only when its 2 Omega line is present does a last fit free
-    kappa, so that no rate wanders where no line fixes it.
+    Given shared, another trace's Omega line, lambda is twice its rate and
+    is not fitted (Golub & LeVeque, 1979); shared's rate variance enters
+    the covariance through the fit's sensitivity to lambda. Otherwise a
+    fit of the leading terms (1, e^{-lambda tau}, the Omega line at
+    lambda/2) starts lambda away from the alias lambda/3, whose 3 lambda/2
+    term fits that line as well. Then kappa is tied to lambda, and only
+    when that fit's 2 Omega line is present does a last fit free kappa,
+    so that no rate wanders where no line fixes it.
     """
     taus, y = _as_trace(trace)
-    span = taus[-1] - taus[0]
-    t = (taus - taus[0]) / span
-    w = 2.0 * math.pi * omega_thz * span
+    t = taus - taus[0]
+    w = 2.0 * math.pi * omega_thz
+    max_rate = _MAX_RATE / t[-1]
     waves = np.cos(w * t), np.sin(w * t), np.cos(2.0 * w * t), np.sin(2.0 * w * t)
     floor = taus.size * (np.finfo(float).eps * np.max(np.abs(y))) ** 2
     floor = max(floor, np.finfo(float).tiny)
 
     def basis(theta, n_coef):
-        # In record units: the Omega line's (cos, sin) at rate lam/2, the
-        # 2 Omega line's at kappa, then 1, g, g^2 and g times the Omega
-        # pair, g = (1 - e^{-lam t}) / lam -> t: independent as lam -> 0.
+        # The Omega line's (cos, sin) at rate lam/2, the 2 Omega line's at
+        # kappa, then 1, g, g^2 and g times the Omega pair,
+        # g = (1 - e^{-lam t}) / lam -> t: independent as lam -> 0.
         lam, kappa = theta[0], theta[-1]
         g = t if lam == 0.0 else -np.expm1(-lam * t) / lam
         half, two = np.exp(-0.5 * lam * t), np.exp(-kappa * t)
@@ -354,8 +348,9 @@ def fit_lines(trace, omega_thz: float, noise_sd: float = 0.0) -> LinesFit:
         return cols, coef, resid, float(resid @ resid)
 
     def solve(theta, n_coef=9):
+        # Rates theta[fixed:] are fitted; theta[0] is lambda, fixed or not.
         p, fit = theta.size, project(theta, n_coef)
-        dof = taus.size - p - n_coef
+        dof = taus.size - p + fixed - n_coef
         for _ in range(_MAX_STEPS):
             var = max(noise_sd**2 if noise_sd > 0 else fit[3] / dof, floor)
             h = _RATE_STEP * np.maximum(1.0, np.abs(theta))
@@ -363,29 +358,37 @@ def fit_lines(trace, omega_thz: float, noise_sd: float = 0.0) -> LinesFit:
                 (basis(theta + dk, n_coef) - basis(theta - dk, n_coef)) @ fit[1] / (2.0 * hk)
                 for dk, hk in zip(np.diag(h), h)
             ]
-            inv = np.linalg.pinv(np.column_stack([*jac, fit[0]]))
+            inv = np.linalg.pinv(np.column_stack([*jac[fixed:], fit[0]]))
             cov = var * inv @ inv.T
-            step = (inv @ fit[2])[:p]
-            if np.all(np.abs(step) <= _STEP_TOL * np.sqrt(np.diag(cov)[:p])):
+            step = (inv @ fit[2])[: p - fixed]
+            if np.all(np.abs(step) <= _STEP_TOL * np.sqrt(np.diag(cov)[: p - fixed])):
                 break
+            step = np.pad(step, (fixed, 0))
             for halving in range(_MAX_HALVINGS):
-                trial_theta = np.clip(theta + step / 2**halving, -_MAX_RATE, _MAX_RATE)
+                trial_theta = np.clip(theta + step / 2**halving, -max_rate, max_rate)
                 trial = project(trial_theta, n_coef)
                 if trial[3] < fit[3]:
                     theta, fit = trial_theta, trial
                     break
             else:
                 break
+        if fixed:  # lambda's variance, through the fit's d/d lambda, -inv @ jac[0]
+            sensitivity = np.concatenate([[1.0], -inv @ jac[0]])
+            cov = np.pad(cov, (1, 0)) + lam_var * np.outer(sensitivity, sensitivity)
         lines = []
-        for at, first, unit in ((0, p, 0.5 / span), (p - 1, p + 2, 1.0 / span)):
+        for at, first, unit in ((0, p, 0.5), (p - 1, p + 2, 1.0)):
             idx = [at, first, first + 1]
             scale = np.outer([unit, 1, 1], [unit, 1, 1])
             amp = fit[1][first - p : first - p + 2]
             lines.append(DampedLine(theta[at] * unit, amp, cov[np.ix_(idx, idx)] * scale))
         return theta, lines, fit[3] / var, dof
 
-    start, _, _, _ = solve(np.array([1.0]), n_coef=6)
-    theta, lines, chi2, dof = solve(start)
+    fixed = int(shared is not None)
+    if fixed:
+        lam, lam_var = 2.0 * shared.rate, 4.0 * shared.cov[0, 0]
+    else:
+        lam = solve(np.array([1.0 / t[-1]]), n_coef=6)[0][0]
+    theta, lines, chi2, dof = solve(np.array([lam]))
     if lines[1].present:
         _, lines, chi2, dof = solve(np.array([theta[0], theta[0]]))
     return LinesFit(*lines, chi2=chi2, dof=dof)
@@ -439,10 +442,39 @@ def _lifetime(line: DampedLine) -> ComponentLifetime:
     return ComponentLifetime(True, line.chi2, line.rate, stderr, lifetime)
 
 
-def extract_lifetimes(trace, omega_thz: float, noise_sd: float = 0.0) -> LifetimeResult:
+def extract_lifetimes(
+    trace, omega_thz: float, noise_sd: float = 0.0, shared=None
+) -> LifetimeResult:
     """Lifetimes of a trace's Omega and 2 Omega lines, by fit_lines."""
-    fit = fit_lines(trace, omega_thz, noise_sd)
+    fit = fit_lines(trace, omega_thz, noise_sd, shared)
     return LifetimeResult(_lifetime(fit.omega), _lifetime(fit.two_omega))
+
+
+@dataclass(frozen=True)
+class ScanLifetimes:
+    """Both traces' lifetimes, and the variance's 2 Omega rate over the mean's
+    Omega rate (model: 2) with its stderr, None unless both lines are present."""
+
+    mean: LifetimeResult
+    variance: LifetimeResult
+    rate_ratio: float | None
+    rate_ratio_stderr: float | None
+
+
+def scan_lifetimes(rows, omega_thz: float, mean_sd=0.0, var_sd=0.0) -> ScanLifetimes:
+    """Lifetimes of (delay, mean, variance) rows with point sds mean_sd and
+    var_sd (0: from the residuals). The mean trace fixes the decay rate;
+    the variance trace is fitted at it, and its Omega line reports it."""
+    rows = np.asarray(rows, dtype=float)
+    mean = fit_lines(rows[:, [0, 1]], omega_thz, mean_sd)
+    variance = extract_lifetimes(rows[:, [0, 2]], omega_thz, var_sd, shared=mean.omega)
+    omega, two_omega = _lifetime(mean.omega), variance.second_harmonic
+    ratio = stderr = None
+    if omega.present and two_omega.present:
+        ratio = two_omega.rate / omega.rate
+        stderr = math.hypot(two_omega.rate_stderr, ratio * omega.rate_stderr) / abs(omega.rate)
+    mean_life = LifetimeResult(omega, _lifetime(mean.two_omega))
+    return ScanLifetimes(mean_life, variance, ratio, stderr)
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,10 @@ from .analysis import (
     FitError,
     detrend_and_fft,
     detrended_trace,
-    extract_lifetimes,
     fit_fluence_series,
     fit_line,
-    fit_lines,
     morlet_power,
+    scan_lifetimes,
     scan_noise,
 )
 from .config import ConfigError, RunConfig, load_config
@@ -101,7 +100,7 @@ def _write_csv(path: Path, header: list[str], columns) -> str:
 
 
 def _py(obj):
-    """JSON-safe copy: numpy scalars unwrapped, non-finite floats to null."""
+    """JSON-safe copy: numpy scalars unwrapped, nan to null, +-inf to "inf", "-inf"."""
     if isinstance(obj, dict):
         return {k: _py(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -112,7 +111,7 @@ def _py(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
-        return v if math.isfinite(v) else None
+        return None if math.isnan(v) else v if math.isfinite(v) else repr(v)
     return obj
 
 
@@ -168,22 +167,24 @@ class _Outputs:
         _write_manifest(self.dir, self.command, self.cfg, self.files)
 
 
-def _peak_block(spec) -> dict:
-    return {
-        "peak_omega": spec.peak_omega,
-        "peak_omega_freq_thz": spec.peak_omega_freq,
-        "peak_2omega": spec.peak_2omega,
-        "peak_2omega_freq_thz": spec.peak_2omega_freq,
+def _spectrum_json(f0, spec_mean, spec_var, two_omega) -> dict:
+    """Both spectra's peaks, and the presence of the variance fit's 2 Omega line."""
+    peaks = {
+        label: {
+            "peak_omega": spec.peak_omega,
+            "peak_omega_freq_thz": spec.peak_omega_freq,
+            "peak_2omega": spec.peak_2omega,
+            "peak_2omega_freq_thz": spec.peak_2omega_freq,
+        }
+        for label, spec in (("mean", spec_mean), ("variance", spec_var))
     }
-
-
-def _rate_ratio(omega, two_omega) -> dict:
-    """two_omega's rate over omega's (model: 2) and its stderr, null unless both are present."""
-    ratio = stderr = None
-    if omega.present and two_omega.present:
-        ratio = two_omega.rate / omega.rate
-        stderr = math.hypot(two_omega.rate_stderr, ratio * omega.rate_stderr) / abs(omega.rate)
-    return {"rate_ratio": ratio, "rate_ratio_stderr": stderr}
+    return {
+        "fundamental_thz": f0,
+        **peaks,
+        "two_omega_present": two_omega.present,
+        "two_omega_chi2": two_omega.chi2,
+        "presence_chi2": PRESENCE_CHI2,
+    }
 
 
 # -- scan helpers ------------------------------------------------------------
@@ -226,19 +227,9 @@ def cmd_predict(cfg: RunConfig, args) -> int:
         out.csv(f"predict_{name}_trace.csv", ["delay_ps", "mean_ny", "var_ny"], trace.T)
         spec_mean = detrend_and_fft(trace[:, [0, 1]], fundamental_thz=f0)
         spec_var = detrend_and_fft(trace[:, [0, 2]], fundamental_thz=f0)
-        two_omega = fit_lines(trace[:, [0, 2]], f0).two_omega
-        out.json(
-            f"predict_{name}_spectrum.json",
-            {
-                "variant": name,
-                "fundamental_thz": f0,
-                "mean": _peak_block(spec_mean),
-                "variance": _peak_block(spec_var),
-                "two_omega_present": two_omega.present,
-                "two_omega_chi2": two_omega.chi2,
-                "presence_chi2": PRESENCE_CHI2,
-            },
-        )
+        two_omega = scan_lifetimes(trace, f0).variance.second_harmonic
+        spectrum = _spectrum_json(f0, spec_mean, spec_var, two_omega)
+        out.json(f"predict_{name}_spectrum.json", {"variant": name, **spectrum})
     out.finish()
     return 0
 
@@ -253,13 +244,10 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     f0 = cfg.section("bath")["frequency_thz"]
 
     res = _run_scan(cfg, pump, bath, probe, det, delays, s["seed"])
+    rows = np.column_stack([res.delays, res.dt_mean, res.dt_var])
 
     out = _Outputs(cfg, "scan")
-    out.csv(
-        "scan_trace.csv",
-        ["delay_ps", "dt_mean_v", "dt_var_v2"],
-        [res.delays, res.dt_mean, res.dt_var],
-    )
+    out.csv("scan_trace.csv", ["delay_ps", "dt_mean_v", "dt_var_v2"], rows.T)
     n_scans, n_delays = res.per_scan_mean.shape
     out.csv(
         "scan_per_scan.csv",
@@ -293,10 +281,8 @@ def cmd_scan(cfg: RunConfig, args) -> int:
                 [edges[:-1], counts],
             )
 
-    mean_trace = np.column_stack([res.delays, res.dt_mean])
-    var_trace = np.column_stack([res.delays, res.dt_var])
-    spec_mean = detrend_and_fft(mean_trace, fundamental_thz=f0)
-    spec_var = detrend_and_fft(var_trace, fundamental_thz=f0)
+    spec_mean = detrend_and_fft(rows[:, [0, 1]], fundamental_thz=f0)
+    spec_var = detrend_and_fft(rows[:, [0, 2]], fundamental_thz=f0)
     noise_mean, noise_var, sigma_amp = scan_noise(res.dt_var, s["n_pulses"], s["m_scans"])
     out.csv(
         "scan_spectrum.csv",
@@ -305,7 +291,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     )
 
     wavelet_freqs = np.linspace(0.5 * f0, 2.5 * f0, 33)
-    power_map = morlet_power(detrended_trace(var_trace), wavelet_freqs)
+    power_map = morlet_power(detrended_trace(rows[:, [0, 2]]), wavelet_freqs)
     out.csv(
         "wavelet_map.csv",
         ["freq_thz", "delay_ps", "power"],
@@ -318,29 +304,10 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
     if "json" in out.formats:
         # One presence rule: the variance fit's 2 Omega line, in both files.
-        mean_life = extract_lifetimes(mean_trace, f0, noise_mean)
-        var_life = extract_lifetimes(var_trace, f0, noise_var)
-        two_omega = var_life.second_harmonic
-        out.json(
-            "scan_spectrum.json",
-            {
-                "fundamental_thz": f0,
-                "mean": _peak_block(spec_mean),
-                "variance": _peak_block(spec_var),
-                "two_omega_present": two_omega.present,
-                "two_omega_chi2": two_omega.chi2,
-                "presence_chi2": PRESENCE_CHI2,
-                "amplitude_noise_sigma": sigma_amp,
-            },
-        )
-        out.json(
-            "lifetimes.json",
-            {
-                "mean": dataclasses.asdict(mean_life),
-                "variance": dataclasses.asdict(var_life),
-                **_rate_ratio(mean_life.fundamental, two_omega),
-            },
-        )
+        lifetimes = scan_lifetimes(rows, f0, noise_mean, noise_var)
+        spectrum = _spectrum_json(f0, spec_mean, spec_var, lifetimes.variance.second_harmonic)
+        out.json("scan_spectrum.json", {**spectrum, "amplitude_noise_sigma": sigma_amp})
+        out.json("lifetimes.json", dataclasses.asdict(lifetimes))
 
     out.finish()
     return 0

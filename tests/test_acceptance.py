@@ -324,6 +324,10 @@ def test_scan_lifetimes_agree_with_spectrum(default_scan):
     assert spec["two_omega_chi2"] == two_omega["chi2"]
     assert abs(omega["rate"] - lam / 2.0) < 3.0 * omega["rate_stderr"]
     assert abs(two_omega["rate"] - lam) < 3.0 * two_omega["rate_stderr"]
+    # The variance's Omega line is present here and decays at the mean's rate.
+    shared = life["variance"]["fundamental"]
+    assert shared["present"] is True
+    assert (shared["rate"], shared["rate_stderr"]) == (omega["rate"], omega["rate_stderr"])
     _report(
         "scan lifetimes",
         f"mean Omega rate {omega['rate']:.5f} +- {omega['rate_stderr']:.5f} /ps "

@@ -11,7 +11,6 @@ import pytest
 from scipy import stats
 
 import isrsim.analysis as analysis
-import isrsim.cli as cli
 from closed_forms import assert_coverage
 from isrsim.analysis import (
     PRESENCE_CHI2,
@@ -25,6 +24,7 @@ from isrsim.analysis import (
     fit_lines,
     interpolate_peak,
     morlet_power,
+    scan_lifetimes,
     scan_noise,
 )
 from isrsim.config import load_config
@@ -189,6 +189,10 @@ def test_lifetimes_of_noiseless_default_traces_are_exact():
     assert not mean.second_harmonic.present
     assert var.second_harmonic.rate == pytest.approx(lam, rel=1e-10)
     assert var.fundamental.rate == pytest.approx(lam / 2.0, rel=1e-10)
+    # The scan analysis fits the variance at the mean's rate.
+    shared = scan_lifetimes(trace, F0)
+    ratio = shared.variance.second_harmonic.rate / shared.mean.fundamental.rate
+    assert ratio == pytest.approx(2.0, rel=1e-10)
 
 
 def test_absent_line_keeps_the_tied_rate():
@@ -207,79 +211,65 @@ def test_absent_line_keeps_the_tied_rate():
     assert fit.chi2 == pytest.approx(fit.dof, abs=5.0 * math.sqrt(2.0 * fit.dof))
 
 
+def _default_scan_lifetimes(seed, mu_squeeze=None):
+    """What scan writes to lifetimes.json for a default scan at seed,
+    with the pump's mu_squeeze replaced when one is given."""
+    cfg = load_config()
+    s = cfg.section("scan")
+    pump = cfg.pump_spec()
+    if mu_squeeze is not None:
+        pump = dataclasses.replace(pump, mu_squeeze=mu_squeeze)
+    res = scan_experiment(
+        pump, cfg.bath_spec(), cfg.probe_spec(), cfg.detector_spec(), cfg.scan_delays(),
+        n_pulses=s["n_pulses"], m_scans=s["m_scans"], seed=seed,
+        thermal_n=cfg.initial_occupation(),
+    )
+    noise_mean, noise_var, _ = scan_noise(res.dt_var, s["n_pulses"], s["m_scans"])
+    rows = np.column_stack([res.delays, res.dt_mean, res.dt_var])
+    return scan_lifetimes(rows, F0, noise_mean, noise_var)
+
+
 def test_rate_stderrs_cover_over_statistics_only_scans():
     """Over 100 seeded default scans, the mean's Omega rate, the
     variance's 2 Omega rate and lifetimes.json's rate ratio (model: 2)
     fall within their reported standard errors as standard normals
     would, and the variance's 2 Omega line is found present on at least
     97 of them."""
-    cfg = load_config()
-    s = cfg.section("scan")
-    bath = cfg.bath_spec()
-    args = (cfg.pump_spec(), bath, cfg.probe_spec(), cfg.detector_spec(), cfg.scan_delays())
+    lam = load_config().bath_spec().damping_rate
     z_mean, z_var, z_ratio, detected = [], [], [], 0
     for seed in range(100):
-        res = scan_experiment(
-            *args, n_pulses=s["n_pulses"], m_scans=s["m_scans"], seed=seed,
-            thermal_n=cfg.initial_occupation(),
-        )
-        noise_mean, noise_var, _ = scan_noise(res.dt_var, s["n_pulses"], s["m_scans"])
-        mean = fit_lines(np.column_stack([res.delays, res.dt_mean]), F0, noise_mean).omega
-        var = fit_lines(np.column_stack([res.delays, res.dt_var]), F0, noise_var).two_omega
-        z_mean.append((mean.rate - bath.damping_rate / 2.0) / math.sqrt(mean.cov[0, 0]))
-        z_var.append((var.rate - bath.damping_rate) / math.sqrt(var.cov[0, 0]))
+        fit = _default_scan_lifetimes(seed)
+        mean, var = fit.mean.fundamental, fit.variance.second_harmonic
+        z_mean.append((mean.rate - lam / 2.0) / mean.rate_stderr)
+        z_var.append((var.rate - lam) / var.rate_stderr)
         detected += var.present
-        ratio = cli._rate_ratio(analysis._lifetime(mean), analysis._lifetime(var))
-        if ratio["rate_ratio"] is not None:
-            z_ratio.append((ratio["rate_ratio"] - 2.0) / ratio["rate_ratio_stderr"])
+        if fit.rate_ratio is not None:
+            z_ratio.append((fit.rate_ratio - 2.0) / fit.rate_ratio_stderr)
     assert_coverage(z_mean)
     assert_coverage(z_var)
     assert_coverage(z_ratio)
     assert detected >= 97
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the Gauss-Newton step cap stops slow variance fits early: at this "
-    "seed the 2 Omega rate reads 0.283982 /ps after 100 steps and 0.285769 /ps "
-    "after the 319 an uncapped fit takes, 0.0195 stderr apart",
-)
 def test_fit_does_not_depend_on_the_step_cap(monkeypatch):
-    cfg = load_config()
-    s = cfg.section("scan")
-    res = scan_experiment(
-        cfg.pump_spec(), cfg.bath_spec(), cfg.probe_spec(), cfg.detector_spec(),
-        cfg.scan_delays(), n_pulses=s["n_pulses"], m_scans=s["m_scans"],
-        seed=1272987056, thermal_n=cfg.initial_occupation(),
-    )
-    _, noise_var, _ = scan_noise(res.dt_var, s["n_pulses"], s["m_scans"])
-    trace = np.column_stack([res.delays, res.dt_var])
-    capped = fit_lines(trace, F0, noise_var)
+    capped = _default_scan_lifetimes(1272987056).variance
     monkeypatch.setattr(analysis, "_MAX_STEPS", 10_000)
-    uncapped = fit_lines(trace, F0, noise_var)
-    for a, b in ((capped.omega, uncapped.omega), (capped.two_omega, uncapped.two_omega)):
-        assert abs(a.rate - b.rate) <= 1e-2 * math.sqrt(a.cov[0, 0])
+    uncapped = _default_scan_lifetimes(1272987056).variance
+    for a, b in (
+        (capped.fundamental, uncapped.fundamental),
+        (capped.second_harmonic, uncapped.second_harmonic),
+    ):
+        assert abs(a.rate - b.rate) <= 1e-2 * a.rate_stderr
 
 
 @functools.cache
 def _unsqueezed_two_omega_lines() -> tuple:
     """The variance's 2 Omega line over 200 seeded default scans with
     squeezing off, fitted once for the tests that read them."""
-    cfg = load_config()
-    s = cfg.section("scan")
-    pump = dataclasses.replace(cfg.pump_spec(), mu_squeeze=0.0)
-    args = (pump, cfg.bath_spec(), cfg.probe_spec(), cfg.detector_spec(), cfg.scan_delays())
-    lines = []
-    for seed in range(200):
-        res = scan_experiment(
-            *args, n_pulses=s["n_pulses"], m_scans=s["m_scans"], seed=seed,
-            thermal_n=cfg.initial_occupation(),
-        )
-        _, noise_var, _ = scan_noise(res.dt_var, s["n_pulses"], s["m_scans"])
-        var = fit_lines(np.column_stack([res.delays, res.dt_var]), F0, noise_var)
-        lines.append(var.two_omega)
-    return tuple(lines)
+    return tuple(
+        _default_scan_lifetimes(seed, mu_squeeze=0.0).variance.second_harmonic
+        for seed in range(200)
+    )
 
 
 def test_two_omega_false_alarms_over_unsqueezed_scans():
@@ -291,13 +281,6 @@ def test_two_omega_false_alarms_over_unsqueezed_scans():
     assert alarms <= 2
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the null presence chi-square runs low: over these 200 unsqueezed "
-    "scans its mean is 1.459, where chi-square with 2 dof gives 2 +- 0.141, "
-    "and none exceeds its 95% point 5.99",
-)
 def test_null_presence_chi2_is_chi2_with_two_dof():
     """With squeezing off, the 2 Omega line's presence chi-square is
     chi-square with 2 dof: over 200 scans its mean lies within 3

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows, file contracts, and exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 
 import isrsim.cli as cli
 import isrsim.detector as detector
+from isrsim.analysis import extract_lifetimes
 from isrsim.config import load_config
 from isrsim.detector import row_generator, scan_experiment, voltage_statistics
 from isrsim.fock import CrossCheckCase, CrossCheckResult, TruncationError, default_grid
@@ -134,11 +136,33 @@ def test_scan_statistics_only_outputs(tmp_path):
         assert lifetimes["rate_ratio"] == two_omega["rate"] / omega["rate"]
     else:
         assert lifetimes["rate_ratio"] is None
+    # The variance is fitted at the mean's decay rate: its Omega line,
+    # when present, reports the mean's rate and stderr.
+    shared = lifetimes["variance"]["fundamental"]
+    if shared["present"]:
+        assert (shared["rate"], shared["rate_stderr"]) == (omega["rate"], omega["rate_stderr"])
+    else:
+        assert shared["rate"] is None and shared["rate_stderr"] is None
     # scan_spectrum.json's presence is lifetimes.json's, not a rule of its own.
     spectrum = read_json(out / "scan_spectrum.json")
     assert spectrum["two_omega_present"] is two_omega["present"]
     assert spectrum["two_omega_chi2"] == two_omega["chi2"]
     manifest_checks(out, "scan")
+
+
+def test_json_tells_an_infinite_lifetime_from_an_absent_line(tmp_path):
+    """A present line whose rate is within 3 stderr of zero has an
+    infinite lifetime, written as the string "inf"; an absent line's
+    lifetime is nan, written as null."""
+    taus = np.arange(512) * 0.02
+    undamped = np.column_stack([taus, np.cos(2 * np.pi * 3.84 * taus + 0.3)])
+    cli._write_json(tmp_path / "l.json", dataclasses.asdict(extract_lifetimes(undamped, 3.84)))
+    life = read_json(tmp_path / "l.json")
+    assert life["fundamental"]["present"] is True
+    assert life["fundamental"]["lifetime"] == "inf"
+    assert float(life["fundamental"]["lifetime"]) == math.inf
+    assert life["second_harmonic"]["present"] is False
+    assert life["second_harmonic"]["lifetime"] is None
 
 
 def test_scan_rerun_is_byte_identical(tmp_path):

@@ -59,8 +59,18 @@ was re-recorded when fit_line became a fit weighted by each power's
 known burst-variance sd, with a Normal interval on the intercept in
 place of the least-squares line and its Student-t interval: its slope,
 intercept, intercept_ci95 and r_squared moved. shot_noise.csv and every
-other digest kept theirs. Manifests are left out: they embed package
-versions.
+other digest kept theirs. Six digests were re-recorded when the variance
+trace came to be fitted at the decay rate the mean trace fixes
+(scan_lifetimes), in place of a rate of its own:
+predict_squeezed_spectrum.json and predict_reference_spectrum.json
+(two_omega_chi2, a draw of the trace's rounding noise in the
+reference, read 0.898 in place of 0.281; the squeezed one moved in its
+fifth digit), and scan_spectrum.json and
+lifetimes.json in both the scan and the scan-short cases (the variance's
+chi2, rates and stderrs; its Omega line now reports the mean's rate;
+rate_ratio; and an infinite lifetime is written "inf", not null). No
+fluence, shot-noise or CSV digest changed. Manifests are left out: they
+embed package versions.
 
 The digests were taken with numpy 2.4.6 on Python 3.11.7. Another numpy
 may change the last bits of a float, and with them a digest, without any
@@ -87,8 +97,8 @@ GOLDEN = {
     "predict": {
         "predict_squeezed_trace.csv": "4ea5994ea830702d",
         "predict_reference_trace.csv": "b1910b454e95171e",
-        "predict_squeezed_spectrum.json": "16ee7caf068066ca",
-        "predict_reference_spectrum.json": "7b2d10adbe1fe4b3",
+        "predict_squeezed_spectrum.json": "cf96987cc12746e2",
+        "predict_reference_spectrum.json": "40583316253b8fed",
     },
     "shot-noise": {
         "shot_noise.csv": "46b80ce9d59994ea",
@@ -101,18 +111,18 @@ GOLDEN = {
         "scan_trace.csv": "7492df345ef16a28",
         "scan_per_scan.csv": "f86f06e551bdf5cb",
         "scan_spectrum.csv": "458ba954a6f2ce07",
-        "scan_spectrum.json": "1c6cd35352a99f3a",
+        "scan_spectrum.json": "ee90023f10d549db",
         "wavelet_map.csv": "342f6e90f75e6500",
-        "lifetimes.json": "7397aa46a6e32f77",
+        "lifetimes.json": "0e0eb4a8dcd87367",
     },
     "scan-short": {
         "histogram_delay_0000.csv": "f899d47d26a691c8",
         "histogram_delay_0025.csv": "517a86f467bfb52d",
         "histogram_delay_0050.csv": "4077fbfd95f017c8",
-        "lifetimes.json": "cb05e363cb85b71f",
+        "lifetimes.json": "b90475f7967e72a3",
         "scan_per_scan.csv": "4ca9ff11622f6c3b",
         "scan_spectrum.csv": "064cfd0d95d5b667",
-        "scan_spectrum.json": "79daea4e708b6577",
+        "scan_spectrum.json": "cab64be712d49f24",
         "scan_trace.csv": "24836bc9c1a7ae57",
         "wavelet_map.csv": "d73cb23cb0feb4e1",
     },
