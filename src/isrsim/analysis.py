@@ -1,18 +1,17 @@
 """Spectral and statistical analysis of delay traces.
 
 Covers the read-out side of the experiment: peak amplitudes at the
-phonon frequency and its second harmonic from detrended FFTs, Morlet
-time-frequency maps as a picture, the shot-noise line fit, weighted by
-the known chi-square sd of each burst variance, with a Normal interval
-on its intercept, the scan noise, one scan analysis (scan_lifetimes)
-that fits the model's damped lines to the mean trace and then the
-variance trace at the mean's decay rate, and the closed-loop fit of the
-squeezing coupling against a fluence series of second-harmonic
-amplitudes. Whether a line is present, in predict's noiseless traces
-and in scan's noisy ones alike, is decided here and only here: by
-DampedLine.present, the chi-square of the line's fitted amplitude
-against PRESENCE_CHI2. All of it is numpy and math only, so no command
-loads scipy.
+phonon frequency and its second harmonic from detrended FFTs, the
+shot-noise line fit, weighted by the known chi-square sd of each burst
+variance, with a Normal interval on its intercept, the scan noise, one
+scan analysis (scan_lifetimes) that fits the model's damped lines to the
+mean trace and then the variance trace at the mean's decay rate, and the
+closed-loop fit of the squeezing coupling against a fluence series of
+second-harmonic amplitudes. Whether a line is present, in predict's
+noiseless traces and in scan's noisy ones alike, is decided here and
+only here: by DampedLine.present, the chi-square of the line's fitted
+amplitude against PRESENCE_CHI2. All of it is numpy and math only, so
+no command loads scipy.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ from .probe import ProbeSpec, amplitude_prefactor
 from .states import squeezed_thermal_quadrature_variance
 
 # Morlet width: sigma_t = DEFAULT_WAVELET_WIDTH / (2 pi f) at row frequency f.
+# Unused by the package; kept only for perfbench/spans.py until ROADMAP item 1.
 DEFAULT_WAVELET_WIDTH = 8.0
-# Order of the polynomial baseline removed before any spectrum or map.
+# Order of the polynomial baseline removed before any spectrum.
 _DETREND_ORDER = 3
 # Half-width of the window a spectral peak is looked for in.
 _PEAK_BINS = 3
@@ -92,18 +92,6 @@ def _detrend(taus: np.ndarray, values: np.ndarray) -> np.ndarray:
     return values - np.polynomial.polynomial.polyval(x, coef)
 
 
-def detrended_trace(trace) -> np.ndarray:
-    """(tau, value) rows with the polynomial baseline removed.
-
-    Removing the relaxation background before time-frequency analysis
-    matters twice over: it empties the low-frequency rows and it kills
-    the start-to-end mismatch that otherwise rings across the whole
-    spectrum as a wrap-around discontinuity.
-    """
-    taus, values = _as_trace(trace)
-    return np.column_stack([taus, _detrend(taus, values)])
-
-
 def interpolate_peak(
     freqs: np.ndarray, amps: np.ndarray, nominal: float
 ) -> tuple[float, float]:
@@ -159,6 +147,7 @@ def detrend_and_fft(trace, fundamental_thz: float) -> SpectrumResult:
     )
 
 
+# Unused by the package; kept only for perfbench/spans.py until ROADMAP item 1.
 def morlet_power(trace, freqs: Sequence[float]) -> np.ndarray:
     """Morlet time-frequency power map, rows indexed by freqs.
 

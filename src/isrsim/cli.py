@@ -31,10 +31,8 @@ from .analysis import (
     PRESENCE_CHI2,
     FitError,
     detrend_and_fft,
-    detrended_trace,
     fit_fluence_series,
     fit_line,
-    morlet_power,
     scan_lifetimes,
     scan_noise,
 )
@@ -288,18 +286,6 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         "scan_spectrum.csv",
         ["freq_thz", "mean_amp_v", "var_amp_v2"],
         [spec_mean.freqs, spec_mean.power, spec_var.power],
-    )
-
-    wavelet_freqs = np.linspace(0.5 * f0, 2.5 * f0, 33)
-    power_map = morlet_power(detrended_trace(rows[:, [0, 2]]), wavelet_freqs)
-    out.csv(
-        "wavelet_map.csv",
-        ["freq_thz", "delay_ps", "power"],
-        [
-            np.repeat(wavelet_freqs, n_delays),
-            np.tile(res.delays, wavelet_freqs.size),
-            power_map.ravel(),
-        ],
     )
 
     if "json" in out.formats:

@@ -209,6 +209,15 @@ def validate_mapping(mapping: Mapping) -> dict:
         raise ConfigError(
             f"scan: the delay grid has {n_delays} points; need at least 16 for spectra"
         )
+    # Every analysis reads the 2 Omega line; above Nyquist it would alias.
+    nyquist = 0.5 / scan["step_ps"]
+    two_omega = 2.0 * out["bath"]["frequency_thz"]
+    if two_omega >= nyquist:
+        raise ConfigError(
+            f"bath.frequency_thz: its second harmonic, {two_omega} THz, is not below "
+            f"the Nyquist frequency 1/(2 scan.step_ps) = {nyquist} THz; lower "
+            "bath.frequency_thz or scan.step_ps"
+        )
     return out
 
 

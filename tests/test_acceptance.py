@@ -22,7 +22,7 @@ from closed_forms import (
     quadrature_variance,
     squeeze_parameters,
 )
-from isrsim.analysis import detrended_trace, extract_lifetimes, fit_line
+from isrsim.analysis import detrend_and_fft, extract_lifetimes, fit_line
 from isrsim.config import load_config
 from isrsim.detector import shot_noise_scan
 from isrsim.fock import (
@@ -128,8 +128,7 @@ def test_trace_tone_amplitudes_match_closed_forms():
         z = apply_pump(thermal_state(n), c1, c2).mean_b
         ref1 = np.mean([amplitude_omega(t, z, pump, bath, probe, n) for t in delays])
         ref2 = np.mean([amplitude_2omega(t, pump, bath, probe) for t in delays])
-        flat = detrended_trace(trace[:, [0, 2]])
-        amps = 2.0 * np.abs(np.fft.rfft(flat[:, 1])) / npts
+        amps = detrend_and_fft(trace[:, [0, 2]], F0).power
         rel1 = abs(amps[cycles] / 2.0 - ref1) / ref1
         rel2 = abs(amps[2 * cycles] / 2.0 - ref2) / ref2
         assert rel1 < 1e-2

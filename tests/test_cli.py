@@ -118,7 +118,6 @@ def test_scan_statistics_only_outputs(tmp_path):
         "scan_per_scan.csv",
         "scan_spectrum.csv",
         "scan_spectrum.json",
-        "wavelet_map.csv",
         "lifetimes.json",
     ):
         assert (out / name).exists()
@@ -386,6 +385,17 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == "scan: config error: scan: unknown key(s): fluence\n"
 
 
+def test_two_omega_above_nyquist_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "bath:\n  frequency_thz: 30\n")
+    for command in ("predict", "scan", "fluence"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: config error: bath.frequency_thz:")
+        assert "scan.step_ps" in err
+        assert not out.exists()
+
+
 def test_import_and_light_commands_load_no_scipy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -566,7 +576,7 @@ def test_csv_length_mismatch_leaves_the_file_untouched(tmp_path):
 
 
 def csv_peak_mb(path, n_freqs):
-    """tracemalloc's peak over one _write_csv call on a wavelet_map.csv-like
+    """tracemalloc's peak over one _write_csv call on a (freq, delay, power)
     table: n_freqs repeated frequencies x 512 tiled delays, random powers."""
     rng = np.random.default_rng(0)
     delays = np.arange(512) * 0.02
@@ -584,8 +594,9 @@ def csv_peak_mb(path, n_freqs):
 
 
 def test_csv_writer_memory_is_bounded_by_a_block(tmp_path):
-    # 33 x 512 = 16,896 rows is the default wavelet map; the file's whole
-    # text would take several MB, and four times as much at 4x the rows.
+    # 33 x 512 = 16,896 rows, over three times the largest file a default
+    # run writes (scan_per_scan.csv, 5,120 rows); the file's whole text
+    # would take several MB, and four times as much at 4x the rows.
     peak = csv_peak_mb(tmp_path / "a.csv", 33)
     assert peak <= 1.5
     assert csv_peak_mb(tmp_path / "b.csv", 4 * 33) <= 1.25 * peak

@@ -154,6 +154,22 @@ def test_scan_grid_rules(tmp_path):
         load_config(write(tmp_path, "scan:\n  stop_ps: 0.1\n"))
 
 
+def test_second_harmonic_must_lie_below_nyquist(tmp_path):
+    # The default step_ps 0.02 puts Nyquist at 25 THz: a 2 Omega line at
+    # 25.1 THz would alias, and one at 60 THz falls off the spectrum.
+    for freq, two_omega in ((12.5, "25.0"), (12.55, "25.1"), (30, "60.0")):
+        with pytest.raises(ConfigError) as info:
+            load_config(write(tmp_path, f"bath:\n  frequency_thz: {freq}\n"))
+        assert str(info.value) == (
+            f"bath.frequency_thz: its second harmonic, {two_omega} THz, is not below "
+            "the Nyquist frequency 1/(2 scan.step_ps) = 25.0 THz; lower "
+            "bath.frequency_thz or scan.step_ps"
+        )
+    # A finer delay grid admits the same mode.
+    cfg = load_config(write(tmp_path, "bath:\n  frequency_thz: 12.55\nscan:\n  step_ps: 0.01\n"))
+    assert cfg.section("bath")["frequency_thz"] == 12.55
+
+
 def test_fluence_and_shot_noise_lists(tmp_path):
     with pytest.raises(ConfigError, match="fluence_series.fluences"):
         load_config(write(tmp_path, "fluence_series:\n  fluences: []\n"))

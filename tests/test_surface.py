@@ -20,6 +20,8 @@ ALLOWED = {
     # perfbench/spans.py counts RK4 steps with default_step until ROADMAP
     # item 1 drops that metric.
     ("fock", "default_step"),
+    # perfbench/spans.py traces morlet_power until ROADMAP item 1 drops it.
+    ("analysis", "morlet_power"),
 }
 
 
