@@ -189,7 +189,7 @@ def _spectrum_json(f0, spec_mean, spec_var, two_omega) -> dict:
 
 
 def _run_scan(cfg: RunConfig, pump, bath, probe, det, delays, seed) -> ScanResult:
-    """scan_experiment with the configured scan settings."""
+    """scan_experiment, of one pump or a series, with the configured scan settings."""
     s = cfg.section("scan")
     return scan_experiment(
         pump,
@@ -216,12 +216,9 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     pump = cfg.pump_spec()
 
     out = _Outputs(cfg, "predict")
-    variants = [
-        ("squeezed", pump),
-        ("reference", dataclasses.replace(pump, mu_squeeze=0.0)),
-    ]
-    for name, variant in variants:
-        trace = predict_trace(variant, bath, probe, n0, delays)
+    reference = dataclasses.replace(pump, mu_squeeze=0.0)
+    traces = predict_trace([pump, reference], bath, probe, n0, delays)
+    for name, trace in zip(("squeezed", "reference"), traces):
         out.csv(f"predict_{name}_trace.csv", ["delay_ps", "mean_ny", "var_ny"], trace.T)
         spec_mean = detrend_and_fft(trace[:, [0, 1]], fundamental_thz=f0)
         spec_var = detrend_and_fft(trace[:, [0, 2]], fundamental_thz=f0)
@@ -310,17 +307,16 @@ def cmd_fluence(cfg: RunConfig, args) -> int:
     f0 = cfg.section("bath")["frequency_thz"]
     fluences = fser["fluences"]
 
-    # Fluence i scans on the streams of the seed prefix (seed, i).
+    # One scan of the whole series: fluence i draws its rows from the
+    # streams of the seed prefix (seed, i).
+    pumps = [cfg.fluence_pump_spec(fluence) for fluence in fluences]
+    res = _run_scan(cfg, pumps, bath, probe, det, delays, s["seed"])
     amps = np.empty(len(fluences))
     sigmas = np.empty(len(fluences))
-    for i, fluence in enumerate(fluences):
-        pump = cfg.fluence_pump_spec(fluence)
-        res = _run_scan(cfg, pump, bath, probe, det, delays, (s["seed"], i))
-        spec = detrend_and_fft(
-            np.column_stack([res.delays, res.dt_var]), fundamental_thz=f0
-        )
+    for i, dt_var in enumerate(res.dt_var):
+        spec = detrend_and_fft(np.column_stack([res.delays, dt_var]), fundamental_thz=f0)
         amps[i] = spec.peak_2omega
-        sigmas[i] = scan_noise(res.dt_var, s["n_pulses"], s["m_scans"])[2]
+        sigmas[i] = scan_noise(dt_var, s["n_pulses"], s["m_scans"])[2]
 
     detected = bool(np.any(amps > DETECTION_SIGMAS * sigmas))
     if not detected:

@@ -33,6 +33,10 @@ from .states import (
 )
 
 
+# libyaml's C parser when PyYAML was built with it: about ten times faster.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 class ConfigError(ValueError):
     """Invalid, unknown, or missing configuration content."""
 
@@ -170,7 +174,7 @@ _SCHEMA = {
         "statistics_only": _retired_statistics_only,
     },
     "fluence_series": {
-        "fluences": _number_list,
+        "fluences": partial(_number_list, increasing=True),
         "conversion": _positive,
         "coupling_norm": partial(_number, minimum=0.0, allow_none=True),
     },
@@ -223,7 +227,8 @@ def validate_mapping(mapping: Mapping) -> dict:
 
 @lru_cache(maxsize=1)
 def _parsed_defaults() -> dict:
-    return yaml.safe_load(resources.files("isrsim").joinpath("defaults.yaml").read_text())
+    text = resources.files("isrsim").joinpath("defaults.yaml").read_text()
+    return yaml.load(text, Loader=_YAML_LOADER)
 
 
 def default_mapping() -> dict:
@@ -256,7 +261,7 @@ def load_config(
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                user = yaml.safe_load(fh)
+                user = yaml.load(fh, Loader=_YAML_LOADER)
         except OSError as exc:
             raise ConfigError(f"config: cannot read {path}: {exc}") from exc
         except yaml.YAMLError as exc:

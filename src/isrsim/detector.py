@@ -16,9 +16,10 @@ per cell, never the pulses; only the voltage histograms draw bursts.
 
 Reproducibility is anchored in seed derivation, not execution order:
 every scan row draws from one stream, row_generator(seed, row), and
-the row's delay cells draw from it in delay order. Runs are
+the row's delay cells draw from it in delay order; in a series of
+pumps (a fluence series), pump i's rows key under seed + [i]. Runs are
 bit-identical for a fixed seed, and a row's draws do not depend on how
-many rows the scan has.
+many rows or pumps the scan has.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class ScanResult:
     keep the individual scans as (m_scans, n_delays) matrices.
     model_trace holds the noiseless predict_trace rows (delay, mean_ny,
     var_ny) the cells were drawn from, and ref_photons the reference
-    arm's mean photon number.
+    arm's mean photon number. A series of pumps puts a leading pump axis
+    on every array but delays.
     """
 
     delays: np.ndarray
@@ -175,7 +177,7 @@ def sample_scan_statistics(
     var_ny,
     det: DetectorSpec,
     n_pulses: int,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence,
     ref_photons: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (sample mean, sample variance) of bursts without the samples.
@@ -186,8 +188,10 @@ def sample_scan_statistics(
     aggregating sample_pulse_ensemble, at two draws per burst.
     mean_ny and var_ny may be arrays, one burst per element (the delays
     of a scan). rngs holds one Generator per scan row; the result is a
-    pair of (len(rngs),) + shape(mean_ny) arrays.
-    The voltage statistics are computed once for all rows. Each row, in
+    pair of (len(rngs),) + shape(mean_ny) arrays. rngs may also nest
+    one such list per pump, indexing mean_ny's leading axis, and the
+    rows' axis then follows it: (pumps, rows) + cells.
+    The voltage statistics are computed once for all cells. Each row, in
     row order, draws all its means as mu + sd * standard_normal, the
     same draws and bits as Generator.normal(mu, sd), then all its
     variances from one chisquare call.
@@ -199,19 +203,24 @@ def sample_scan_statistics(
         det,
         ref_photons,
     )
-    z = np.empty((len(rngs), mu.size))
-    chi2 = np.empty_like(z)
-    for row, rng in enumerate(rngs):
-        rng.standard_normal(out=z[row])
-        chi2[row] = rng.chisquare(n_pulses - 1, size=mu.size)
-    shape = (len(rngs),) + mu.shape
-    mean_hat = mu + np.sqrt(var / n_pulses) * z.reshape(shape)
-    var_hat = var * chi2.reshape(shape) / (n_pulses - 1)
+    rows = np.asarray(rngs, dtype=object)
+    mu, var = (np.expand_dims(v, rows.ndim - 1) for v in (mu, var))
+    cells = mu.shape[rows.ndim :]
+    mean_hat = np.empty(rows.shape + cells)
+    var_hat = np.empty_like(mean_hat)
+    for row, rng in np.ndenumerate(rows):
+        mean_hat[row] = rng.standard_normal(cells)
+        var_hat[row] = rng.chisquare(n_pulses - 1, size=cells)
+    # In place, the same operations as mu + sd z and var chi2 / (N - 1).
+    mean_hat *= np.sqrt(var / n_pulses)
+    mean_hat += mu
+    var_hat *= var
+    var_hat /= n_pulses - 1
     return mean_hat, var_hat
 
 
 def scan_experiment(
-    pump: PumpSpec,
+    pump: PumpSpec | Sequence[PumpSpec],
     bath: BathSpec,
     probe: ProbeSpec,
     det: DetectorSpec,
@@ -221,12 +230,14 @@ def scan_experiment(
     seed,
     thermal_n: float,
 ) -> ScanResult:
-    """Simulate the full delay-scan acquisition.
+    """Simulate the full delay-scan acquisition, for one pump or a series.
 
     The model observables and their voltage statistics are computed once
-    for all delays; one sample_scan_statistics call then draws every
-    cell's burst mean and variance, each scan row s in delay order from
-    its own stream, row_generator(seed, s). The reference arm is balanced
+    for all (pump, delay) cells; one sample_scan_statistics call then
+    draws every cell's burst mean and variance, each scan row s in delay
+    order from its own stream: row_generator(seed, s) for a single pump,
+    row_generator(seed + [i], s) for pump i of a series, whose result
+    arrays gain a leading pump axis. The reference arm is balanced
     against the unpumped baseline unless the detector pins
     ref_mean_photons. seed may be an int or a sequence of ints (a stream
     prefix).
@@ -235,15 +246,16 @@ def scan_experiment(
         raise ValueError("m_scans must be at least 1")
     trace = predict_trace(pump, bath, probe, thermal_n, delays)
     ref_photons = _reference_photons(det, probe_mean(thermal_state(thermal_n), probe))
-    taus, means, variances = trace.T
-    rngs = [row_generator(seed, s) for s in range(m_scans)]
+    series = trace.ndim == 3
+    prefixes = [[*np.ravel(seed), i] for i in range(len(trace))] if series else [seed]
+    rngs = [[row_generator(prefix, s) for s in range(m_scans)] for prefix in prefixes]
     per_scan_mean, per_scan_var = sample_scan_statistics(
-        means, variances, det, n_pulses, rngs, ref_photons
+        trace[..., 1], trace[..., 2], det, n_pulses, rngs if series else rngs[0], ref_photons
     )
     return ScanResult(
-        delays=taus,
-        dt_mean=per_scan_mean.mean(axis=0),
-        dt_var=per_scan_var.mean(axis=0),
+        delays=np.asarray(delays, dtype=float),
+        dt_mean=per_scan_mean.mean(axis=-2),
+        dt_var=per_scan_var.mean(axis=-2),
         per_scan_mean=per_scan_mean,
         per_scan_var=per_scan_var,
         model_trace=trace,

@@ -16,6 +16,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -155,20 +156,23 @@ def amplitude_prefactor(probe: ProbeSpec, thermal_n: float) -> float:
 
 
 def predict_trace(
-    pump: PumpSpec,
+    pump: PumpSpec | Sequence[PumpSpec],
     bath: BathSpec,
     probe: ProbeSpec,
     thermal_n: float,
     delays,
 ) -> np.ndarray:
-    """Noiseless model trace over a delay grid.
+    """Noiseless model trace over a delay grid, for one pump or a series.
 
-    Prepares a thermal phonon state, applies the impulsive pump, relaxes
-    to every delay at once and evaluates the probe read-out on the moment
-    arrays, through the same formulas as probe_mean and probe_variance.
-    Each delay's state is checked for physicality; an error names the
-    first delay that fails. Returns an array of shape (len(delays), 3)
-    with columns (delay, mean_ny, var_ny).
+    Prepares a thermal phonon state, applies each impulsive pump, relaxes
+    every pumped state to every delay at once and evaluates the probe
+    read-out on the (pump, delay) moment arrays, through the same
+    formulas as probe_mean and probe_variance. A single pump is computed
+    as a series of one. Each state is checked for physicality; an error
+    names the first delay that fails and, in a series, its pump's index.
+    Returns an array of shape (len(delays), 3) with columns (delay,
+    mean_ny, var_ny); a sequence of pumps gives one such block per pump,
+    shape (len(pumps), len(delays), 3).
     """
     taus = np.asarray(delays, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
@@ -177,12 +181,13 @@ def predict_trace(
         raise ValueError("delays must be finite and non-negative")
     if taus.size > 1 and not np.all(np.diff(taus) > 0):
         raise ValueError("delays must be strictly increasing")
-    c1, c2 = pump_coefficients(pump)
-    pumped = apply_pump(thermal_state(thermal_n), c1, c2)
-    m, occ, an = evolved_moments(pumped, taus, bath)
+    single = isinstance(pump, PumpSpec)
+    thermal = thermal_state(thermal_n)
+    pumped = [apply_pump(thermal, *pump_coefficients(p)) for p in ([pump] if single else pump)]
+    m, occ, an = (v[0] if single else v for v in evolved_moments(pumped, taus, bath))
     check_moments(m, occ, an, taus)
-    out = np.empty((taus.size, 3), dtype=float)
-    out[:, 0] = taus
-    out[:, 1] = _mean_ny(m, occ, probe)
-    out[:, 2] = _var_ny(m, occ, an, probe)
+    out = np.empty(m.shape + (3,), dtype=float)
+    out[..., 0] = taus
+    out[..., 1] = _mean_ny(m, occ, probe)
+    out[..., 2] = _var_ny(m, occ, an, probe)
     return out

@@ -36,16 +36,14 @@ def check_moments(mean_b, occupation, anomalous, delays=None) -> None:
 
     The moments may be arrays (one state per element, broadcast
     together). The error names the first failing element's reason and,
-    when delays is given, that element's delay.
+    when delays is given, its delay (last axis) and pump (leading axis).
     """
-    m, occ, an = (
-        np.ravel(v)
-        for v in np.broadcast_arrays(
-            np.asarray(mean_b, dtype=complex),
-            np.asarray(occupation, dtype=float),
-            np.asarray(anomalous, dtype=complex),
-        )
+    moments = np.broadcast_arrays(
+        np.asarray(mean_b, dtype=complex),
+        np.asarray(occupation, dtype=float),
+        np.asarray(anomalous, dtype=complex),
     )
+    m, occ, an = (np.ravel(v) for v in moments)
     with np.errstate(invalid="ignore", over="ignore"):
         nu = occ - np.abs(m) ** 2
         margin = (nu + 0.5) ** 2 - np.abs(an - m * m) ** 2
@@ -71,7 +69,9 @@ def check_moments(mean_b, occupation, anomalous, delays=None) -> None:
             f"(nu+1/2)^2 - |sigma|^2 = {margin[i]:.6e} < 1/4"
         )
     if delays is not None:
-        reason = f"state at delay {float(np.ravel(delays)[i])!r} ps: {reason}"
+        *pump, j = np.unravel_index(i, moments[0].shape)
+        where = f" of pump {pump[0]}" if pump else ""
+        reason = f"state{where} at delay {float(np.ravel(delays)[j])!r} ps: {reason}"
     raise PhysicalityError(reason)
 
 
@@ -242,7 +242,7 @@ def apply_pump(
 
 
 def evolved_moments(
-    state: GaussianPhononState, tau, bath: BathSpec
+    state, tau, bath: BathSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw moments (<b>, <b† b>, <b b>) after relaxing for each delay in tau.
 
@@ -251,7 +251,8 @@ def evolved_moments(
     moment exp(-2 i Omega tau - lambda tau), and the central occupation
     relaxes exponentially toward the bath value. tau may be a scalar or
     an array; the moments take its shape and are not yet checked for
-    physicality.
+    physicality. state may also be a sequence of states, which puts one
+    leading axis, a row per state, before tau's.
     """
     tau = np.asarray(tau, dtype=float)
     bad = ~(np.isfinite(tau) & (tau >= 0))
@@ -259,11 +260,17 @@ def evolved_moments(
         raise ValueError(
             f"delay must be >= 0 and finite, got {float(tau.flat[np.argmax(bad)])}"
         )
+    names = ("mean_b", "central_occupation", "central_anomalous")
+    if isinstance(state, GaussianPhononState):
+        m0, nu0, sig0 = (getattr(state, name) for name in names)
+    else:
+        shape = (-1,) + (1,) * tau.ndim
+        m0, nu0, sig0 = (np.reshape([getattr(s, k) for s in state], shape) for k in names)
     decay = np.exp(-bath.damping_rate * tau)
     rot = np.exp(-1j * bath.omega_rad_ps * tau)
-    m = state.mean_b * rot * np.sqrt(decay)
-    sig = state.central_anomalous * rot * rot * decay
-    nu = bath.n_bath + (state.central_occupation - bath.n_bath) * decay
+    m = m0 * rot * np.sqrt(decay)
+    sig = sig0 * rot * rot * decay
+    nu = bath.n_bath + (nu0 - bath.n_bath) * decay
     return m, nu + np.abs(m) ** 2, sig + m * m
 
 

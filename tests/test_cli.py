@@ -366,6 +366,47 @@ def test_fluence_needs_three_points(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fluences_must_rise_or_the_run_exits_2(tmp_path, capsys):
+    """Unsorted or repeated fluences would misalign fluence_series.csv's rows.
+
+    The fit sorts its points, so its r_fit column would sit beside
+    another fluence's row; the run stops before writing anything.
+    """
+    for fluences, index in (("17.0, 2.0, 5.0, 8.0, 11.0, 14.0", 1), ("2.0, 5.0, 5.0", 2)):
+        cfg = write_cfg(tmp_path, f"fluence_series:\n  fluences: [{fluences}]\n")
+        out = tmp_path / "o"
+        assert cli.main(["fluence", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"fluence: config error: fluence_series.fluences[{index}]: must exceed"
+        )
+        assert not out.exists()
+
+
+def test_one_scan_and_one_draw_call_per_command(tmp_path, monkeypatch):
+    """fluence scans its whole series at once, like scan its one pump."""
+    calls = []
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    scan = counting("scan_experiment", detector.scan_experiment)
+    monkeypatch.setattr(detector, "scan_experiment", scan)
+    monkeypatch.setattr(cli, "scan_experiment", scan)
+    monkeypatch.setattr(
+        detector,
+        "sample_scan_statistics",
+        counting("sample_scan_statistics", detector.sample_scan_statistics),
+    )
+    for command in ("scan", "fluence"):
+        calls.clear()
+        assert cli.main([command, "--out", str(tmp_path / command)]) == 0
+        assert sorted(calls) == ["sample_scan_statistics", "scan_experiment"]
+
+
 def test_config_error_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path, "pump:\n  mu_squeeze: -0.1\n")
     assert cli.main(["scan", "--config", bad, "--out", str(tmp_path / "o")]) == 2
@@ -373,6 +414,10 @@ def test_config_error_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.yaml")
     assert cli.main(["predict", "--config", missing]) == 2
     assert capsys.readouterr().err.startswith("predict: config error: config: cannot read")
+    unclosed = write_cfg(tmp_path, "scan: [unclosed\n", "unclosed.yaml")
+    assert cli.main(["scan", "--config", unclosed, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scan: config error: config:") and "is not valid YAML" in err
     # The probe has one phase key, phase_diff = theta_prime - theta_y.
     two_phases = write_cfg(tmp_path, "probe:\n  theta_prime: 0.2\n  theta_y: 0.1\n")
     assert cli.main(["predict", "--config", two_phases, "--out", str(tmp_path / "o")]) == 2

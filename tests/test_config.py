@@ -2,13 +2,16 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import isrsim.cli as cli
 from isrsim.config import (
     _SCHEMA,
+    _YAML_LOADER,
     ConfigError,
     RunConfig,
     default_mapping,
@@ -19,6 +22,7 @@ from isrsim.detector import calibrated_gain
 from isrsim.states import pump_coefficients
 
 N_300K = 1.178733690798772
+DEFAULTS = Path(__file__).resolve().parents[1] / "src" / "isrsim" / "defaults.yaml"
 
 
 def write(tmp_path, text, name="run.yaml"):
@@ -182,9 +186,12 @@ def test_fluence_and_shot_noise_lists(tmp_path):
     # The fluence fit takes three points: fewer is refused before any scan runs.
     with pytest.raises(ConfigError, match="^fluence_series.fluences: need at least 3"):
         load_config(write(tmp_path, "fluence_series:\n  fluences: [2.0, 5.0]\n"))
-    # The fit sorts its points, so the fluences may come in any order.
-    cfg = load_config(write(tmp_path, "fluence_series:\n  fluences: [8.0, 2.0, 5.0]\n"))
-    assert cfg.section("fluence_series")["fluences"] == [8.0, 2.0, 5.0]
+    # fluence_series.csv writes the fluences next to the fit's sorted
+    # columns, so they must rise like the powers below.
+    for fluences, index in (("8.0, 2.0, 5.0", 1), ("2.0, 5.0, 5.0", 2)):
+        path = write(tmp_path, f"fluence_series:\n  fluences: [{fluences}]\n")
+        with pytest.raises(ConfigError, match=rf"^fluence_series.fluences\[{index}\]: must exceed"):
+            load_config(path)
     # Equal powers leave the line fit singular, and unsorted ones would
     # report another power's variance as the top power's.
     for powers, index in (("1.0, 1.0, 1.0", 1), ("2.5, 0.25, 1.0", 1), ("0.25, 0.5, 0.5", 2)):
@@ -200,6 +207,12 @@ def test_outputs_rules(tmp_path):
         load_config(write(tmp_path, "outputs:\n  formats: [xml]\n"))
     with pytest.raises(ConfigError, match="directory"):
         load_config(write(tmp_path, "outputs:\n  directory: ''\n"))
+
+
+def test_libyaml_and_python_loaders_agree_on_the_defaults():
+    # tests/test_readme.py checks README's override example the same way.
+    text = DEFAULTS.read_text()
+    assert yaml.load(text, Loader=yaml.SafeLoader) == yaml.load(text, Loader=_YAML_LOADER)
 
 
 def test_missing_or_malformed_file(tmp_path):

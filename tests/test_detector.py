@@ -178,6 +178,23 @@ def test_scan_split_by_rows_is_bit_identical():
     assert np.array_equal(whole.per_scan_var[:2], head.per_scan_var)
 
 
+def test_series_scan_equals_its_single_scans():
+    """The fluence series in one call is six single-pump scans under (seed, i), bit for bit."""
+    cfg = load_config()
+    s = cfg.section("scan")
+    pumps = [cfg.fluence_pump_spec(f) for f in cfg.section("fluence_series")["fluences"]]
+    args = (cfg.bath_spec(), cfg.fluence_probe_spec(), cfg.detector_spec(), cfg.scan_delays())
+    kwargs = dict(n_pulses=s["n_pulses"], m_scans=s["m_scans"], thermal_n=cfg.initial_occupation())
+    series = scan_experiment(pumps, *args, seed=s["seed"], **kwargs)
+    assert series.per_scan_var.shape == (len(pumps), s["m_scans"], args[-1].size)
+    for i, pump in enumerate(pumps):
+        single = scan_experiment(pump, *args, seed=(s["seed"], i), **kwargs)
+        assert np.array_equal(series.delays, single.delays)
+        assert series.ref_photons == single.ref_photons
+        for name in ("dt_mean", "dt_var", "per_scan_mean", "per_scan_var", "model_trace"):
+            assert np.array_equal(getattr(series, name)[i], getattr(single, name)), name
+
+
 # Detector settings that each switch on one term of voltage_statistics.
 BURST_DETECTORS = {
     "no-electronic": DetectorSpec(0.9, 2e-4, 0.0),

@@ -220,6 +220,32 @@ def test_predict_trace_matches_scalar_chain():
         np.testing.assert_allclose(trace[:, 2], variances, rtol=1e-12, atol=0.0)
 
 
+def test_predict_trace_series_equals_its_single_traces():
+    bath = BathSpec(OMEGA, 0.3, 0.4)
+    probe = make_probe(theta=0.3, iy=80.0, dth=0.4)
+    pumps = [PumpSpec(0.5, mu, nu) for mu, nu in ((0.0, 1.0), (0.2, 0.7), (0.4, 1.3))]
+    delays = np.arange(40) * 0.05
+    series = predict_trace(pumps, bath, probe, 0.3, delays)
+    assert series.shape == (3, 40, 3)
+    for pump, trace in zip(pumps, series):
+        assert np.array_equal(trace, predict_trace(pump, bath, probe, 0.3, delays))
+
+
+def test_predict_trace_series_names_the_unphysical_pump():
+    bath = BathSpec(OMEGA, 0.5, 0.0)
+    object.__setattr__(bath, "n_bath", -0.6)  # as in the test below
+    # Over these delays only the squeezing pump leaves the physical states.
+    delays = np.arange(6) * 0.1
+    calm, squeezing = PumpSpec(0.5, 0.0, 1.0), PumpSpec(0.5, 1.0, 1.0)
+    predict_trace(calm, bath, make_probe(), 0.2, delays)
+    with pytest.raises(PhysicalityError) as single:
+        predict_trace(squeezing, bath, make_probe(), 0.2, delays)
+    assert str(single.value).startswith("state at delay ")
+    with pytest.raises(PhysicalityError) as series:
+        predict_trace([calm, squeezing], bath, make_probe(), 0.2, delays)
+    assert str(series.value) == str(single.value).replace("state at", "state of pump 1 at")
+
+
 def test_predict_trace_names_first_unphysical_delay():
     pump = PumpSpec(0.5, 0.0, 1.0)
     bath = BathSpec(OMEGA, 0.5, 0.0)

@@ -3,8 +3,10 @@
 import re
 from pathlib import Path
 
+import yaml
+
 import isrsim.cli as cli
-from isrsim.config import load_config
+from isrsim.config import _YAML_LOADER, load_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -34,8 +36,10 @@ def test_synopsis_lists_each_subcommands_options():
 
 
 def test_override_example_loads(tmp_path):
+    text = _fenced_block("Configuration", "yaml")
+    assert yaml.load(text, Loader=yaml.SafeLoader) == yaml.load(text, Loader=_YAML_LOADER)
     path = tmp_path / "override.yaml"
-    path.write_text(_fenced_block("Configuration", "yaml"))
+    path.write_text(text)
     cfg = load_config(str(path))
     assert cfg.section("scan")["stop_ps"] == 5.10
     # The example doubles the squeezing coupling, in the defaults' unit.
